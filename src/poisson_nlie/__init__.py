@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 from .ring import (  # noqa: F401
     DerivationSpec,
     LaurentPolynomial,
-    RingMatrix,
     certify_family,
     commutator_defect,
     det_ring,

@@ -28,7 +28,7 @@ from .constructions import (
 from .criterion import (
     AssumptionsError,
     BudgetExceededError,
-    DEFAULT_TUPLE_BUDGET,
+    DEFAULT_GROUP_BUDGET,
     check_criterion,
     probe_conjecture,
 )
@@ -422,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_TUPLE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_GROUP_BUDGET)
     common(p, seeded=True, threaded=True)
 
     p = sub.add_parser("criterion-probe", help="criterion over seeded random scalar matrices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_TUPLE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_GROUP_BUDGET)
     common(p, seeded=True, threaded=True)
 
     p = sub.add_parser("verify", help="axiom verification for an algebra")

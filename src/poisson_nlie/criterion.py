@@ -38,7 +38,11 @@ from .jacobian_bracket import (
 from .ring import CertifiedDerivationFamily, LaurentPolynomial, format_polynomial
 from .subspaces import det_fraction
 
-DEFAULT_TUPLE_BUDGET = 500_000_000
+# Residual groups one exhaustive check may evaluate.  The value is that of
+# the former budget on case tuples, so reports that echo it do not change;
+# every shape that budget accepted has at most 64,000,125 groups (at
+# (n, m) = (2, 124)) and stays accepted.
+DEFAULT_GROUP_BUDGET = 500_000_000
 
 
 class AssumptionsError(ValueError):
@@ -46,11 +50,11 @@ class AssumptionsError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Tuple enumeration would exceed the configured budget."""
+    """The exhaustive check would evaluate more residual groups than the budget."""
 
-    def __init__(self, message: str, total_tuples: int, budget: int):
+    def __init__(self, message: str, groups: int, budget: int):
         super().__init__(message)
-        self.total_tuples = total_tuples
+        self.groups = groups
         self.budget = budget
 
 
@@ -230,15 +234,17 @@ def group_residual_a(alpha: Tuple[int, ...], beta: Tuple[int, ...],
         pi, _dpi = _prepare(A, family, pi)
     size = A.n + A.m
     total = LaurentPolynomial.zero(A.nvars)
-    lead = signed_pi(alpha, pi)
-    lead_live = lead is not None and not lead.is_zero()
+    lead_sign = perm_sign(alpha)
+    lead_key = tuple(sorted(alpha))
+    lead_live = lead_sign != 0 and not pi[lead_key].is_zero()
     for r in range(1, size + 1):
         if lead_live:
             pu = signed_pi((r,) + beta, pi)
             if pu is not None and not pu.is_zero():
-                d = family[r - 1].apply(lead)
+                d = _dpi.get(r, lead_key)
                 if not d.is_zero():
-                    total = total + pu * d
+                    term = pu * d
+                    total = total + (term if lead_sign > 0 else -term)
         for k in range(1, len(alpha) + 1):
             pw = signed_pi(replace_position(alpha, k, r), pi)
             if pw is None or pw.is_zero():
@@ -326,7 +332,7 @@ def _tuple_counts(n: int, m: int) -> Dict[str, int]:
 
 
 def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
-                    budget: int = DEFAULT_TUPLE_BUDGET, threads: int = 1,
+                    budget: int = DEFAULT_GROUP_BUDGET, threads: int = 1,
                     matrix_desc: str = "") -> CriterionReport:
     """Decide whether (A, family) yields a Poisson n-Lie bracket.
 
@@ -335,6 +341,10 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
     parametrization); exact arithmetic, zero tolerance.  The verdict is
     equivalent to the vanishing of the fundamental-identity defect on all
     inputs whenever the family's separating assumptions hold.
+
+    ``budget`` caps the residual groups evaluated (``counts["groups_total"]``).
+    The scan runs serially; ``threads`` is accepted for compatibility and
+    does not change the work or the result.
     """
     if not isinstance(family, CertifiedDerivationFamily):
         raise TypeError("check_criterion requires a certified derivation family")
@@ -345,75 +355,53 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
     if len(family) != A.n + A.m:
         raise ValueError("derivation family size must be n + m")
     counts = _tuple_counts(A.n, A.m)
-    if counts["case_tuples"] > budget:
+    if counts["groups_total"] > budget:
         raise BudgetExceededError(
-            f"{counts['case_tuples']} case tuples exceed budget {budget}",
-            counts["case_tuples"], budget)
+            f"{counts['groups_total']} residual groups exceed budget {budget}",
+            counts["groups_total"], budget)
 
     start = time.perf_counter()
     pi = pi_table(A)
-    dpi = _PiDerivatives(pi, family)
-    n, m = A.n, A.m
-    size = n + m
-    idx = range(1, size + 1)
-    alphas = list(itertools.combinations(idx, n))
-    betas = list(itertools.combinations(idx, n - 1))
-    pairs = [(r1, r2) for r1 in idx for r2 in idx if r1 <= r2]
-    beta_rests = list(itertools.combinations(idx, n - 2))
-
-    first_jobs = [("A", alpha, beta) for alpha in alphas for beta in betas]
-    second_jobs = [("B", alpha, pair, rest)
-                   for alpha in alphas for pair in pairs for rest in beta_rests]
-    jobs = first_jobs + second_jobs
-
-    def evaluate(job):
-        if job[0] == "A":
-            return group_residual_a(job[1], job[2], A, family, pi, dpi)
-        return group_residual_b(job[1], job[2], job[3], A, pi)
-
-    def scan(indexed_jobs):
-        for position, job in indexed_jobs:
-            if not evaluate(job).is_zero():
-                return position
-        return None
-
-    indexed = list(enumerate(jobs))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunk = max(1, (len(indexed) + threads - 1) // threads)
-        blocks = [indexed[i:i + chunk] for i in range(0, len(indexed), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = [h for h in pool.map(scan, blocks) if h is not None]
-        first_bad = min(hits) if hits else None
-    else:
-        first_bad = scan(indexed)
-
-    counterexample = None
-    if first_bad is not None:
-        job = jobs[first_bad]
-        value = evaluate(job)
-        if job[0] == "A":
-            counterexample = {
-                "residual_family": "first",
-                "x_pattern": list(job[1]),
-                "y_tail": list(job[2]),
-                "residual": format_polynomial(value),
-            }
-        else:
-            counterexample = {
-                "residual_family": "second",
-                "x_pattern": list(job[1]),
-                "derivative_pair": list(job[2]),
-                "y_tail_rest": list(job[3]),
-                "residual": format_polynomial(value),
-            }
+    counterexample = _first_nonzero_group(A, family, pi, _PiDerivatives(pi, family))
     wall = time.perf_counter() - start
     entries = [[format_polynomial(e) for e in row] for row in A.entries]
     return CriterionReport(
-        n=n, m=m, nvars=A.nvars, matrix_desc=matrix_desc,
+        n=A.n, m=A.m, nvars=A.nvars, matrix_desc=matrix_desc,
         matrix_entries=entries,
         verdict="pass" if counterexample is None else "fail",
         counts=counts, counterexample=counterexample, wall_time=wall)
+
+
+def _first_nonzero_group(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
+                         pi: dict, dpi: _PiDerivatives) -> Optional[dict]:
+    """The first grouped residual that does not vanish, as a counterexample;
+    None when all vanish.  The first family is visited before the second,
+    each in lexicographic order of its group labels."""
+    n = A.n
+    idx = range(1, n + A.m + 1)
+    alphas = list(itertools.combinations(idx, n))
+    for alpha, beta in itertools.product(alphas, itertools.combinations(idx, n - 1)):
+        value = group_residual_a(alpha, beta, A, family, pi, dpi)
+        if not value.is_zero():
+            return {
+                "residual_family": "first",
+                "x_pattern": list(alpha),
+                "y_tail": list(beta),
+                "residual": format_polynomial(value),
+            }
+    for alpha, pair, rest in itertools.product(
+            alphas, itertools.combinations_with_replacement(idx, 2),
+            itertools.combinations(idx, n - 2)):
+        value = group_residual_b(alpha, pair, rest, A, pi)
+        if not value.is_zero():
+            return {
+                "residual_family": "second",
+                "x_pattern": list(alpha),
+                "derivative_pair": list(pair),
+                "y_tail_rest": list(rest),
+                "residual": format_polynomial(value),
+            }
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +570,12 @@ class ProbeReport:
 
 
 def probe_conjecture(n: int, m: int, trials: int, seed: int,
-                     budget: int = DEFAULT_TUPLE_BUDGET, threads: int = 1,
+                     budget: int = DEFAULT_GROUP_BUDGET, threads: int = 1,
                      family: Optional[CertifiedDerivationFamily] = None) -> ProbeReport:
     """Run the exhaustive criterion on seeded random scalar matrices; any
     failure would be a counterexample to the scalar-matrix conjecture and
-    is dumped verbatim."""
+    is dumped verbatim.  Trials run serially; ``threads`` is accepted for
+    compatibility."""
     from .ring import euler_family
 
     nvars = n + m
@@ -596,27 +585,18 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
     matrices = [sampler.scalar_matrix(n, m) for _ in range(trials)]
 
     start = time.perf_counter()
-
-    def run(args):
-        trial, A = args
+    verdicts = []
+    failures = []
+    for trial, A in enumerate(matrices):
         report = check_criterion(A, family, budget=budget,
                                  matrix_desc=f"scalar:random seed={seed} trial={trial}")
-        return trial, report
-
-    jobs = list(enumerate(matrices))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
-    verdicts = [rep.verdict for _, rep in results]
-    failures = [{
-        "trial": trial,
-        "matrix_entries": rep.matrix_entries,
-        "counterexample": rep.counterexample,
-    } for trial, rep in results if rep.verdict != "pass"]
+        verdicts.append(report.verdict)
+        if report.verdict != "pass":
+            failures.append({
+                "trial": trial,
+                "matrix_entries": report.matrix_entries,
+                "counterexample": report.counterexample,
+            })
     wall = time.perf_counter() - start
     counts = _tuple_counts(n, m)
     return ProbeReport(n=n, m=m, trials=trials, seed=seed, verdicts=verdicts,

@@ -415,27 +415,19 @@ def is_ideal(U: Subspace, P: StructAlgebra) -> bool:
     return U.contains_subspace(br)
 
 
-def ideal_closure(U: Subspace, P: StructAlgebra) -> Subspace:
-    whole = full_space(P)
-    current = U
-    for _ in range(P.dim + 1):
-        grown = current.sum(subspace_product(whole, current, P))
-        grown = grown.sum(bracket_span([current] + [whole] * (P.arity - 1), P))
-        if grown.dim == current.dim:
-            return current
-        current = grown
-    raise InternalCheckError("ideal closure failed to stabilize")
-
-
-def bracket_ideal_closure(U: Subspace, P: StructAlgebra) -> Subspace:
+def ideal_closure(U: Subspace, P: StructAlgebra, with_product: bool = True) -> Subspace:
+    """Smallest ideal containing U; with ``with_product`` False, the
+    smallest ideal of the bracket alone."""
     whole = full_space(P)
     current = U
     for _ in range(P.dim + 1):
         grown = current.sum(bracket_span([current] + [whole] * (P.arity - 1), P))
+        if with_product:
+            grown = grown.sum(subspace_product(whole, current, P))
         if grown.dim == current.dim:
             return current
         current = grown
-    raise InternalCheckError("bracket ideal closure failed to stabilize")
+    raise InternalCheckError("ideal closure failed to stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -522,40 +514,34 @@ class Classification:
     pl_nilpotent: bool
 
 
-def _only_product_series(P: StructAlgebra) -> bool:
-    whole = full_space(P)
-    current = whole
+def _descends_to_zero(start: Subspace, step) -> bool:
+    """Apply ``step`` from ``start`` until the subspace is zero (True) or
+    stops changing (False)."""
+    current = start
     while True:
-        nxt = subspace_product(current, whole, P)
+        nxt = step(current)
         if nxt.is_zero():
             return True
         if nxt == current:
             return False
         current = nxt
+
+
+def _only_product_series(P: StructAlgebra) -> bool:
+    whole = full_space(P)
+    return _descends_to_zero(whole, lambda T: subspace_product(T, whole, P))
 
 
 def _bracket_series_nilpotent(P: StructAlgebra) -> bool:
     whole = full_space(P)
-    current = whole
-    while True:
-        nxt = bracket_span([current] + [whole] * (P.arity - 1), P)
-        if nxt.is_zero():
-            return True
-        if nxt == current:
-            return False
-        current = nxt
+    return _descends_to_zero(
+        whole, lambda T: bracket_span([T] + [whole] * (P.arity - 1), P))
 
 
 def _bracket_series_solvable(P: StructAlgebra) -> bool:
     whole = full_space(P)
-    current = whole
-    while True:
-        nxt = bracket_span([current, current] + [whole] * (P.arity - 2), P)
-        if nxt.is_zero():
-            return True
-        if nxt == current:
-            return False
-        current = nxt
+    return _descends_to_zero(
+        whole, lambda T: bracket_span([T, T] + [whole] * (P.arity - 2), P))
 
 
 def classify(P: StructAlgebra) -> Classification:
@@ -663,16 +649,10 @@ def bracket_nilradical(P: StructAlgebra) -> Subspace:
     whole = full_space(P)
 
     def nilpotent_bracket_ideal(U: Subspace) -> bool:
-        current = U
-        while True:
-            nxt = bracket_span([current, U] + [whole] * (P.arity - 2), P)
-            if nxt.is_zero():
-                return True
-            if nxt == current:
-                return False
-            current = nxt
+        return _descends_to_zero(
+            U, lambda T: bracket_span([T, U] + [whole] * (P.arity - 2), P))
 
-    current = bracket_ideal_closure(bracket_span([whole] * P.arity, P), P)
+    current = ideal_closure(bracket_span([whole] * P.arity, P), P, with_product=False)
     if not nilpotent_bracket_ideal(current):
         raise InternalCheckError("bracket part of P^2 must be nilpotent")
     changed = True
@@ -681,8 +661,8 @@ def bracket_nilradical(P: StructAlgebra) -> Subspace:
         for row in _adapted_basis(P):
             if current.contains(row):
                 continue
-            grown = bracket_ideal_closure(
-                current.sum(Subspace.from_vectors(P.dim, [row])), P)
+            grown = ideal_closure(
+                current.sum(Subspace.from_vectors(P.dim, [row])), P, with_product=False)
             if nilpotent_bracket_ideal(grown):
                 current = grown
                 changed = True
@@ -993,18 +973,6 @@ def fixture_torus(n: int = 4, k: int = 5) -> StructAlgebra:
     return P
 
 
-def fixture_torus_layout(n: int = 4, k: int = 5) -> dict:
-    """Index map for fixture_torus: base vectors, torus vectors, and the
-    sum-of-torus element used by the invertible-adjoint example."""
-    q = k - n + 2
-    return {
-        "base": tuple(range(k)),
-        "torus": tuple(range(k, k + q)),
-        "generator_slots": tuple(range(n - 2)),
-        "weight_vectors": tuple(range(n - 2, k)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Definition file grammar
 # ---------------------------------------------------------------------------
@@ -1052,21 +1020,25 @@ def parse_algebra(text: str) -> StructAlgebra:
         product 4*5 = e7
 
     Strictly increasing bracket tuples, product pairs with i <= j,
-    rational coefficients, unlisted entries zero, '#' comments.
+    rational coefficients, unlisted entries zero, '#' comments.  Each
+    header and each entry appears at most once.
     """
-    dim = arity = None
+    header = {"dim": None, "arity": None}
     brackets = {}
     products = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("dim"):
-            dim = int(line.split()[1])
+        words = line.split()
+        if words[0] in header:
+            if len(words) != 2 or not re.fullmatch(r"-?\d+", words[1]):
+                raise ParseError(f"{words[0]} needs one integer value", line_no, 1)
+            if header[words[0]] is not None:
+                raise ParseError(f"repeated {words[0]} line", line_no, 1)
+            header[words[0]] = int(words[1])
             continue
-        if line.startswith("arity"):
-            arity = int(line.split()[1])
-            continue
+        dim, arity = header["dim"], header["arity"]
         if dim is None or arity is None:
             raise ParseError("dim and arity must precede entries", line_no, 1)
         if line.startswith("bracket"):
@@ -1078,6 +1050,8 @@ def parse_algebra(text: str) -> StructAlgebra:
                 raise ParseError("bracket tuple length must equal the arity", line_no, 1)
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ParseError("bracket tuples must be strictly increasing", line_no, 1)
+            if key in brackets:
+                raise ParseError("repeated bracket entry", line_no, 1)
             brackets[key] = _parse_combination(match.group(2), dim, line_no)
             continue
         if line.startswith("product"):
@@ -1087,12 +1061,14 @@ def parse_algebra(text: str) -> StructAlgebra:
             i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
             if i > j:
                 raise ParseError("product pairs need i <= j", line_no, 1)
+            if (i, j) in products:
+                raise ParseError("repeated product entry", line_no, 1)
             products[(i, j)] = _parse_combination(match.group(3), dim, line_no)
             continue
         raise ParseError(f"unrecognized line {line!r}", line_no, 1)
-    if dim is None or arity is None:
+    if None in header.values():
         raise ParseError("missing dim or arity", 1, 1)
-    return StructAlgebra(dim, arity, brackets, products)
+    return StructAlgebra(header["dim"], header["arity"], brackets, products)
 
 
 def _format_combination(sv: SVec) -> str:

@@ -344,32 +344,21 @@ def expansion_equivalence_check(n: int, m: int, family: CertifiedDerivationFamil
                                 samples: int = 200, seed: int = 0,
                                 threads: int = 1) -> dict:
     """Compare bracket(full) with bracket(expanded) on seeded monomial
-    inputs under seeded scalar/monomial adjoined matrices."""
+    inputs under seeded scalar/monomial adjoined matrices.  Samples run
+    serially; ``threads`` is accepted for compatibility."""
     sampler = MonomialSampler(family.nvars, seed=seed)
-    jobs = []
+    first_mismatch = None
     for index in range(samples):
         A = sampler.scalar_matrix(n, m) if index % 2 == 0 else sampler.monomial_matrix(n, m)
         xs = sampler.monomials(n)
-        jobs.append((A, xs))
-
-    def run(job):
-        A, xs = job
-        full = bracket(xs, A, family, method="full")
-        expanded = bracket(xs, A, family, method="expanded")
-        return full == expanded
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-    mismatches = [i for i, ok in enumerate(outcomes) if not ok]
+        if bracket(xs, A, family, method="full") != bracket(xs, A, family, method="expanded"):
+            first_mismatch = index
+            break
     return {
         "n": n,
         "m": m,
         "samples": samples,
         "seed": seed,
-        "equal": not mismatches,
-        "first_mismatch": mismatches[0] if mismatches else None,
+        "equal": first_mismatch is None,
+        "first_mismatch": first_mismatch,
     }

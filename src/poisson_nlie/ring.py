@@ -348,10 +348,6 @@ class DerivationSpec:
         return total
 
 
-def apply_derivation(d: DerivationSpec, p: LaurentPolynomial) -> LaurentPolynomial:
-    return d.apply(p)
-
-
 def commutator_defect(d1: DerivationSpec, d2: DerivationSpec) -> tuple:
     """Coefficient vector of [d1, d2]; the zero vector iff d1, d2 commute."""
     if d1.nvars != d2.nvars:
@@ -420,35 +416,8 @@ def partial_family(nvars: int) -> CertifiedDerivationFamily:
 
 
 # ---------------------------------------------------------------------------
-# Ring matrices and determinants
+# Determinants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RingMatrix:
-    entries: tuple  # tuple of row tuples of LaurentPolynomial
-
-    def __post_init__(self):
-        rows = self.entries
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[LaurentPolynomial]]) -> "RingMatrix":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    def is_square(self):
-        return self.rows == self.cols
-
 
 def _det_cofactor(rows, cols, entries):
     if len(rows) == 1:
@@ -504,7 +473,7 @@ def det_ring(matrix, method: str = "auto", size_cap: int = DET_SIZE_CAP) -> Laur
     above), ``cofactor`` or ``bareiss``; the two algorithms agree and are
     cross-checked in the test suite.
     """
-    entries = matrix.entries if isinstance(matrix, RingMatrix) else tuple(tuple(r) for r in matrix)
+    entries = tuple(tuple(r) for r in matrix)
     n = len(entries)
     if n == 0:
         raise ValueError("determinant of an empty matrix needs a variable count; use pi conventions")

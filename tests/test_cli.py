@@ -53,6 +53,41 @@ class TestBasics:
         assert code == 2
         assert "line 3" in report["error"]
 
+    @pytest.mark.parametrize("text, line", [
+        ("dim\narity 2\n", 1),
+        ("dim 2\narity two\n", 2),
+        ("dim 2 3\narity 2\n", 1),
+    ])
+    def test_header_needs_one_integer(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, report, _ = invoke(capsys, "verify", str(path))
+        assert code == 2
+        assert f"line {line}" in report["error"] and "integer" in report["error"]
+
+    @pytest.mark.parametrize("text", [
+        "dimension 2\narity 2\nbracket [1,2] = e1\n",
+        "dim 2\narityx 2\nbracket [1,2] = e1\n",
+    ])
+    def test_header_keyword_must_match_exactly(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, report, _ = invoke(capsys, "verify", str(path))
+        assert code == 2 and "error" in report
+
+    @pytest.mark.parametrize("text, line", [
+        ("dim 2\narity 2\ndim 3\n", 3),
+        ("dim 3\narity 2\narity 3\n", 3),
+        ("dim 2\narity 2\nbracket [1,2] = e1\nbracket [1,2] = e2\n", 4),
+        ("dim 2\narity 2\nproduct 1*2 = e1\nproduct 1*2 = 0\n", 4),
+    ])
+    def test_repeated_line_is_refused(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, report, _ = invoke(capsys, "verify", str(path))
+        assert code == 2
+        assert f"line {line}" in report["error"] and "repeated" in report["error"]
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -85,6 +120,14 @@ class TestCriterionCommands:
                                  "--matrix", "scalar:random", "--seed", "0",
                                  "--budget", "10")
         assert code == 3 and "error" in report
+
+    def test_budget_meters_residual_groups(self, capsys):
+        argv = ("criterion-check", "--n", "3", "--m", "2",
+                "--matrix", "scalar:random", "--seed", "0", "--budget")
+        code, report, _ = invoke(capsys, *argv, "1000")
+        assert code == 0 and report["counts"]["groups_total"] == 850
+        code, report, _ = invoke(capsys, *argv, "849")
+        assert code == 3 and "850 residual groups" in report["error"]
 
     def test_probe(self, capsys):
         code, report, _ = invoke(capsys, "criterion-probe", "--n", "3", "--m", "1",

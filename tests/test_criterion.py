@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from poisson_nlie.criterion import (
     AssumptionsError,
+    DEFAULT_GROUP_BUDGET,
     BudgetExceededError,
     CriterionTuple,
+    _tuple_counts,
     check_criterion,
     expanded_identity_defect,
     grassmann_plucker_defect,
@@ -226,6 +228,15 @@ class TestCheckCriterion:
         A = MonomialSampler(5, seed=8).scalar_matrix(3, 2)
         with pytest.raises(BudgetExceededError):
             check_criterion(A, euler5, budget=10)
+
+    def test_default_budget_keeps_every_formerly_accepted_shape(self):
+        # The budget once capped case tuples at 500,000,000; every shape
+        # it accepted must stay within the group budget.
+        for n in range(2, 10):
+            for m in range(0, 200):
+                counts = _tuple_counts(n, m)
+                if counts["case_tuples"] <= 500_000_000:
+                    assert counts["groups_total"] <= DEFAULT_GROUP_BUDGET, (n, m)
 
     def test_partial_family_is_refused(self):
         fam = partial_family(3)
