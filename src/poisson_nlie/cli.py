@@ -5,7 +5,9 @@ fixed seed and thread count once the timing block is stripped); a short
 human summary on standard error unless ``--quiet``.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the report
-carries the counterexample); 2 usage or parse error; 3 budget exceeded.
+carries the counterexample); 2 usage or parse error; 3 budget exceeded;
+4 an arithmetic error (such as an exponent leaving the fixed-width range
+during evaluation) or a failed internal cross-check.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .criterion import (
 )
 from .finite_algebra import (
     SERIES_KINDS,
+    InternalCheckError,
     StructAlgebra,
     _parse_combination,
     classify,
@@ -70,6 +73,7 @@ EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -281,7 +285,7 @@ def _cmd_eigenspace(args):
         raise UsageError(f"bad element: {exc}")
     try:
         eigenvalue = Fraction(args.eigenvalue)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad eigenvalue {args.eigenvalue!r}")
     space = generalized_eigenspace(P, element, eigenvalue)
     payload = {
@@ -517,6 +521,9 @@ def run(argv=None) -> int:
     except (BudgetExceededError, DimensionBudgetError) as exc:
         report["error"] = str(exc)
         code, summary = EXIT_BUDGET, f"budget exceeded: {exc}"
+    except (ArithmeticError, InternalCheckError) as exc:
+        report["error"] = str(exc)
+        code, summary = EXIT_INTERNAL, f"arithmetic or internal check error: {exc}"
     report["exit_code"] = code
     report["timing"] = {"wall_s": round(time.perf_counter() - started, 6)}
     print(json.dumps(report, sort_keys=True, default=str))

@@ -23,6 +23,7 @@ from .finite_algebra import (
     InternalCheckError,
     StructAlgebra,
     SVec,
+    _fundamental_cases,
     _fundamental_holds,
     _sv_accum,
     ideal_closure,
@@ -177,7 +178,7 @@ def iterated_bracket(P2: StructAlgebra, n: int) -> StructAlgebra:
     """n-ary bracket [x_1, [x_2, [... [x_{n-1}, x_n]]]] from a binary one.
 
     The result is generally not alternating; the fundamental identity is
-    verified exhaustively and asserted.
+    verified exhaustively over the stored entries and asserted.
     """
     if P2.arity != 2:
         raise ValueError("iterated nesting starts from a binary bracket")
@@ -196,11 +197,10 @@ def iterated_bracket(P2: StructAlgebra, n: int) -> StructAlgebra:
             brackets[key] = inner
     result = StructAlgebra(d, n, brackets,
                            dict(P2.product_entries()), skew=False)
-    for xs in itertools.product(range(d), repeat=n - 1):
-        for ys in itertools.product(range(d), repeat=n):
-            if not _fundamental_holds(result, xs, ys):
-                raise InternalCheckError(
-                    f"iterated bracket lost the fundamental identity at {(xs, ys)}")
+    for xs, ys in _fundamental_cases(result):
+        if not _fundamental_holds(result, xs, ys):
+            raise InternalCheckError(
+                f"iterated bracket lost the fundamental identity at {(xs, ys)}")
     return result
 
 
@@ -234,6 +234,15 @@ def skew_defect_quotient(P: StructAlgebra) -> QuotientAlgebra:
     return quotient
 
 
+def _split(a: int, d: int, parts: int) -> tuple:
+    """Base-``d`` digits of a tensor-power index, most significant first."""
+    out = []
+    for _ in range(parts):
+        a, r = divmod(a, d)
+        out.append(r)
+    return tuple(reversed(out))
+
+
 def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
                            budget: int = DIMENSION_BUDGET,
                            check_seed: int = 0,
@@ -251,13 +260,6 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
     if dim > budget:
         raise DimensionBudgetError(f"tensor power dimension {dim} exceeds {budget}")
 
-    def split(a: int) -> tuple:
-        out = []
-        for _ in range(n - 1):
-            a, r = divmod(a, d)
-            out.append(r)
-        return tuple(reversed(out))
-
     def join(tup: Sequence[int]) -> int:
         a = 0
         for r in tup:
@@ -267,10 +269,10 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
     basis = [{i: Fraction(1)} for i in range(d)]
     brackets: Dict[tuple, SVec] = {}
     for a in range(dim):
-        xs = split(a)
+        xs = _split(a, d, n - 1)
         x_args = [basis[i] for i in xs]
         for b in range(dim):
-            ys = split(b)
+            ys = _split(b, d, n - 1)
             acc: SVec = {}
             for slot in range(n - 1):
                 w = L.bracket(x_args + [basis[ys[slot]]])
@@ -285,9 +287,9 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
     products: Dict[Tuple[int, int], SVec] = {}
     if with_product:
         for a in range(dim):
-            xs = split(a)
+            xs = _split(a, d, n - 1)
             for b in range(a, dim):
-                ys = split(b)
+                ys = _split(b, d, n - 1)
                 slots: List[SVec] = []
                 dead = False
                 for xa, yb in zip(xs, ys):
@@ -326,18 +328,10 @@ def kernel_of_adjoint(L: StructAlgebra) -> Subspace:
     n = L.arity
     d = L.dim
     dim = d ** (n - 1)
-
-    def split(a: int) -> tuple:
-        out = []
-        for _ in range(n - 1):
-            a, r = divmod(a, d)
-            out.append(r)
-        return tuple(reversed(out))
-
     rows = [[Fraction(0)] * dim for _ in range(d * d)]
     basis = [{i: Fraction(1)} for i in range(d)]
     for a in range(dim):
-        xs = [basis[i] for i in split(a)]
+        xs = [basis[i] for i in _split(a, d, n - 1)]
         for j in range(d):
             image = L.bracket(xs + [basis[j]])
             for i, c in image.items():

@@ -572,16 +572,20 @@ class _Parser:
     def _term(self):
         value = self._factor()
         while True:
-            kind, text, _ = self._peek()
+            kind, text, offset = self._peek()
             if kind == "op" and text == "*":
                 self._take()
-                value = value * self._factor()
+                factor = self._factor()
+                try:
+                    value = value * factor
+                except ExponentOverflowError as exc:
+                    self._error(str(exc), offset)
             else:
                 return value
 
     def _factor(self):
         base = self._base()
-        kind, text, _ = self._peek()
+        kind, text, offset = self._peek()
         if kind == "op" and text == "^":
             self._take()
             power = self._signed_int()
@@ -589,6 +593,8 @@ class _Parser:
                 return base ** power
             except ExactDivisionError:
                 self._error("negative power of a non-monomial")
+            except ExponentOverflowError as exc:
+                self._error(str(exc), offset)
         return base
 
     def _signed_int(self):

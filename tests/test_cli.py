@@ -1,9 +1,16 @@
 import json
+import time
 
 import pytest
 
+from poisson_nlie import cli
 from poisson_nlie.cli import run
-from poisson_nlie.finite_algebra import fixture_hypo, format_algebra, parse_algebra
+from poisson_nlie.finite_algebra import (
+    InternalCheckError,
+    fixture_hypo,
+    format_algebra,
+    parse_algebra,
+)
 
 
 def invoke(capsys, *argv):
@@ -91,6 +98,34 @@ class TestBasics:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("dim", [200, 100_000_000])
+    def test_verify_zero_algebra_does_not_scale_with_dim(self, capsys, tmp_path, dim):
+        path = tmp_path / "zero.alg"
+        path.write_text(f"dim {dim}\narity 2\n")
+        started = time.perf_counter()
+        code, report, _ = invoke(capsys, "verify", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 0 and report["all_pass"] and report["dim"] == dim
+        assert report["mode"] == "exhaustive" and report["witnesses"] == {}
+
+    def test_zero_denominator_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.alg"
+        path.write_text("dim 2\narity 2\nbracket [1,2] = 1/0*e1\n")
+        code, report, _ = invoke(capsys, "verify", str(path))
+        assert code == 2 and "line 3" in report["error"]
+        code, report, _ = invoke(capsys, "eigenspace", "fixture:hypo",
+                                 "--element", "e4", "--eigenvalue", "1/0")
+        assert code == 2 and "eigenvalue" in report["error"]
+
+    def test_internal_check_error_exits_four(self, capsys, monkeypatch):
+        def broken(P):
+            raise InternalCheckError("cross-check failed")
+        monkeypatch.setattr(cli, "classify", broken)
+        code, report, err = invoke(capsys, "classify", "fixture:hypo")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert report["exit_code"] == 4 and report["error"] == "cross-check failed"
+        assert "cross-check failed" in err
+
 
 class TestCriterionCommands:
     def test_check_scalar_random(self, capsys):
@@ -146,6 +181,24 @@ class TestCriterionCommands:
         assert code == 0
         assert report["full"] == report["expanded"] == "t1*t2"
         assert report["agree"]
+
+    def test_exponent_overflow_in_arguments_is_a_parse_error(self, capsys):
+        code, report, _ = invoke(capsys, "construct-jacobian",
+                                 "--ring", "laurent:v=3:euler", "--n", "2", "--m", "1",
+                                 "--matrix", "scalar:random", "--seed", "0",
+                                 "--args", "t1^2147483647*t1; t2")
+        assert code == 2
+        assert "exponent 2147483648 out of range" in report["error"]
+        assert "column 14" in report["error"]
+
+    def test_exponent_overflow_in_evaluation_exits_four(self, capsys):
+        # each argument parses, but the bracket multiplies t1^(2^31 - 1) by t1
+        code, report, _ = invoke(capsys, "construct-jacobian",
+                                 "--ring", "laurent:v=3:euler", "--n", "2", "--m", "1",
+                                 "--matrix", "scalar:random", "--seed", "0",
+                                 "--args", "t1^2147483647; t1*t2")
+        assert code == 4
+        assert report["error"] == "exponent 2147483648 out of range"
 
     def test_construct_jacobian_samples(self, capsys):
         code, report, _ = invoke(capsys, "construct-jacobian",

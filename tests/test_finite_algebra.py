@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,133 @@ class TestVerifyAxioms:
         broken = StructAlgebra(7, 4, brackets, dict(hypo.product_entries()))
         report = verify_axioms(broken)
         assert not report.fundamental
+
+
+def _add(acc, vec):
+    for i, c in vec.items():
+        value = acc.get(i, 0) + c
+        if value:
+            acc[i] = value
+        else:
+            acc.pop(i, None)
+
+
+def _parity(key):
+    return (-1) ** sum(1 for a, b in itertools.combinations(key, 2) if a > b)
+
+
+def reference_axioms(P):
+    """Flags and witnesses by brute force: the lexicographically first
+    failing case of each axiom over all basis tuples, evaluated through the
+    multilinear ``bracket`` and ``product``."""
+    d, n = P.dim, P.arity
+
+    def br(*slots):
+        return P.bracket([e(s) if isinstance(s, int) else s for s in slots])
+
+    def associative(i, j, k):
+        return P.product(P.product(e(i), e(j)), e(k)) == P.product(e(i), P.product(e(j), e(k)))
+
+    def skew(*key):
+        value = P.bracket_basis(key)
+        if len(set(key)) < len(key):
+            return not value
+        ref = P.bracket_basis(tuple(sorted(key)))
+        return value == {i: _parity(key) * c for i, c in ref.items()}
+
+    def fundamental(xs, ys):
+        rhs = {}
+        for pos in range(n):
+            _add(rhs, br(*ys[:pos], br(*xs, ys[pos]), *ys[pos + 1:]))
+        return br(*xs, br(*ys)) == rhs
+
+    def leibniz(y, z, xs):
+        rhs = P.product(e(y), br(z, *xs))
+        _add(rhs, P.product(e(z), br(y, *xs)))
+        return br(P.product(e(y), e(z)), *xs) == rhs
+
+    tuples = itertools.combinations if P.skew else (
+        lambda pool, k: itertools.product(pool, repeat=k))
+    cases = {
+        "commutative": [(i, j) for i in range(d) for j in range(i, d)],
+        "associative": itertools.product(range(d), repeat=3),
+        "skew": [] if P.skew else itertools.product(range(d), repeat=n),
+        "fundamental": ((xs, ys) for xs in tuples(range(d), n - 1)
+                        for ys in tuples(range(d), n)),
+        "leibniz": ((y, z, xs) for y in range(d) for z in range(y, d)
+                    for xs in tuples(range(d), n - 1)),
+    }
+    holds = {
+        "commutative": lambda i, j: P.product(e(i), e(j)) == P.product(e(j), e(i)),
+        "associative": associative,
+        "skew": skew,
+        "fundamental": fundamental,
+        "leibniz": leibniz,
+    }
+    witnesses = {}
+    for name in cases:
+        failing = next((c for c in cases[name] if not holds[name](*c)), None)
+        if failing is not None:
+            witnesses[name] = tuple(failing)
+    return {name: name not in witnesses for name in cases}, witnesses
+
+
+def _perturbed(seed):
+    """A seeded algebra of dim <= 5: a verified base with zero to two
+    entries overwritten, or a random raw bracket."""
+    from poisson_nlie.constructions import iterated_bracket, random_poisson_n_lie, xu_tensor
+
+    rng = random.Random(seed)
+    kind = rng.choice([0, 0, 0, 1, 2, 3])
+    if kind == 0:
+        instance = rng.randrange(60)
+        while (P := random_poisson_n_lie(instance, max_dim=5)[0]).dim > 5:
+            instance += 1
+    elif kind == 1:
+        L = StructAlgebra(2, 2, {(0, 1): e(1)}, {(0, 0): e(0), (0, 1): e(1)})
+        P = iterated_bracket(L, rng.choice([2, 3, 4]))
+    elif kind == 2:
+        two = StructAlgebra(2, 2, {}, {(0, 0): e(0), (0, 1): e(1)})
+        P = iterated_bracket(xu_tensor(two, two).algebra, 3)
+    else:
+        P = StructAlgebra(rng.randint(1, 3), rng.choice([2, 3]), skew=False)
+    brackets, products = dict(P.bracket_entries()), dict(P.product_entries())
+    values = [F1, -F1, Fraction(2), Fraction(1, 2)]
+    for _ in range(rng.randint(0, 2) if kind < 3 else rng.randint(1, 3)):
+        target = {rng.randrange(P.dim): rng.choice(values)}
+        if rng.random() < 0.5:
+            if P.skew:
+                if P.dim < P.arity:
+                    continue
+                key = tuple(sorted(rng.sample(range(P.dim), P.arity)))
+            else:
+                key = tuple(rng.randrange(P.dim) for _ in range(P.arity))
+            brackets[key] = target
+        else:
+            products[tuple(sorted(rng.randrange(P.dim) for _ in range(2)))] = target
+    return StructAlgebra(P.dim, P.arity, brackets, products, skew=P.skew)
+
+
+class TestWitnessOrder:
+    def test_matches_the_brute_force_first_failures(self):
+        seen = Counter()
+        for seed in range(160):
+            P = _perturbed(seed)
+            assert P.dim <= 5
+            report = verify_axioms(P)
+            flags, witnesses = reference_axioms(P)
+            assert {name: getattr(report, name) for name in flags} == flags, seed
+            assert report.witnesses == witnesses, seed
+            assert report.mode == "exhaustive"
+            storage = "skew" if P.skew else "raw"
+            seen[storage, "pass"] += report.all_pass
+            for name, holds in flags.items():
+                seen[storage, name] += not holds
+        # the guard covers passing inputs and each failure on both storages
+        for storage, name in itertools.product(
+                ("skew", "raw"), ("pass", "associative", "fundamental", "leibniz")):
+            assert seen[storage, name] >= 5, seen
+        assert seen["raw", "skew"] >= 5, seen
 
 
 class TestSubspaceOps:
