@@ -25,12 +25,10 @@ def main():
     parser.add_argument("--m", type=int, default=2)
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     started = time.perf_counter()
-    report = probe_conjecture(args.n, args.m, args.trials, args.seed,
-                              threads=args.threads)
+    report = probe_conjecture(args.n, args.m, args.trials, args.seed)
     elapsed = time.perf_counter() - started
     passes = sum(1 for v in report.verdicts if v == "pass")
     print(f"(n, m) = ({args.n}, {args.m}): {passes}/{args.trials} trials pass "

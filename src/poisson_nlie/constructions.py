@@ -53,9 +53,6 @@ class TensorAlgebra:
     def index(self, i: int, j: int) -> int:
         return i * self.right_dim + j
 
-    def split(self, a: int) -> Tuple[int, int]:
-        return divmod(a, self.right_dim)
-
 
 def _require_commutative_associative(B: StructAlgebra, label: str):
     report = verify_axioms(B)
@@ -69,6 +66,12 @@ def _require_verified(P: StructAlgebra, label: str) -> None:
         raise InternalCheckError(f"{label} failed verification: {report}")
 
 
+def _kron(x_part: SVec, y_part: SVec, right_dim: int) -> SVec:
+    """x (x) y, with e_l (x) f_s at index l * right_dim + s."""
+    return {l * right_dim + s: cx * cy
+            for l, cx in x_part.items() for s, cy in y_part.items()}
+
+
 def tensor_poisson_n(P: StructAlgebra, B: StructAlgebra) -> TensorAlgebra:
     """P tensor B with component-wise product and bracket
     [x_1 (x) y_1, ...] = [x_1..x_n] (x) (y_1 ... y_n)."""
@@ -79,55 +82,34 @@ def tensor_poisson_n(P: StructAlgebra, B: StructAlgebra) -> TensorAlgebra:
         raise ValueError("the second tensor factor must have a zero bracket")
     _require_verified(P, "the first tensor factor")
     n = P.arity
-    dim = P.dim * B.dim
+    width = B.dim
+    dim = P.dim * width
     if dim > DIMENSION_BUDGET:
         raise DimensionBudgetError(f"tensor dimension {dim} exceeds {DIMENSION_BUDGET}")
-    shell = TensorAlgebra(StructAlgebra(dim, n), P.dim, B.dim)
 
-    def b_product(indices: Sequence[int]) -> SVec:
-        acc = {indices[0]: Fraction(1)}
-        for j in indices[1:]:
-            nxt: SVec = {}
-            for s, c in acc.items():
-                _sv_accum(nxt, B.product_basis(s, j), c)
-            acc = nxt
-            if not acc:
-                break
-        return acc
-
-    brackets = {}
-    for key in itertools.combinations(range(dim), n):
-        pairs = [shell.split(a) for a in key]
-        xs = [p for p, _ in pairs]
-        x_part = P.bracket_basis(xs)
-        if not x_part:
-            continue
-        y_part = b_product([q for _, q in pairs])
-        if not y_part:
-            continue
-        value: SVec = {}
-        for l, cx in x_part.items():
-            for s, cy in y_part.items():
-                _sv_accum(value, {shell.index(l, s): Fraction(1)}, cx * cy)
-        if value:
-            brackets[key] = value
+    # B-index words q of length n with a nonzero product f_q1 ... f_qn, grown
+    # one factor at a time; a word can only use indices of product keys.
+    factors = sorted({j for pair, _ in B.product_entries() for j in pair})
+    words = [((j,), {j: Fraction(1)}) for j in factors]
+    for _ in range(n - 1):
+        longer = []
+        for q, acc in words:
+            for j in factors:
+                y_part: SVec = {}
+                for s, c in acc.items():
+                    _sv_accum(y_part, B.product_basis(s, j), c)
+                if y_part:
+                    longer.append((q + (j,), y_part))
+        words = longer
+    # e_k (x) f_q sits at k * width + q, so an increasing key stays increasing
+    brackets = {tuple(k * width + j for k, j in zip(key, q)): _kron(x_part, y_part, width)
+                for key, x_part in P.bracket_entries() for q, y_part in words}
     products = {}
-    for a in range(dim):
-        for b in range(a, dim):
-            ia, ja = shell.split(a)
-            ib, jb = shell.split(b)
-            x_part = P.product_basis(ia, ib)
-            if not x_part:
-                continue
-            y_part = B.product_basis(ja, jb)
-            if not y_part:
-                continue
-            value: SVec = {}
-            for l, cx in x_part.items():
-                for s, cy in y_part.items():
-                    _sv_accum(value, {shell.index(l, s): Fraction(1)}, cx * cy)
-            if value:
-                products[(a, b)] = value
+    for (i1, i2), x_part in P.product_entries():
+        for (j1, j2), y_part in B.product_entries():
+            value = _kron(x_part, y_part, width)
+            products[(i1 * width + j1, i2 * width + j2)] = value
+            products[(i1 * width + j2, i2 * width + j1)] = value
     algebra = StructAlgebra(dim, n, brackets, products)
     _require_verified(algebra, "the tensor product")
     return TensorAlgebra(algebra, P.dim, B.dim)
@@ -140,33 +122,25 @@ def xu_tensor(P1: StructAlgebra, P2: StructAlgebra) -> TensorAlgebra:
         if P.arity != 2:
             raise ValueError(f"{label} must be binary")
         _require_verified(P, label)
-    dim = P1.dim * P2.dim
+    width = P2.dim
+    dim = P1.dim * width
     if dim > DIMENSION_BUDGET:
         raise DimensionBudgetError(f"tensor dimension {dim} exceeds {DIMENSION_BUDGET}")
-    shell = TensorAlgebra(StructAlgebra(dim, 2), P1.dim, P2.dim)
-
-    def combine(x_part: SVec, y_part: SVec) -> SVec:
-        value: SVec = {}
-        for l, cx in x_part.items():
-            for s, cy in y_part.items():
-                _sv_accum(value, {shell.index(l, s): Fraction(1)}, cx * cy)
-        return value
-
     brackets = {}
     products = {}
     for a in range(dim):
-        ia, ja = shell.split(a)
+        ia, ja = divmod(a, width)
         for b in range(a, dim):
-            ib, jb = shell.split(b)
-            prod = combine(P1.product_basis(ia, ib), P2.product_basis(ja, jb))
+            ib, jb = divmod(b, width)
+            prod = _kron(P1.product_basis(ia, ib), P2.product_basis(ja, jb), width)
             if prod:
                 products[(a, b)] = prod
             if b > a:
                 value: SVec = {}
-                _sv_accum(value, combine(P1.bracket_basis((ia, ib)),
-                                         P2.product_basis(ja, jb)), Fraction(1))
-                _sv_accum(value, combine(P1.product_basis(ia, ib),
-                                         P2.bracket_basis((ja, jb))), Fraction(1))
+                _sv_accum(value, _kron(P1.bracket_basis((ia, ib)),
+                                       P2.product_basis(ja, jb), width), Fraction(1))
+                _sv_accum(value, _kron(P1.product_basis(ia, ib),
+                                       P2.bracket_basis((ja, jb)), width), Fraction(1))
                 if value:
                     brackets[(a, b)] = value
     algebra = StructAlgebra(dim, 2, brackets, products)
@@ -244,15 +218,13 @@ def _split(a: int, d: int, parts: int) -> tuple:
 
 
 def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
-                           budget: int = DIMENSION_BUDGET,
-                           check_seed: int = 0,
-                           exhaustive_limit: int = 64) -> StructAlgebra:
+                           budget: int = DIMENSION_BUDGET) -> StructAlgebra:
     """Binary Leibniz bracket on the (n-1)-fold tensor power:
     [x, y] = sum_i y_1 (x) .. (x) [x_1..x_{n-1}, y_i] (x) .. (x) y_{n-1}.
 
     With ``with_product`` the component-wise commutative product is
     installed as well.  The Leibniz identity is checked exhaustively up to
-    ``exhaustive_limit`` result dimensions and on seeded samples above.
+    64 result dimensions and on 200 seeded sample triples above.
     """
     n = L.arity
     d = L.dim
@@ -310,10 +282,10 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
                     products[(a, b)] = value
     result = StructAlgebra(dim, 2, brackets, products, skew=False)
     # left Leibniz identity: [x,[y,z]] = [[x,y],z] + [y,[x,z]]
-    if dim <= exhaustive_limit:
+    if dim <= 64:
         triples = itertools.product(range(dim), repeat=3)
     else:
-        rng = random.Random(check_seed)
+        rng = random.Random(0)
         triples = [tuple(rng.randrange(dim) for _ in range(3)) for _ in range(200)]
     for x, y, z in triples:
         if not _fundamental_holds(result, (x,), (y, z)):

@@ -17,7 +17,11 @@ residual identities.  Two layers are implemented:
 
 Signed coefficients are written pi^tau = sgn(tau) * pi^{set(tau)} for an
 index tuple tau, zero when an index repeats; that convention silently
-removes every degenerate substitution.
+removes every degenerate substitution.  It is applied where the pi table is
+read: ``signed_pi`` defines it, and one cache per check (``_SignedPi``)
+holds pi^tau and its derivatives by ordered tuple, filled on first use.
+The four residual functions read only that cache, so none of them sorts a
+tuple or computes a permutation sign.
 """
 
 from __future__ import annotations
@@ -128,26 +132,48 @@ class CriterionTuple:
             raise ValueError("sigma_j must arrange exactly the elements of J")
 
 
-class _PiDerivatives:
-    """Lazy cache of d_r(pi^S) over a precomputed pi table."""
+_MISSING = object()
 
-    def __init__(self, pi: dict, family: CertifiedDerivationFamily):
+
+class _SignedPi:
+    """The signed coefficients one check reads, keyed by ordered tuple.
+
+    ``value(tau)`` is sgn(tau) * pi^{set tau}, computed by ``signed_pi``,
+    and ``get(r, tau)`` is d_r of it; both are None when that is zero.
+    Entries are filled on first use, never precomputed: the ordered tuples
+    number (n+m)!/m!, far more than a check reads at large n.
+    """
+
+    def __init__(self, pi: dict, family: Optional[CertifiedDerivationFamily]):
         self.pi = pi
         self.family = family
-        self._cache = {}
+        self._values = {}
+        self._derivatives = {}
 
-    def get(self, r: int, key: Tuple[int, ...]) -> LaurentPolynomial:
-        entry = self._cache.get((r, key))
-        if entry is None:
-            entry = self.family[r - 1].apply(self.pi[key])
-            self._cache[(r, key)] = entry
+    def value(self, tau: Tuple[int, ...]) -> Optional[LaurentPolynomial]:
+        entry = self._values.get(tau, _MISSING)
+        if entry is _MISSING:
+            entry = signed_pi(tau, self.pi)
+            if entry is not None and entry.is_zero():
+                entry = None
+            self._values[tau] = entry
+        return entry
+
+    def get(self, r: int, tau: Tuple[int, ...]) -> Optional[LaurentPolynomial]:
+        key = (r, tau)
+        entry = self._derivatives.get(key, _MISSING)
+        if entry is _MISSING:
+            entry = self.value(tau)
+            if entry is not None:
+                entry = self.family[r - 1].apply(entry)
+                if entry.is_zero():
+                    entry = None
+            self._derivatives[key] = entry
         return entry
 
 
-def _prepare(A, family, pi):
-    if pi is None:
-        pi = pi_table(A)
-    return pi, _PiDerivatives(pi, family)
+def _prepare(A, family, pi) -> _SignedPi:
+    return _SignedPi(pi_table(A) if pi is None else pi, family)
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +189,22 @@ def residual_a(ctx: CriterionTuple, A: AdjoinedMatrix, family: CertifiedDerivati
     sigma(I_k) replaces the first image of sigma(I) by the k-th image of
     sigma(J).
     """
-    pi, dpi = _prepare(A, family, pi)
+    signed = _prepare(A, family, pi)
     u, w = ctx.sigma_i, ctx.sigma_j
-    n = len(u)
     r = u[0]
     total = LaurentPolynomial.zero(A.nvars)
-    lead = signed_pi(u, pi)
-    if lead is not None and not lead.is_zero():
-        d = dpi.get(r, tuple(sorted(w)))
-        if not d.is_zero():
-            sign = perm_sign(w)
-            term = lead * d
-            total = total + (term if sign > 0 else -term)
-    for k in range(1, n + 1):
-        pw = signed_pi(replace_position(w, k, u[0]), pi)
-        if pw is None or pw.is_zero():
+    lead = signed.value(u)
+    if lead is not None:
+        d = signed.get(r, w)
+        if d is not None:
+            total = total + lead * d
+    for k in range(1, len(u) + 1):
+        pw = signed.value(replace_position(w, k, u[0]))
+        if pw is None:
             continue
-        down = (w[k - 1],) + u[1:]
-        sign = perm_sign(down)
-        if sign == 0:
-            continue
-        d = dpi.get(r, tuple(sorted(down)))
-        if d.is_zero():
-            continue
-        term = pw * d
-        total = total - (term if sign > 0 else -term)
+        d = signed.get(r, (w[k - 1],) + u[1:])
+        if d is not None:
+            total = total - pw * d
     return total
 
 
@@ -197,24 +214,21 @@ def residual_b(ctx: CriterionTuple, A: AdjoinedMatrix, family: CertifiedDerivati
     which the plain and t-swapped substitutions cancel in pairs."""
     if ctx.t is None:
         raise ValueError("residual_b needs the slot index t")
-    if pi is None:
-        pi = pi_table(A)
+    signed = _prepare(A, family, pi)
     u, w = ctx.sigma_i, ctx.sigma_j
-    n = len(u)
     t = ctx.t
     total = LaurentPolynomial.zero(A.nvars)
-    for k in range(1, n + 1):
+    for k in range(1, len(u) + 1):
         wk = w[k - 1]
-        pj = signed_pi(replace_position(w, k, u[0]), pi)
-        if pj is not None and not pj.is_zero():
-            pi_down = signed_pi((wk,) + u[1:], pi)
-            if pi_down is not None and not pi_down.is_zero():
+        pj = signed.value(replace_position(w, k, u[0]))
+        if pj is not None:
+            pi_down = signed.value((wk,) + u[1:])
+            if pi_down is not None:
                 total = total + pj * pi_down
-        pj_t = signed_pi(replace_position(w, k, u[t - 1]), pi)
-        if pj_t is not None and not pj_t.is_zero():
-            down_t = (wk,) + u[1:t - 1] + (u[0],) + u[t:]
-            pi_down_t = signed_pi(down_t, pi)
-            if pi_down_t is not None and not pi_down_t.is_zero():
+        pj_t = signed.value(replace_position(w, k, u[t - 1]))
+        if pj_t is not None:
+            pi_down_t = signed.value((wk,) + u[1:t - 1] + (u[0],) + u[t:])
+            if pi_down_t is not None:
                 total = total + pj_t * pi_down_t
     return total
 
@@ -226,61 +240,51 @@ def residual_b(ctx: CriterionTuple, A: AdjoinedMatrix, family: CertifiedDerivati
 def group_residual_a(alpha: Tuple[int, ...], beta: Tuple[int, ...],
                      A: AdjoinedMatrix, family: CertifiedDerivationFamily,
                      pi: Optional[dict] = None,
-                     _dpi: Optional[_PiDerivatives] = None) -> LaurentPolynomial:
+                     _dpi: Optional[_SignedPi] = None) -> LaurentPolynomial:
     """Coefficient of the derivative pattern (x-pattern alpha, y-tail beta)
     in the first block of the expanded identity; the substituted row index
     runs over every row, so collision terms are included."""
     if _dpi is None:
-        pi, _dpi = _prepare(A, family, pi)
-    size = A.n + A.m
+        _dpi = _prepare(A, family, pi)
     total = LaurentPolynomial.zero(A.nvars)
-    lead_sign = perm_sign(alpha)
-    lead_key = tuple(sorted(alpha))
-    lead_live = lead_sign != 0 and not pi[lead_key].is_zero()
-    for r in range(1, size + 1):
+    lead_live = _dpi.value(alpha) is not None
+    for r in range(1, A.n + A.m + 1):
         if lead_live:
-            pu = signed_pi((r,) + beta, pi)
-            if pu is not None and not pu.is_zero():
-                d = _dpi.get(r, lead_key)
-                if not d.is_zero():
-                    term = pu * d
-                    total = total + (term if lead_sign > 0 else -term)
+            pu = _dpi.value((r,) + beta)
+            if pu is not None:
+                d = _dpi.get(r, alpha)
+                if d is not None:
+                    total = total + pu * d
         for k in range(1, len(alpha) + 1):
-            pw = signed_pi(replace_position(alpha, k, r), pi)
-            if pw is None or pw.is_zero():
+            pw = _dpi.value(replace_position(alpha, k, r))
+            if pw is None:
                 continue
-            down = (alpha[k - 1],) + beta
-            sign = perm_sign(down)
-            if sign == 0:
-                continue
-            d = _dpi.get(r, tuple(sorted(down)))
-            if d.is_zero():
-                continue
-            term = pw * d
-            total = total - (term if sign > 0 else -term)
+            d = _dpi.get(r, (alpha[k - 1],) + beta)
+            if d is not None:
+                total = total - pw * d
     return total
 
 
 def group_residual_b(alpha: Tuple[int, ...], pair: Tuple[int, int],
                      beta_rest: Tuple[int, ...], A: AdjoinedMatrix,
-                     pi: Optional[dict] = None) -> LaurentPolynomial:
+                     pi: Optional[dict] = None,
+                     _dpi: Optional[_SignedPi] = None) -> LaurentPolynomial:
     """Coefficient of the second-derivative pattern: x-pattern alpha, an
     unordered derivative pair on the distinguished y slot, remaining y-tail
     beta_rest.  Both orderings of the pair are summed (they are the plain
     and t-swapped substitution families of the per-tuple form)."""
-    if pi is None:
-        pi = pi_table(A)
+    if _dpi is None:
+        _dpi = _prepare(A, None, pi)
     total = LaurentPolynomial.zero(A.nvars)
     orderings = [pair] if pair[0] == pair[1] else [pair, (pair[1], pair[0])]
     for k in range(1, len(alpha) + 1):
         for r1, r2 in orderings:
-            pw = signed_pi(replace_position(alpha, k, r1), pi)
-            if pw is None or pw.is_zero():
+            pw = _dpi.value(replace_position(alpha, k, r1))
+            if pw is None:
                 continue
-            pu = signed_pi((alpha[k - 1], r2) + beta_rest, pi)
-            if pu is None or pu.is_zero():
-                continue
-            total = total + pw * pu
+            pu = _dpi.value((alpha[k - 1], r2) + beta_rest)
+            if pu is not None:
+                total = total + pw * pu
     return total
 
 
@@ -362,7 +366,7 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
 
     start = time.perf_counter()
     pi = pi_table(A)
-    counterexample = _first_nonzero_group(A, family, pi, _PiDerivatives(pi, family))
+    counterexample = _first_nonzero_group(A, family, _SignedPi(pi, family))
     wall = time.perf_counter() - start
     entries = [[format_polynomial(e) for e in row] for row in A.entries]
     return CriterionReport(
@@ -373,15 +377,15 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
 
 
 def _first_nonzero_group(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
-                         pi: dict, dpi: _PiDerivatives) -> Optional[dict]:
+                         signed: _SignedPi) -> Optional[dict]:
     """The first grouped residual that does not vanish, as a counterexample;
     None when all vanish.  The first family is visited before the second,
-    each in lexicographic order of its group labels."""
+    each in lexicographic order of its group labels; both read one cache."""
     n = A.n
     idx = range(1, n + A.m + 1)
     alphas = list(itertools.combinations(idx, n))
     for alpha, beta in itertools.product(alphas, itertools.combinations(idx, n - 1)):
-        value = group_residual_a(alpha, beta, A, family, pi, dpi)
+        value = group_residual_a(alpha, beta, A, family, _dpi=signed)
         if not value.is_zero():
             return {
                 "residual_family": "first",
@@ -392,7 +396,7 @@ def _first_nonzero_group(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
     for alpha, pair, rest in itertools.product(
             alphas, itertools.combinations_with_replacement(idx, 2),
             itertools.combinations(idx, n - 2)):
-        value = group_residual_b(alpha, pair, rest, A, pi)
+        value = group_residual_b(alpha, pair, rest, A, _dpi=signed)
         if not value.is_zero():
             return {
                 "residual_family": "second",
@@ -467,11 +471,7 @@ def expanded_identity_defect(xs: Sequence[LaurentPolynomial], ys: Sequence[Laure
     total = zero
     tuples = [p for S in itertools.combinations(range(1, size + 1), n)
               for p in itertools.permutations(S)]
-    signed = {}
-    for tup in tuples:
-        sign = perm_sign(tup)
-        value = pi[tuple(sorted(tup))]
-        signed[tup] = value if sign > 0 else -value
+    signed = {tup: signed_pi(tup, pi) for tup in tuples}
 
     for u in tuples:
         pu = signed[u]

@@ -111,13 +111,11 @@ class StructAlgebra:
         key = tuple(idxs)
         if not self.skew:
             return self._bracket.get(key, {})
-        sign = perm_sign(key)
-        if sign == 0:
-            return {}
+        # a key with a repeated index is never stored, so its bracket is 0
         value = self._bracket.get(tuple(sorted(key)))
         if not value:
             return {}
-        if sign > 0:
+        if perm_sign(key) > 0:
             return value
         return {i: -c for i, c in value.items()}
 
@@ -140,11 +138,11 @@ class StructAlgebra:
             raise ValueError(f"bracket arity is {self.arity}")
         acc: SVec = {}
         for combo in itertools.product(*(v.items() for v in vectors)):
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
             base = self.bracket_basis([i for i, _ in combo])
             if base:
+                coeff = Fraction(1)
+                for _, c in combo:
+                    coeff *= c
                 _sv_accum(acc, base, coeff)
         return acc
 
@@ -604,7 +602,7 @@ def _adapted_basis(P: StructAlgebra) -> List[tuple]:
     return collected
 
 
-def nilradical(P: StructAlgebra, cross_check: bool = True) -> Subspace:
+def nilradical(P: StructAlgebra) -> Subspace:
     """Greedy maximal nilpotent ideal: start from the closure of P^2
     (nilpotent for solvable P) and adjoin adapted-basis vectors whose
     closure keeps the ideal nilpotent.  Certified maximal over that basis;
@@ -625,11 +623,9 @@ def nilradical(P: StructAlgebra, cross_check: bool = True) -> Subspace:
             if is_nilpotent_as_ideal(grown, P):
                 current = grown
                 changed = True
-    if cross_check:
-        lie_part = bracket_nilradical(P)
-        if lie_part != current:
-            raise InternalCheckError(
-                "nilradical must agree with the bracket-only nilradical")
+    if bracket_nilradical(P) != current:
+        raise InternalCheckError(
+            "nilradical must agree with the bracket-only nilradical")
     return current
 
 

@@ -212,13 +212,6 @@ class LaurentPolynomial:
 
     # -- ordering helpers (graded lexicographic) ----------------------------
 
-    def leading_term(self):
-        """(exponents, coefficient) maximal in graded-lex order."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self._terms, key=lambda e: (sum(e), e))
-        return exps, self._terms[exps]
-
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 

@@ -19,29 +19,8 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def as_vector(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
-def zero_vector(dim: int) -> Vector:
-    return (_F0,) * dim
-
-
 def unit_vector(dim: int, index: int) -> Vector:
     return tuple(_F1 if j == index else _F0 for j in range(dim))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def rref(rows: Iterable[Sequence]) -> Tuple[Matrix, Tuple[int, ...]]:

@@ -1,8 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from poisson_nlie import constructions
 from poisson_nlie.constructions import (
     DimensionBudgetError,
     direct_sum,
@@ -43,6 +45,40 @@ def line_bracket_3():
     return StructAlgebra(3, 3, {(0, 1, 2): e(0)})
 
 
+def _tensor_by_full_scan(P, B):
+    """Brackets and products of P (x) B, e_k (x) f_q at k * B.dim + q, over
+    every increasing key and every index pair of the product space."""
+    width = B.dim
+    dim = P.dim * width
+
+    def kron(x, y):
+        return {l * width + s: cx * cy for l, cx in x.items() for s, cy in y.items()}
+
+    def b_product(qs):
+        acc = e(qs[0])
+        for j in qs[1:]:
+            nxt = {}
+            for s, c in acc.items():
+                for l, cl in B.product_basis(s, j).items():
+                    nxt[l] = nxt.get(l, 0) + c * cl
+            acc = {l: c for l, c in nxt.items() if c}
+        return acc
+
+    brackets = {}
+    for key in itertools.combinations(range(dim), P.arity):
+        x = P.bracket_basis([a // width for a in key])
+        y = b_product([a % width for a in key])
+        if x and y:
+            brackets[key] = kron(x, y)
+    products = {}
+    for a, b in itertools.combinations_with_replacement(range(dim), 2):
+        x = P.product_basis(a // width, b // width)
+        y = B.product_basis(a % width, b % width)
+        if x and y:
+            products[(a, b)] = kron(x, y)
+    return brackets, products
+
+
 class TestTensorPoissonN:
     def test_unital_line_factor_is_identity(self, hypo):
         line = StructAlgebra(1, 4, {}, {(0, 0): e(0)})
@@ -71,6 +107,24 @@ class TestTensorPoissonN:
         b = result.index(4, 0)
         value = result.algebra.product_basis(a, b)
         assert value == {result.index(6, 1): F1}  # (e4 x f1).(e5 x f1) = e7 x f2
+
+    def test_pairs_stored_entries_like_the_full_scan(self, hypo, monkeypatch):
+        """The 49-dim hypo (x) x..x^7 at arity 4 equals the scan over every
+        increasing key and index pair of the product space, and is built
+        (its verification aside) in well under that scan's time."""
+        T = truncated_power_algebra(7)
+        B = StructAlgebra(T.dim, 4, {}, dict(T.product_entries()))
+        monkeypatch.setattr(constructions, "_require_verified", lambda P, label: None)
+        started = time.perf_counter()
+        result = tensor_poisson_n(hypo, B).algebra
+        elapsed = time.perf_counter() - started
+        monkeypatch.undo()
+        brackets, products = _tensor_by_full_scan(hypo, B)
+        assert (len(brackets), len(products)) == (105, 21)
+        assert dict(result.bracket_entries()) == brackets
+        assert dict(result.product_entries()) == products
+        assert elapsed < 0.3
+        assert verify_axioms(result).all_pass
 
     def test_rejects_nonzero_bracket_factor(self, hypo):
         bad = StructAlgebra(4, 4, {(0, 1, 2, 3): e(0)})

@@ -34,6 +34,7 @@ from poisson_nlie.finite_algebra import (
     verify_axioms,
     zero_product_criterion,
 )
+from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import ParseError
 from poisson_nlie.subspaces import Subspace, is_nilpotent_matrix, mat_pow, mat_sub, mat_vec, scale_matrix, unit_vector
 
@@ -79,6 +80,36 @@ class TestStructAlgebra:
         P = StructAlgebra(2, 2, {(0, 1): e(0), (1, 0): e(1)}, skew=False)
         assert P.bracket_basis((0, 1)) == {0: F1}
         assert P.bracket_basis((1, 0)) == {1: F1}
+
+    def test_lookups_match_a_sign_per_lookup_reference(self):
+        """bracket_basis on every ordered tuple, repeats included, and
+        bracket on seeded vectors, of seeded skew algebras with dim <= 5
+        and arity <= 4, against a perm_sign of every key."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            dim, arity = rng.randint(2, 5), rng.randint(2, 4)
+            keys = list(itertools.combinations(range(dim), arity))
+            stored = {key: {rng.randrange(dim): Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 2))}
+                      for key in rng.sample(keys, rng.randint(0, len(keys)))}
+            P = StructAlgebra(dim, arity, stored)
+
+            def reference(key):
+                sign = perm_sign(key)
+                return {i: sign * c for i, c in stored.get(tuple(sorted(key)), {}).items()}
+
+            for key in itertools.product(range(dim), repeat=arity):
+                assert P.bracket_basis(key) == reference(key), (seed, key)
+            for _ in range(10):
+                vectors = [{rng.randrange(dim): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 3))} for _ in range(arity)]
+                expected = {}
+                for combo in itertools.product(*(v.items() for v in vectors)):
+                    coeff = Fraction(1)
+                    for _, c in combo:
+                        coeff *= c
+                    _add(expected, {i: coeff * c for i, c in
+                                    reference(tuple(i for i, _ in combo)).items()})
+                assert P.bracket(vectors) == expected, seed
 
 
 class TestVerifyAxioms:
