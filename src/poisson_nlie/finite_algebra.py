@@ -6,7 +6,10 @@ basis tuples whose identities read a stored entry, so its work follows the
 stored constants, not ``dim``), the descending series, solvability and
 nilpotency classification, the nilradical, hypo-nilpotent ideals,
 multiplication operators, common eigenvectors, eigenspace ideals, and
-idempotent bookkeeping.
+idempotent bookkeeping.  The series, the classification and both
+nilradical searches (two-operation and bracket-only) share one descent
+loop, ``_series_terms``; both searches share one greedy adjoin-and-close
+loop, and every basis adjoint comes from ``_adjoint_generators``.
 
 Sparse vectors (``{index: Fraction}``) are used for structure constants so
 large tensor-power algebras stay cheap; dense tuples appear at the
@@ -271,12 +274,15 @@ def _one_removed(P: StructAlgebra, slot: int) -> Dict[tuple, set]:
 
 
 def _associative_cases(P: StructAlgebra) -> List[tuple]:
-    """(e_i.e_j).e_k needs a stored (i, j) and k in a product key;
-    e_i.(e_j.e_k) a stored (j, k) and i in a product key."""
-    factors = {i for pair in P._product for i in pair}
+    """(e_i.e_j).e_k needs a stored (i, j) and a stored (l, k) for some l in
+    the support of e_i.e_j; e_i.(e_j.e_k) likewise with (j, k) and (i, l)."""
+    partners: Dict[int, set] = {}
+    for i, j in P._product:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
     cases = set()
-    for a, b in P._product:
-        for c in factors:
+    for (a, b), value in P._product.items():
+        for c in set().union(*(partners.get(l, ()) for l in value)):
             cases.update(((a, b, c), (b, a, c), (c, a, b), (c, b, a)))
     return sorted(cases)
 
@@ -438,6 +444,43 @@ class SeriesResult:
         return self.terms[min(k, len(self.terms)) - 1]
 
 
+def _series_terms(I: Subspace, P: StructAlgebra, kind: str) -> List[Subspace]:
+    """The one descent loop: I, then each term's step, until a term is zero
+    or equals the one before it.  Steps are those listed in ``series``, plus
+    the bracket part of the derived step, ``bracket_derived``:
+    T' = [T, T, P..P].  Nothing is checked about I."""
+    whole = full_space(P)
+    n = P.arity
+
+    def step(T: Subspace) -> Subspace:
+        if kind == "derived":
+            return bracket_span([T, T] + [whole] * (n - 2), P).sum(
+                subspace_product(T, T, P))
+        if kind == "bracket_derived":
+            return bracket_span([T, T] + [whole] * (n - 2), P)
+        if kind == "lower_central":
+            return bracket_span([T, I] + [whole] * (n - 2), P).sum(
+                subspace_product(T, I, P))
+        if kind == "assoc_power":
+            return subspace_product(T, I, P)
+        if kind == "bracket_power":
+            return bracket_span([T, I] + [whole] * (n - 2), P)
+        return bracket_span([T] + [I] * (n - 1), P).sum(subspace_product(T, I, P))
+
+    terms = [I]
+    while True:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+        if nxt.is_zero():
+            return terms
+
+
+def _reaches_zero(I: Subspace, P: StructAlgebra, kind: str) -> bool:
+    return _series_terms(I, P, kind)[-1].is_zero()
+
+
 def series(I: Subspace, P: StructAlgebra, kind: str) -> SeriesResult:
     """Descending series of an ideal (or subalgebra for ``subalg``).
 
@@ -454,30 +497,8 @@ def series(I: Subspace, P: StructAlgebra, kind: str) -> SeriesResult:
             raise ValueError("subalgebra series needs a subalgebra")
     elif not is_ideal(I, P):
         raise ValueError(f"{kind} series needs an ideal")
-    whole = full_space(P)
-    n = P.arity
-
-    def step(T: Subspace) -> Subspace:
-        if kind == "derived":
-            return bracket_span([T, T] + [whole] * (n - 2), P).sum(
-                subspace_product(T, T, P))
-        if kind == "lower_central":
-            return bracket_span([T, I] + [whole] * (n - 2), P).sum(
-                subspace_product(T, I, P))
-        if kind == "assoc_power":
-            return subspace_product(T, I, P)
-        if kind == "bracket_power":
-            return bracket_span([T, I] + [whole] * (n - 2), P)
-        return bracket_span([T] + [I] * (n - 1), P).sum(subspace_product(T, I, P))
-
-    terms = [I]
-    while True:
-        nxt = step(terms[-1])
-        if nxt == terms[-1]:
-            return SeriesResult(kind, terms, len(terms), terms[-1].is_zero())
-        terms.append(nxt)
-        if nxt.is_zero():
-            return SeriesResult(kind, terms, len(terms), True)
+    terms = _series_terms(I, P, kind)
+    return SeriesResult(kind, terms, len(terms), terms[-1].is_zero())
 
 
 def algebra_square(P: StructAlgebra) -> Subspace:
@@ -501,52 +522,22 @@ class Classification:
     pl_nilpotent: bool
 
 
-def _descends_to_zero(start: Subspace, step) -> bool:
-    """Apply ``step`` from ``start`` until the subspace is zero (True) or
-    stops changing (False)."""
-    current = start
-    while True:
-        nxt = step(current)
-        if nxt.is_zero():
-            return True
-        if nxt == current:
-            return False
-        current = nxt
-
-
-def _only_product_series(P: StructAlgebra) -> bool:
-    whole = full_space(P)
-    return _descends_to_zero(whole, lambda T: subspace_product(T, whole, P))
-
-
-def _bracket_series_nilpotent(P: StructAlgebra) -> bool:
-    whole = full_space(P)
-    return _descends_to_zero(
-        whole, lambda T: bracket_span([T] + [whole] * (P.arity - 1), P))
-
-
-def _bracket_series_solvable(P: StructAlgebra) -> bool:
-    whole = full_space(P)
-    return _descends_to_zero(
-        whole, lambda T: bracket_span([T, T] + [whole] * (P.arity - 2), P))
-
-
 def classify(P: StructAlgebra) -> Classification:
     """Solvability/nilpotency flags and indices, with the internal
     cross-check that nilpotency coincides with nilpotency of both parts."""
     whole = full_space(P)
-    derived = series(whole, P, "derived")
-    lower = series(whole, P, "lower_central")
-    solvable = derived.terminates_at_zero
-    nilpotent = lower.terminates_at_zero
+    derived = _series_terms(whole, P, "derived")
+    lower = _series_terms(whole, P, "lower_central")
+    solvable = derived[-1].is_zero()
+    nilpotent = lower[-1].is_zero()
     result = Classification(
         solvable=solvable,
-        solvability_index=len(derived.terms) if solvable else None,
+        solvability_index=len(derived) if solvable else None,
         nilpotent=nilpotent,
-        nilpotency_index=len(lower.terms) if nilpotent else None,
-        pa_nilpotent=_only_product_series(P),
-        pl_solvable=_bracket_series_solvable(P),
-        pl_nilpotent=_bracket_series_nilpotent(P),
+        nilpotency_index=len(lower) if nilpotent else None,
+        pa_nilpotent=_reaches_zero(whole, P, "assoc_power"),
+        pl_solvable=_reaches_zero(whole, P, "bracket_derived"),
+        pl_nilpotent=_reaches_zero(whole, P, "bracket_power"),
     )
     if result.nilpotent != (result.pa_nilpotent and result.pl_nilpotent):
         raise InternalCheckError(
@@ -560,9 +551,8 @@ def engel_operators_nilpotent(P: StructAlgebra) -> Tuple[bool, Optional[tuple]]:
     for i in range(P.dim):
         if not is_nilpotent_matrix(P.left_mult_matrix({i: Fraction(1)})):
             return False, ("product", i)
-    for tup in itertools.combinations(range(P.dim), P.arity - 1):
-        ys = [{i: Fraction(1)} for i in tup]
-        if not is_nilpotent_matrix(P.adjoint_matrix(ys)):
+    for tup, matrix in _adjoint_generators(P):
+        if not is_nilpotent_matrix(matrix):
             return False, ("bracket", tup)
     return True, None
 
@@ -586,10 +576,9 @@ def is_hypo_nilpotent(U: Subspace, P: StructAlgebra) -> bool:
 
 def _adapted_basis(P: StructAlgebra) -> List[tuple]:
     """Basis ordered from the deepest derived-series layer outward."""
-    derived = series(full_space(P), P, "derived")
     collected: List[tuple] = []
     spanned = Subspace.zero(P.dim)
-    for term in reversed(derived.terms):
+    for term in reversed(_series_terms(full_space(P), P, "derived")):
         for row in term.basis:
             if not spanned.contains(row):
                 collected.append(row)
@@ -602,6 +591,24 @@ def _adapted_basis(P: StructAlgebra) -> List[tuple]:
     return collected
 
 
+def _greedy_ideal(start: Subspace, candidates: Sequence[tuple], closure,
+                  nilpotent) -> Subspace:
+    """The one greedy search: adjoin each candidate whose ``closure`` with
+    the current ideal stays ``nilpotent``, sweeping until a pass adds none."""
+    current = start
+    changed = True
+    while changed:
+        changed = False
+        for row in candidates:
+            if current.contains(row):
+                continue
+            grown = closure(current.sum(Subspace.from_vectors(current.ambient, [row])))
+            if nilpotent(grown):
+                current = grown
+                changed = True
+    return current
+
+
 def nilradical(P: StructAlgebra) -> Subspace:
     """Greedy maximal nilpotent ideal: start from the closure of P^2
     (nilpotent for solvable P) and adjoin adapted-basis vectors whose
@@ -609,49 +616,36 @@ def nilradical(P: StructAlgebra) -> Subspace:
     always cross-checked against the bracket-only nilradical."""
     if not classify(P).solvable:
         raise ValueError("nilradical computation expects a solvable algebra")
-    current = ideal_closure(algebra_square(P), P)
-    if not is_nilpotent_as_ideal(current, P):
+
+    def nilpotent(U: Subspace) -> bool:
+        # closures are ideals, so the series needs no ideal check
+        return _reaches_zero(U, P, "lower_central")
+
+    start = ideal_closure(algebra_square(P), P)
+    if not nilpotent(start):
         raise InternalCheckError("P^2 must be a nilpotent ideal for solvable P")
     candidates = _adapted_basis(P)
-    changed = True
-    while changed:
-        changed = False
-        for row in candidates:
-            if current.contains(row):
-                continue
-            grown = ideal_closure(current.sum(Subspace.from_vectors(P.dim, [row])), P)
-            if is_nilpotent_as_ideal(grown, P):
-                current = grown
-                changed = True
-    if bracket_nilradical(P) != current:
+    current = _greedy_ideal(start, candidates, lambda U: ideal_closure(U, P), nilpotent)
+    if bracket_nilradical(P, candidates) != current:
         raise InternalCheckError(
             "nilradical must agree with the bracket-only nilradical")
     return current
 
 
-def bracket_nilradical(P: StructAlgebra) -> Subspace:
-    """Nilradical of the underlying n-Lie algebra, ignoring the product."""
-    whole = full_space(P)
+def bracket_nilradical(P: StructAlgebra, candidates: Sequence[tuple]) -> Subspace:
+    """Nilradical of the underlying n-Lie algebra, ignoring the product,
+    searched over ``candidates`` (the adapted basis ``nilradical`` uses)."""
 
-    def nilpotent_bracket_ideal(U: Subspace) -> bool:
-        return _descends_to_zero(
-            U, lambda T: bracket_span([T, U] + [whole] * (P.arity - 2), P))
+    def nilpotent(U: Subspace) -> bool:
+        return _reaches_zero(U, P, "bracket_power")
 
-    current = ideal_closure(bracket_span([whole] * P.arity, P), P, with_product=False)
-    if not nilpotent_bracket_ideal(current):
+    def closure(U: Subspace) -> Subspace:
+        return ideal_closure(U, P, with_product=False)
+
+    start = closure(bracket_span([full_space(P)] * P.arity, P))
+    if not nilpotent(start):
         raise InternalCheckError("bracket part of P^2 must be nilpotent")
-    changed = True
-    while changed:
-        changed = False
-        for row in _adapted_basis(P):
-            if current.contains(row):
-                continue
-            grown = ideal_closure(
-                current.sum(Subspace.from_vectors(P.dim, [row])), P, with_product=False)
-            if nilpotent_bracket_ideal(grown):
-                current = grown
-                changed = True
-    return current
+    return _greedy_ideal(start, candidates, closure, nilpotent)
 
 
 # ---------------------------------------------------------------------------
@@ -741,35 +735,26 @@ class QuotientAlgebra:
 
 
 def quotient_algebra(P: StructAlgebra, I: Subspace) -> QuotientAlgebra:
-    """P/I with the induced operations on the non-pivot complement basis."""
+    """P/I with the induced operations on the non-pivot complement basis.
+
+    Only stored entries whose indices all lie in ``kept`` are projected;
+    ``kept`` is increasing, so stored keys map to stored keys, in order."""
     if not is_ideal(I, P):
         raise ValueError("quotients need a two-operation ideal")
     kept = tuple(j for j in range(P.dim) if j not in set(I.pivots))
-    qdim = len(kept)
-    placeholder = QuotientAlgebra(P, I, StructAlgebra(qdim, P.arity, skew=P.skew), kept)
-    brackets = {}
-    products = {}
-    if P.skew:
-        keys = itertools.combinations(range(qdim), P.arity)
-    else:
-        keys = itertools.product(range(qdim), repeat=P.arity)
-    for key in keys:
-        parent_key = [kept[a] for a in key]
-        value = P.bracket_basis(parent_key)
-        if not value:
-            continue
-        projected = placeholder.project(sv_to_dense(value, P.dim))
-        if any(projected):
-            brackets[key] = projected
-    for a in range(qdim):
-        for b in range(a, qdim):
-            value = P.product_basis(kept[a], kept[b])
-            if not value:
-                continue
-            projected = placeholder.project(sv_to_dense(value, P.dim))
-            if any(projected):
-                products[(a, b)] = projected
-    algebra = StructAlgebra(qdim, P.arity, brackets, products, skew=P.skew)
+    position = {j: a for a, j in enumerate(kept)}
+    tables = []
+    for stored in (P._bracket, P._product):
+        table = {}
+        for key in sorted(stored):
+            if all(i in position for i in key):
+                residue = I.reduce(sv_to_dense(stored[key], P.dim))
+                projected = tuple(residue[j] for j in kept)
+                if any(projected):
+                    table[tuple(position[i] for i in key)] = projected
+        tables.append(table)
+    brackets, products = tables
+    algebra = StructAlgebra(len(kept), P.arity, brackets, products, skew=P.skew)
     return QuotientAlgebra(P, I, algebra, kept)
 
 
@@ -809,11 +794,7 @@ def generalized_eigenspace(P: StructAlgebra, a: SVec, eigenvalue) -> Subspace:
 
 def bracket_center(P: StructAlgebra) -> Subspace:
     """{v : [v, x_2, ..., x_n] = 0 for all x}; the center of the bracket part."""
-    rows = []
-    for tup in itertools.combinations(range(P.dim), P.arity - 1):
-        ys = [{i: Fraction(1)} for i in tup]
-        matrix = P.adjoint_matrix(ys)
-        rows.extend(matrix)
+    rows = [row for _, matrix in _adjoint_generators(P) for row in matrix]
     if not rows:
         return full_space(P)
     return Subspace.from_vectors(P.dim, kernel(rows))
@@ -822,18 +803,20 @@ def bracket_center(P: StructAlgebra) -> Subspace:
 def idempotent_report(P: StructAlgebra, e: SVec) -> dict:
     """Check e.e = e and, for idempotents, centrality in the bracket part;
     records the hypotheses of the split/nilpotency consequences."""
+    whole = full_space(P)
     is_idem = P.product(e, e) == e
+    pa_nilpotent = _reaches_zero(whole, P, "assoc_power")
+    center = bracket_center(P)
     report = {
         "is_idempotent": is_idem,
         "is_zero": not e,
         "central_in_bracket": None,
-        "pl_solvable": _bracket_series_solvable(P),
-        "pa_nilpotent": _only_product_series(P),
-        "bracket_center_dim": bracket_center(P).dim,
-        "nonzero_idempotents_possible": not _only_product_series(P),
+        "pl_solvable": _reaches_zero(whole, P, "bracket_derived"),
+        "pa_nilpotent": pa_nilpotent,
+        "bracket_center_dim": center.dim,
+        "nonzero_idempotents_possible": not pa_nilpotent,
     }
     if is_idem:
-        center = bracket_center(P)
         report["central_in_bracket"] = center.contains(sv_to_dense(e, P.dim))
     return report
 

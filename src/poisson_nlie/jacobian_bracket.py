@@ -328,8 +328,8 @@ class MonomialSampler:
     def monomials(self, count: int) -> List[LaurentPolynomial]:
         return [self.monomial() for _ in range(count)]
 
-    def scalar(self, span: int = 9) -> Fraction:
-        return Fraction(self._rng.randint(-span, span), self._rng.randint(1, 4))
+    def scalar(self) -> Fraction:
+        return Fraction(self._rng.randint(-9, 9), self._rng.randint(1, 4))
 
     def scalar_matrix(self, n: int, m: int) -> AdjoinedMatrix:
         rows = [[self.scalar() for _ in range(m)] for _ in range(n + m)]

@@ -459,7 +459,7 @@ def _det_bareiss(entries):
     return -result if sign < 0 else result
 
 
-def det_ring(matrix, method: str = "auto", size_cap: int = DET_SIZE_CAP) -> LaurentPolynomial:
+def det_ring(matrix, method: str = "auto") -> LaurentPolynomial:
     """Exact determinant of a square matrix of ring elements.
 
     ``method`` is ``auto`` (cofactor up to 4x4, fraction-free elimination
@@ -472,8 +472,8 @@ def det_ring(matrix, method: str = "auto", size_cap: int = DET_SIZE_CAP) -> Laur
         raise ValueError("determinant of an empty matrix needs a variable count; use pi conventions")
     if any(len(r) != n for r in entries):
         raise ValueError("determinant of a non-square matrix")
-    if n > size_cap:
-        raise DeterminantSizeError(f"matrix size {n} exceeds cap {size_cap}")
+    if n > DET_SIZE_CAP:
+        raise DeterminantSizeError(f"matrix size {n} exceeds cap {DET_SIZE_CAP}")
     if method == "auto":
         method = "cofactor" if n <= 4 else "bareiss"
     if method == "cofactor":

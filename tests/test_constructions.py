@@ -252,6 +252,26 @@ class TestLeibnizTensorFunctor:
             assert ker.contains(sv_to_dense(result.bracket([e(j), kv]), 343))
 
 
+    def test_each_adjoint_image_is_bracketed_once(self, hypo, monkeypatch):
+        """The 343-dim power and its Ker(ad) bracket in L only for the
+        2,401 distinct images [x_a, e_j]; one bracket per (a, b, slot)
+        made 352,947 calls."""
+        L = StructAlgebra(7, 4, dict(hypo.bracket_entries()))
+        calls = []
+        original = StructAlgebra.bracket
+
+        def counted(self, vectors):
+            calls.append(self)
+            return original(self, vectors)
+
+        monkeypatch.setattr(StructAlgebra, "bracket", counted)
+        leibniz_tensor_functor(L)
+        assert len(calls) <= 7 ** 4
+        calls.clear()
+        kernel_of_adjoint(L)
+        assert len(calls) <= 7 ** 4
+
+
 class TestPoissonQuotientTilde:
     def test_abelian_quotient_is_the_full_power(self):
         P = abelian_algebra(2, 3)

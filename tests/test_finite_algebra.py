@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from poisson_nlie import finite_algebra
 from poisson_nlie.finite_algebra import (
     StructAlgebra,
+    _associative_cases,
     abelian_algebra,
     algebra_square,
     annihilator,
@@ -31,6 +33,7 @@ from poisson_nlie.finite_algebra import (
     series,
     solvable_flag,
     subspace_product,
+    sv_to_dense,
     verify_axioms,
     zero_product_criterion,
 )
@@ -265,6 +268,16 @@ class TestWitnessOrder:
         assert seen["raw", "skew"] >= 5, seen
 
 
+class TestAssociativeCases:
+    def test_pairs_follow_the_product_partners(self):
+        """Each stored pair meets only the partners of its value's support:
+        246,825 cases when it met every index of a product key."""
+        from poisson_nlie.constructions import truncated_power_algebra, xu_tensor
+
+        T = truncated_power_algebra(10)
+        assert len(_associative_cases(xu_tensor(T, T).algebra)) <= 14_400
+
+
 class TestSubspaceOps:
     def test_product_with_zero(self, hypo):
         assert subspace_product(span(7, 3), Subspace.zero(7), hypo).is_zero()
@@ -421,6 +434,18 @@ class TestNilradical:
         assert not square.is_zero()
         assert nil.contains_subspace(square)
         assert ideal_one.contains_subspace(nil) and nil != ideal_one
+
+    def test_adapted_basis_computed_once(self, hypo, monkeypatch):
+        calls = []
+        original = finite_algebra._adapted_basis
+
+        def counted(P):
+            calls.append(P)
+            return original(P)
+
+        monkeypatch.setattr(finite_algebra, "_adapted_basis", counted)
+        assert nilradical(hypo) == span(7, 0, 1, 2, 6)
+        assert len(calls) == 1
 
     def test_requires_solvable(self, torus, hypo):
         epsilon = StructAlgebra(4, 3, {
@@ -585,7 +610,93 @@ class TestExtensionStructure:
         assert report["hypothesis_met"] and report["conclusion_holds"]
 
 
+def _quotient_by_dense_scan(P, I):
+    """Quotient tables over every increasing (skew) or every (raw) key of
+    the quotient and every product pair, projected one by one."""
+    kept = tuple(j for j in range(P.dim) if j not in I.pivots)
+
+    def project(value):
+        residue = I.reduce(sv_to_dense(value, P.dim))
+        return tuple(residue[j] for j in kept)
+
+    if P.skew:
+        keys = itertools.combinations(range(len(kept)), P.arity)
+    else:
+        keys = itertools.product(range(len(kept)), repeat=P.arity)
+    brackets = {}
+    for key in keys:
+        value = P.bracket_basis([kept[a] for a in key])
+        if value and any(project(value)):
+            brackets[key] = project(value)
+    products = {}
+    for a, b in itertools.combinations_with_replacement(range(len(kept)), 2):
+        value = P.product_basis(kept[a], kept[b])
+        if value and any(project(value)):
+            products[(a, b)] = project(value)
+    return kept, brackets, products
+
+
+def _quotient_cases():
+    """(P, I) with I a nonzero ideal: the hypo fixture and seeded random
+    instances and raw algebras cut by the closure of a basis vector, and
+    iterated brackets cut by their skew-defect ideals."""
+    from poisson_nlie.constructions import (
+        iterated_bracket, random_poisson_n_lie, skew_defect_spans, xu_tensor)
+
+    rng = random.Random(3)
+    values = [F1, -F1, Fraction(2), Fraction(1, 2)]
+
+    def raw_algebra():
+        d, n = rng.randint(3, 5), rng.choice([2, 3])
+
+        def vec():
+            return {rng.randrange(d): rng.choice(values) for _ in range(rng.randint(1, 2))}
+
+        brackets = {tuple(rng.randrange(d) for _ in range(n)): vec()
+                    for _ in range(rng.randint(2, 6))}
+        products = {tuple(sorted(rng.randrange(d) for _ in range(2))): vec()
+                    for _ in range(rng.randint(1, 4))}
+        return StructAlgebra(d, n, brackets, products, skew=False)
+
+    hypo = fixture_hypo()
+    cases = [(hypo, ideal_closure(span(7, k), hypo)) for k in range(7)]
+    for seed in range(80):
+        P = random_poisson_n_lie(seed)[0] if seed < 40 else raw_algebra()
+        start = Subspace.from_vectors(P.dim, [unit_vector(P.dim, rng.randrange(P.dim))])
+        cases.append((P, ideal_closure(start, P)))
+    lie = StructAlgebra(2, 2, {(0, 1): e(1)}, {(0, 0): e(0), (0, 1): e(1)})
+    two = StructAlgebra(2, 2, {}, {(0, 0): e(0), (0, 1): e(1)})
+    for base in (lie, xu_tensor(StructAlgebra(2, 2, {(0, 1): e(1)}), two).algebra):
+        for n in (3, 4):
+            nested = iterated_bracket(base, n)
+            defects = Subspace.from_vectors(nested.dim, skew_defect_spans(nested))
+            cases.append((nested, ideal_closure(defects, nested)))
+    return [(P, I) for P, I in cases if not I.is_zero()]
+
+
 class TestQuotients:
+    def test_matches_the_dense_scan_reference(self):
+        seen = Counter()
+        for P, I in _quotient_cases():
+            quo = quotient_algebra(P, I)
+            kept, brackets, products = _quotient_by_dense_scan(P, I)
+            assert quo.kept == kept
+            # same entries in the same (lexicographic) order
+            assert list(quo.algebra.bracket_entries()) == [
+                (key, dict((i, c) for i, c in enumerate(v) if c)) for key, v in brackets.items()]
+            assert list(quo.algebra.product_entries()) == [
+                (key, dict((i, c) for i, c in enumerate(v) if c)) for key, v in products.items()]
+            storage = "skew" if P.skew else "raw"
+            seen[storage] += 1
+            seen[storage, "brackets"] += len(brackets)
+            seen[storage, "products"] += len(products)
+            seen[storage, "unordered"] += sum(
+                any(a >= b for a, b in zip(key, key[1:])) for key in brackets)
+        # raw keys out of order and product entries both reach the quotient
+        assert seen["skew"] >= 10 and seen["raw"] >= 10, seen
+        assert seen["raw", "unordered"] >= 5 and seen["raw", "products"] >= 5, seen
+        assert seen["skew", "brackets"] >= 5 and seen["skew", "products"] >= 5, seen
+
     def test_quotient_by_flag_member(self, hypo):
         quo = quotient_algebra(hypo, span(7, 6))
         assert quo.algebra.dim == 6
