@@ -182,12 +182,17 @@ def _cmd_construct_jacobian(args):
     return code, payload, f"bracket = {payload['full']}"
 
 
+def _phase_timing(phases: dict) -> dict:
+    """Criterion phase times for the report's ``timing`` block."""
+    return {name: round(seconds, 6) for name, seconds in phases.items()}
+
+
 def _cmd_criterion_check(args):
     family = _parse_ring_spec(args.ring) if args.ring else euler_family(args.n + args.m)
     A = _load_matrix(args.matrix, args.n, args.m, family.nvars, args.seed)
     report = check_criterion(A, family, budget=args.budget, threads=args.threads,
                              matrix_desc=args.matrix)
-    payload = report.to_json_dict()
+    payload = {**report.to_json_dict(), "timing": _phase_timing(report.phases)}
     code = EXIT_PASS if report.passed() else EXIT_MATH_FAIL
     return code, payload, (
         f"criterion {report.verdict} over {report.counts['groups_total']} residual groups "
@@ -199,7 +204,7 @@ def _cmd_criterion_probe(args):
         raise UsageError("criterion-probe requires an explicit --seed")
     report = probe_conjecture(args.n, args.m, args.trials, args.seed,
                               budget=args.budget, threads=args.threads)
-    payload = report.to_json_dict()
+    payload = {**report.to_json_dict(), "timing": _phase_timing(report.phases)}
     code = EXIT_PASS if report.all_pass else EXIT_MATH_FAIL
     return code, payload, (
         f"{sum(1 for v in report.verdicts if v == 'pass')}/{report.trials} trials pass "
@@ -525,7 +530,8 @@ def run(argv=None) -> int:
         report["error"] = str(exc)
         code, summary = EXIT_INTERNAL, f"arithmetic or internal check error: {exc}"
     report["exit_code"] = code
-    report["timing"] = {"wall_s": round(time.perf_counter() - started, 6)}
+    report["timing"] = {**report.get("timing", {}),
+                        "wall_s": round(time.perf_counter() - started, 6)}
     print(json.dumps(report, sort_keys=True, default=str))
     if not getattr(args, "quiet", False):
         print(summary, file=sys.stderr)

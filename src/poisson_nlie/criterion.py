@@ -3,29 +3,33 @@
 Expanding the fundamental identity for the determinant bracket over a ring
 whose derivation family separates derivative patterns (the Euler preset on
 the full Laurent ring) reduces the Poisson n-Lie axioms to finitely many
-residual identities.  Two layers are implemented:
-
-* literal per-tuple residuals for cases (I, J, sigma(I), sigma(J), t),
-  with the modified index tuples built from the arrangement images
-  (substitutions replace images, e.g. the k-th image of sigma(J) by the
-  first image of sigma(I));
-* the complete grouped conditions, one per derivative-pattern class,
-  obtained by summing the free substituted index over all rows.  The
-  grouped sums include collision terms that no per-tuple case reaches,
-  and their joint vanishing is exactly equivalent to the bracket being
-  Poisson n-Lie; ``check_criterion`` enumerates them exhaustively.
+grouped residual conditions, one per derivative-pattern class, obtained by
+summing the free substituted index over all rows.  Their joint vanishing
+is exactly equivalent to the bracket being Poisson n-Lie;
+``check_criterion`` decides it exhaustively.
 
 Signed coefficients are written pi^tau = sgn(tau) * pi^{set(tau)} for an
 index tuple tau, zero when an index repeats; that convention silently
-removes every degenerate substitution.  It is applied where the pi table is
-read: ``signed_pi`` defines it, and one cache per check (``_SignedPi``)
-holds pi^tau and its derivatives by ordered tuple, filled on first use.
-The four residual functions read only that cache, so none of them sorts a
-tuple or computes a permutation sign.
+removes every degenerate substitution.  ``signed_pi`` defines it, and
+``group_residual_a`` / ``group_residual_b`` evaluate one group literally
+through one cache per check (``_SignedPi``) of pi^tau and its derivatives.
+
+``check_criterion`` does not call them: which products a group sums, with
+which signs, depends only on the shape (n, m).  Each family is compiled once
+per shape into sparse forms (pi^S * d_r pi^T, resp. pi^S * pi^T, over sorted
+index sets S, T), equal terms summed, formally zero groups dropped, and each
+form equal up to sign kept once, in the order of its first group label, with
+its sign there.  The first nonzero group is the first label of the first
+nonzero form, so a check evaluates each distinct form once, in that order.
+The compiled state is shape data only (no pi value), kept in the process,
+and O(distinct forms): (5, 2) has 735 + 20,580 groups, 350 + 35 forms.  The
+second family, compiled only once the first vanishes, consists of
+three-term Grassmann-Pluecker relations (Fulton, Young Tableaux, 1997, sec. 9).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -80,58 +84,6 @@ def signed_pi(tup: Sequence[int], pi: dict) -> Optional[LaurentPolynomial]:
     return value if sign > 0 else -value
 
 
-@dataclass(frozen=True)
-class ModifiedIndexSets:
-    """The four substituted tuples for sorted (I, J) at positions k, t.
-
-    Display order: substitutions applied to the sorted enumerations.  A
-    tuple is degenerate when an index repeats; its expansion coefficient
-    is zero by convention.
-    """
-
-    j_up: Tuple[int, ...]        # J with its k-th entry replaced by i_1
-    i_down: Tuple[int, ...]      # I with its first entry replaced by j_k
-    j_up_t: Tuple[int, ...]      # J with its k-th entry replaced by i_t
-    i_down_t: Tuple[int, ...]    # I with j_k first and i_1 in slot t
-
-    def degenerate(self, which: str) -> bool:
-        return perm_sign(getattr(self, which)) == 0
-
-
-def modified_sets(I: Sequence[int], J: Sequence[int], k: int, t: int) -> ModifiedIndexSets:
-    I = tuple(I)
-    J = tuple(J)
-    n = len(I)
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    if not 2 <= t <= n:
-        raise ValueError("t out of range")
-    return ModifiedIndexSets(
-        j_up=replace_position(J, k, I[0]),
-        i_down=(J[k - 1],) + I[1:],
-        j_up_t=replace_position(J, k, I[t - 1]),
-        i_down_t=(J[k - 1],) + I[1:t - 1] + (I[0],) + I[t:],
-    )
-
-
-@dataclass(frozen=True)
-class CriterionTuple:
-    """One literal case: sorted I, J with image arrangements of each, and
-    the second-derivative slot t (absent for the first residual family)."""
-
-    i_set: Tuple[int, ...]
-    j_set: Tuple[int, ...]
-    sigma_i: Tuple[int, ...]
-    sigma_j: Tuple[int, ...]
-    t: Optional[int] = None
-
-    def __post_init__(self):
-        if tuple(sorted(self.sigma_i)) != tuple(self.i_set):
-            raise ValueError("sigma_i must arrange exactly the elements of I")
-        if tuple(sorted(self.sigma_j)) != tuple(self.j_set):
-            raise ValueError("sigma_j must arrange exactly the elements of J")
-
-
 _MISSING = object()
 
 
@@ -177,64 +129,7 @@ def _prepare(A, family, pi) -> _SignedPi:
 
 
 # ---------------------------------------------------------------------------
-# Literal per-tuple residuals
-# ---------------------------------------------------------------------------
-
-def residual_a(ctx: CriterionTuple, A: AdjoinedMatrix, family: CertifiedDerivationFamily,
-               pi: Optional[dict] = None) -> LaurentPolynomial:
-    """First residual family for one tuple: the pi-derivative identity.
-
-    Substituted tuples act on the arrangement images: sigma(J^k) replaces
-    the k-th image of sigma(J) by the first image of sigma(I), and
-    sigma(I_k) replaces the first image of sigma(I) by the k-th image of
-    sigma(J).
-    """
-    signed = _prepare(A, family, pi)
-    u, w = ctx.sigma_i, ctx.sigma_j
-    r = u[0]
-    total = LaurentPolynomial.zero(A.nvars)
-    lead = signed.value(u)
-    if lead is not None:
-        d = signed.get(r, w)
-        if d is not None:
-            total = total + lead * d
-    for k in range(1, len(u) + 1):
-        pw = signed.value(replace_position(w, k, u[0]))
-        if pw is None:
-            continue
-        d = signed.get(r, (w[k - 1],) + u[1:])
-        if d is not None:
-            total = total - pw * d
-    return total
-
-
-def residual_b(ctx: CriterionTuple, A: AdjoinedMatrix, family: CertifiedDerivationFamily,
-               pi: Optional[dict] = None) -> LaurentPolynomial:
-    """Second residual family for one tuple: the quadratic pi identity in
-    which the plain and t-swapped substitutions cancel in pairs."""
-    if ctx.t is None:
-        raise ValueError("residual_b needs the slot index t")
-    signed = _prepare(A, family, pi)
-    u, w = ctx.sigma_i, ctx.sigma_j
-    t = ctx.t
-    total = LaurentPolynomial.zero(A.nvars)
-    for k in range(1, len(u) + 1):
-        wk = w[k - 1]
-        pj = signed.value(replace_position(w, k, u[0]))
-        if pj is not None:
-            pi_down = signed.value((wk,) + u[1:])
-            if pi_down is not None:
-                total = total + pj * pi_down
-        pj_t = signed.value(replace_position(w, k, u[t - 1]))
-        if pj_t is not None:
-            pi_down_t = signed.value((wk,) + u[1:t - 1] + (u[0],) + u[t:])
-            if pi_down_t is not None:
-                total = total + pj_t * pi_down_t
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Complete grouped conditions (the verdict of record)
+# Grouped conditions, one group at a time
 # ---------------------------------------------------------------------------
 
 def group_residual_a(alpha: Tuple[int, ...], beta: Tuple[int, ...],
@@ -289,6 +184,129 @@ def group_residual_b(alpha: Tuple[int, ...], pair: Tuple[int, int],
 
 
 # ---------------------------------------------------------------------------
+# The grouped conditions, compiled once per shape
+# ---------------------------------------------------------------------------
+
+def _first_family_terms(n, idx, alpha, signed):
+    """(tail, key, coeff) for the formally nonzero terms of the groups
+    (alpha, beta): tail (beta,), key (S, r, T) for coeff * pi^S * d_r pi^T."""
+    swaps = [(x, [(r, *signed(replace_position(alpha, k, r)))
+                  for r in idx if r == x or r not in alpha])
+             for k, x in enumerate(alpha, 1)]
+    lead = signed(alpha)[1]
+    for beta in itertools.combinations(idx, n - 1):
+        for r in idx:
+            if r not in beta:
+                sign, S = signed((r,) + beta)
+                yield (beta,), (S, r, lead), sign
+        for x, swapped in swaps:
+            if x not in beta:
+                down_sign, T = signed((x,) + beta)
+                for r, sign, S in swapped:
+                    yield (beta,), (S, r, T), -sign * down_sign
+
+
+def _second_family_terms(n, idx, alpha, signed):
+    """(tail, key, coeff) for the formally nonzero terms of the groups
+    (alpha, pair, rest): tail (pair, rest), key (S <= T) for coeff * pi^S * pi^T."""
+    for k, x in enumerate(alpha, 1):
+        swapped = [(a, *signed(replace_position(alpha, k, a)))
+                   for a in idx if a == x or a not in alpha]
+        others = [i for i in idx if i != x]
+        for rest in itertools.combinations(others, n - 2):
+            for b in others:
+                down = signed((x, b) + rest)
+                if down is not None:
+                    down_sign, T = down
+                    for a, sign, S in swapped:
+                        yield (((a, b) if a <= b else (b, a), rest),
+                               (S, T) if S <= T else (T, S), sign * down_sign)
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled_forms(n: int, m: int, second: bool) -> tuple:
+    """The distinct forms of one residual family at shape (n, m), in the
+    order of the first group label that carries each.
+
+    Entries are (label, sign, terms): ``label`` is that first group,
+    (alpha, beta) in the first family and (alpha, pair, rest) in the
+    second, and its residual is ``sign`` times the form.  ``terms`` flattens
+    sorted (coeff, S, r, T) or (coeff, S, T) int terms, S and T indexing
+    ``combinations(1..n+m, n)``; the first coeff is positive.  Formally zero
+    groups carry no form.  No entry depends on a matrix; 16 are cached.
+    """
+    idx = range(1, n + m + 1)
+    alphas = list(itertools.combinations(idx, n))
+    subset = {S: i for i, S in enumerate(alphas)}
+    signs = {}
+
+    def signed(tau):
+        """(sgn tau, index of set tau), None on a repeated index."""
+        if tau not in signs:
+            sign = perm_sign(tau)
+            signs[tau] = (sign, subset[tuple(sorted(tau))]) if sign else None
+        return signs[tau]
+
+    family_terms = _second_family_terms if second else _first_family_terms
+    forms, seen = [], set()
+    for alpha in alphas:
+        groups = {}
+        for tail, key, c in family_terms(n, idx, alpha, signed):
+            terms = groups.setdefault(tail, {})
+            terms[key] = terms.get(key, 0) + c
+        for tail in sorted(groups):
+            terms = sorted((key, c) for key, c in groups[tail].items() if c)
+            if terms:
+                sign = 1 if terms[0][1] > 0 else -1
+                flat = tuple(v for key, c in terms for v in (sign * c, *key))
+                if flat not in seen:
+                    seen.add(flat)
+                    forms.append(((alpha,) + tail, sign, flat))
+    return tuple(forms)
+
+
+def _scan(pi: dict, n: int, m: int,
+          family: CertifiedDerivationFamily) -> Tuple[Optional[dict], float]:
+    """For the table ``pi`` (keyed by sorted index set): the counterexample
+    at the first label of the first form, in order, whose value is nonzero
+    (first family before second), or None; and the seconds spent compiling.
+    The second family is compiled only once the first vanishes."""
+    pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
+    derivatives = {}
+    compile_s = 0.0
+    for second, name, fields in ((False, "first", ("x_pattern", "y_tail")),
+                                 (True, "second", ("x_pattern", "derivative_pair", "y_tail_rest"))):
+        started = time.perf_counter()
+        forms = _compiled_forms(n, m, second)
+        compile_s += time.perf_counter() - started
+        width = 3 if second else 4
+        for label, sign, terms in forms:
+            total = LaurentPolynomial.zero(family.nvars)
+            for i in range(0, len(terms), width):
+                c, S, T = terms[i], terms[i + 1], terms[i + width - 1]
+                left = pis[S]
+                if left.is_zero():
+                    continue
+                if second:
+                    right = pis[T]
+                else:
+                    r = terms[i + 2]
+                    right = derivatives.get((r, T))
+                    if right is None:
+                        right = derivatives[r, T] = family[r - 1].apply(pis[T])
+                if not right.is_zero():
+                    product = left * right
+                    total = total + (product if c == 1 else product * c)
+            if not total.is_zero():
+                return {
+                    "residual_family": name,
+                    **{f: list(part) for f, part in zip(fields, label)},
+                    "residual": format_polynomial(total if sign > 0 else -total),
+                }, compile_s
+    return None, compile_s
+
+
+# ---------------------------------------------------------------------------
 # Reports and the exhaustive check
 # ---------------------------------------------------------------------------
 
@@ -303,6 +321,8 @@ class CriterionReport:
     counts: Dict[str, int]
     counterexample: Optional[dict]
     wall_time: float
+    # pi_table_s, compile_s, evaluate_s; outside the body, like wall_time
+    phases: Dict[str, float] = field(default_factory=dict)
 
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -340,14 +360,16 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
                     matrix_desc: str = "") -> CriterionReport:
     """Decide whether (A, family) yields a Poisson n-Lie bracket.
 
-    Enumerates every grouped residual condition (which jointly cover all
+    Checks every grouped residual condition (which jointly cover all
     per-tuple cases, including the collision classes outside the tuple
     parametrization); exact arithmetic, zero tolerance.  The verdict is
     equivalent to the vanishing of the fundamental-identity defect on all
-    inputs whenever the family's separating assumptions hold.
+    inputs whenever the family's separating assumptions hold.  The
+    counterexample is the first group, in label order, that does not
+    vanish; each distinct form is evaluated once (see the module docstring).
 
-    ``budget`` caps the residual groups evaluated (``counts["groups_total"]``).
-    The scan runs serially; ``threads`` is accepted for compatibility and
+    ``budget`` caps the residual groups covered (``counts["groups_total"]``).
+    The check runs serially; ``threads`` is accepted for compatibility and
     does not change the work or the result.
     """
     if not isinstance(family, CertifiedDerivationFamily):
@@ -366,46 +388,17 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
 
     start = time.perf_counter()
     pi = pi_table(A)
-    counterexample = _first_nonzero_group(A, family, _SignedPi(pi, family))
+    pi_s = time.perf_counter() - start
+    counterexample, compile_s = _scan(pi, A.n, A.m, family)
     wall = time.perf_counter() - start
     entries = [[format_polynomial(e) for e in row] for row in A.entries]
     return CriterionReport(
         n=A.n, m=A.m, nvars=A.nvars, matrix_desc=matrix_desc,
         matrix_entries=entries,
         verdict="pass" if counterexample is None else "fail",
-        counts=counts, counterexample=counterexample, wall_time=wall)
-
-
-def _first_nonzero_group(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
-                         signed: _SignedPi) -> Optional[dict]:
-    """The first grouped residual that does not vanish, as a counterexample;
-    None when all vanish.  The first family is visited before the second,
-    each in lexicographic order of its group labels; both read one cache."""
-    n = A.n
-    idx = range(1, n + A.m + 1)
-    alphas = list(itertools.combinations(idx, n))
-    for alpha, beta in itertools.product(alphas, itertools.combinations(idx, n - 1)):
-        value = group_residual_a(alpha, beta, A, family, _dpi=signed)
-        if not value.is_zero():
-            return {
-                "residual_family": "first",
-                "x_pattern": list(alpha),
-                "y_tail": list(beta),
-                "residual": format_polynomial(value),
-            }
-    for alpha, pair, rest in itertools.product(
-            alphas, itertools.combinations_with_replacement(idx, 2),
-            itertools.combinations(idx, n - 2)):
-        value = group_residual_b(alpha, pair, rest, A, _dpi=signed)
-        if not value.is_zero():
-            return {
-                "residual_family": "second",
-                "x_pattern": list(alpha),
-                "derivative_pair": list(pair),
-                "y_tail_rest": list(rest),
-                "residual": format_polynomial(value),
-            }
-    return None
+        counts=counts, counterexample=counterexample, wall_time=wall,
+        phases={"pi_table_s": pi_s, "compile_s": compile_s,
+                "evaluate_s": wall - pi_s - compile_s})
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +544,8 @@ class ProbeReport:
     failures: List[dict]
     wall_time: float
     counts_per_trial: Dict[str, int] = field(default_factory=dict)
+    # seconds per phase summed over the trials, as in CriterionReport.phases
+    phases: Dict[str, float] = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -587,10 +582,13 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
     start = time.perf_counter()
     verdicts = []
     failures = []
+    phases = dict.fromkeys(("pi_table_s", "compile_s", "evaluate_s"), 0.0)
     for trial, A in enumerate(matrices):
         report = check_criterion(A, family, budget=budget,
                                  matrix_desc=f"scalar:random seed={seed} trial={trial}")
         verdicts.append(report.verdict)
+        for phase, seconds in report.phases.items():
+            phases[phase] += seconds
         if report.verdict != "pass":
             failures.append({
                 "trial": trial,
@@ -600,4 +598,5 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
     wall = time.perf_counter() - start
     counts = _tuple_counts(n, m)
     return ProbeReport(n=n, m=m, trials=trials, seed=seed, verdicts=verdicts,
-                       failures=failures, wall_time=wall, counts_per_trial=counts)
+                       failures=failures, wall_time=wall, counts_per_trial=counts,
+                       phases=phases)

@@ -13,6 +13,7 @@ Everything is immutable; all operations are pure.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,16 @@ Scalar = Union[int, Fraction]
 
 EXPONENT_LIMIT = 2**31 - 1
 DET_SIZE_CAP = 12
+# Largest power ``parse_polynomial`` expands, as the predicted size of the
+# result: its term count (at most the multinomial count C(|p| + t - 1, t - 1)
+# for a t-term base to the power p) times one plus the bit length of its
+# coefficients (at most |p| * log2(s * L), where L is the common denominator
+# of the base's coefficients and s the sum of their absolute values times L).
+# A power over it is a ParseError at its '^'.  Term count and coefficient
+# bits are bounded together because either alone admits slow powers:
+# (1 + t1)^4000 has 4001 terms and expands in about a minute.  Powers just
+# under the limit, such as (t1 + t2 + t3)^53, expand in about a second.
+POWER_SIZE_LIMIT = 2**17
 
 
 class ExponentOverflowError(ArithmeticError):
@@ -582,6 +593,9 @@ class _Parser:
         if kind == "op" and text == "^":
             self._take()
             power = self._signed_int()
+            if _power_size(base, power) > POWER_SIZE_LIMIT:
+                self._error("power too large: its predicted terms times coefficient bits "
+                            f"exceed the size limit {POWER_SIZE_LIMIT}", offset)
             try:
                 return base ** power
             except ExactDivisionError:
@@ -629,6 +643,23 @@ class _Parser:
         if kind is None:
             self._error("unexpected end of expression", len(self.text))
         self._error(f"unexpected token {text!r}", offset)
+
+
+def _power_size(base: LaurentPolynomial, power: int) -> int:
+    """An upper bound on the size of base ** power as POWER_SIZE_LIMIT
+    measures it, computed without expanding; once the term count alone
+    passes the limit, that partial count is returned."""
+    p = abs(power)
+    terms = min(len(base), 1)
+    for j in range(1, len(base)):  # C(p + j, j) from C(p + j - 1, j - 1)
+        terms = terms * (p + j) // j
+        if terms > POWER_SIZE_LIMIT:
+            return terms
+    if not terms:
+        return 0
+    denominator = math.lcm(*(c.denominator for _, c in base.terms()))
+    numerators = sum(abs(c.numerator) * (denominator // c.denominator) for _, c in base.terms())
+    return terms * (1 + math.ceil(p * math.log2(numerators * denominator)))
 
 
 def parse_polynomial(text: str, nvars: int) -> LaurentPolynomial:

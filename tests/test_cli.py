@@ -170,6 +170,17 @@ class TestCriterionCommands:
         assert code == 0
         assert report["all_pass"] and report["verdicts"] == ["pass"] * 3
 
+    def test_timing_is_split_by_phase(self, capsys, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_text("2 1\nt2\nt3\nt1\n")
+        for argv in (("criterion-check", "--n", "2", "--m", "1", "--matrix", f"file:{path}"),
+                     ("criterion-probe", "--n", "3", "--m", "1", "--trials", "2", "--seed", "1")):
+            _, report, _ = invoke(capsys, *argv)
+            timing = report["timing"]
+            assert set(timing) == {"wall_s", "pi_table_s", "compile_s", "evaluate_s"}
+            phases = timing["pi_table_s"] + timing["compile_s"] + timing["evaluate_s"]
+            assert 0 <= phases <= timing["wall_s"] + 1e-5
+
     def test_construct_jacobian_single(self, capsys, tmp_path):
         path = tmp_path / "col.mat"
         path.write_text("2 1\n0\n0\n1\n")
@@ -190,6 +201,18 @@ class TestCriterionCommands:
         assert code == 2
         assert "exponent 2147483648 out of range" in report["error"]
         assert "column 14" in report["error"]
+
+    def test_oversized_power_exits_two_without_expanding(self, capsys, tmp_path):
+        path = tmp_path / "power.mat"
+        path.write_text("2 1\n3^16777216\n0\n1\n")
+        for source in (["--matrix", "scalar:random", "--seed", "0", "--args", "3^16777216; t2"],
+                       ["--matrix", f"file:{path}", "--args", "t1; t2"]):
+            started = time.perf_counter()
+            code, report, _ = invoke(capsys, "construct-jacobian", "--ring", "laurent:v=3:euler",
+                                     "--n", "2", "--m", "1", *source)
+            assert time.perf_counter() - started < 1.0
+            assert code == 2
+            assert "power too large" in report["error"] and "column 2" in report["error"]
 
     def test_exponent_overflow_in_evaluation_exits_four(self, capsys):
         # each argument parses, but the bracket multiplies t1^(2^31 - 1) by t1

@@ -1,25 +1,27 @@
 import itertools
+import json
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence, Tuple
 
 import pytest
 from poisson_nlie.criterion import (
     AssumptionsError,
     DEFAULT_GROUP_BUDGET,
     BudgetExceededError,
-    CriterionTuple,
     _SignedPi,
+    _compiled_forms,
+    _scan,
     _tuple_counts,
     check_criterion,
     expanded_identity_defect,
     grassmann_plucker_defect,
     group_residual_a,
     group_residual_b,
-    modified_sets,
     probe_conjecture,
-    residual_a,
-    residual_b,
+    replace_position,
 )
 from poisson_nlie.jacobian_bracket import (
     AdjoinedMatrix,
@@ -31,9 +33,151 @@ from poisson_nlie.jacobian_bracket import (
 from poisson_nlie.ring import (
     LaurentPolynomial,
     euler_family,
+    format_polynomial,
     parse_polynomial,
     partial_family,
 )
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles: the literal per-tuple residuals and the group-by-group
+# scan that check_criterion replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModifiedIndexSets:
+    """The four substituted tuples for sorted (I, J) at positions k, t.
+
+    Display order: substitutions applied to the sorted enumerations.  A
+    tuple is degenerate when an index repeats; its expansion coefficient
+    is zero by convention.
+    """
+
+    j_up: Tuple[int, ...]        # J with its k-th entry replaced by i_1
+    i_down: Tuple[int, ...]      # I with its first entry replaced by j_k
+    j_up_t: Tuple[int, ...]      # J with its k-th entry replaced by i_t
+    i_down_t: Tuple[int, ...]    # I with j_k first and i_1 in slot t
+
+    def degenerate(self, which: str) -> bool:
+        return perm_sign(getattr(self, which)) == 0
+
+
+def modified_sets(I: Sequence[int], J: Sequence[int], k: int, t: int) -> ModifiedIndexSets:
+    I = tuple(I)
+    J = tuple(J)
+    n = len(I)
+    if not 1 <= k <= n:
+        raise ValueError("k out of range")
+    if not 2 <= t <= n:
+        raise ValueError("t out of range")
+    return ModifiedIndexSets(
+        j_up=replace_position(J, k, I[0]),
+        i_down=(J[k - 1],) + I[1:],
+        j_up_t=replace_position(J, k, I[t - 1]),
+        i_down_t=(J[k - 1],) + I[1:t - 1] + (I[0],) + I[t:],
+    )
+
+
+@dataclass(frozen=True)
+class CriterionTuple:
+    """One literal case: sorted I, J with image arrangements of each, and
+    the second-derivative slot t (absent for the first residual family)."""
+
+    i_set: Tuple[int, ...]
+    j_set: Tuple[int, ...]
+    sigma_i: Tuple[int, ...]
+    sigma_j: Tuple[int, ...]
+    t: Optional[int] = None
+
+    def __post_init__(self):
+        if tuple(sorted(self.sigma_i)) != tuple(self.i_set):
+            raise ValueError("sigma_i must arrange exactly the elements of I")
+        if tuple(sorted(self.sigma_j)) != tuple(self.j_set):
+            raise ValueError("sigma_j must arrange exactly the elements of J")
+
+
+def residual_a(ctx: CriterionTuple, A: AdjoinedMatrix, family,
+               pi: Optional[dict] = None) -> LaurentPolynomial:
+    """First residual family for one tuple: the pi-derivative identity.
+
+    Substituted tuples act on the arrangement images: sigma(J^k) replaces
+    the k-th image of sigma(J) by the first image of sigma(I), and
+    sigma(I_k) replaces the first image of sigma(I) by the k-th image of
+    sigma(J).
+    """
+    signed = _SignedPi(pi_table(A) if pi is None else pi, family)
+    u, w = ctx.sigma_i, ctx.sigma_j
+    r = u[0]
+    total = LaurentPolynomial.zero(A.nvars)
+    lead = signed.value(u)
+    if lead is not None:
+        d = signed.get(r, w)
+        if d is not None:
+            total = total + lead * d
+    for k in range(1, len(u) + 1):
+        pw = signed.value(replace_position(w, k, u[0]))
+        if pw is None:
+            continue
+        d = signed.get(r, (w[k - 1],) + u[1:])
+        if d is not None:
+            total = total - pw * d
+    return total
+
+
+def residual_b(ctx: CriterionTuple, A: AdjoinedMatrix, family,
+               pi: Optional[dict] = None) -> LaurentPolynomial:
+    """Second residual family for one tuple: the quadratic pi identity in
+    which the plain and t-swapped substitutions cancel in pairs."""
+    if ctx.t is None:
+        raise ValueError("residual_b needs the slot index t")
+    signed = _SignedPi(pi_table(A) if pi is None else pi, family)
+    u, w = ctx.sigma_i, ctx.sigma_j
+    t = ctx.t
+    total = LaurentPolynomial.zero(A.nvars)
+    for k in range(1, len(u) + 1):
+        wk = w[k - 1]
+        pj = signed.value(replace_position(w, k, u[0]))
+        if pj is not None:
+            pi_down = signed.value((wk,) + u[1:])
+            if pi_down is not None:
+                total = total + pj * pi_down
+        pj_t = signed.value(replace_position(w, k, u[t - 1]))
+        if pj_t is not None:
+            pi_down_t = signed.value((wk,) + u[1:t - 1] + (u[0],) + u[t:])
+            if pi_down_t is not None:
+                total = total + pj_t * pi_down_t
+    return total
+
+
+def reference_first_nonzero_group(A, family, signed):
+    """The first grouped residual that does not vanish, as a counterexample;
+    None when all vanish.  Every group is evaluated literally, the first
+    family before the second, each in lexicographic order of its labels."""
+    n = A.n
+    idx = range(1, n + A.m + 1)
+    alphas = list(itertools.combinations(idx, n))
+    for alpha, beta in itertools.product(alphas, itertools.combinations(idx, n - 1)):
+        value = group_residual_a(alpha, beta, A, family, _dpi=signed)
+        if not value.is_zero():
+            return {
+                "residual_family": "first",
+                "x_pattern": list(alpha),
+                "y_tail": list(beta),
+                "residual": format_polynomial(value),
+            }
+    for alpha, pair, rest in itertools.product(
+            alphas, itertools.combinations_with_replacement(idx, 2),
+            itertools.combinations(idx, n - 2)):
+        value = group_residual_b(alpha, pair, rest, A, _dpi=signed)
+        if not value.is_zero():
+            return {
+                "residual_family": "second",
+                "x_pattern": list(alpha),
+                "derivative_pair": list(pair),
+                "y_tail_rest": list(rest),
+                "residual": format_polynomial(value),
+            }
+    return None
 
 
 def gradient_matrix(n, m, ys, family):
@@ -276,6 +420,89 @@ class TestSignedCache:
         assert report.passed()
         assert report.counts["groups_total"] == 5160
         assert time.perf_counter() - started < 1.0
+
+
+def _perturbed_table(kind, n, m, rng):
+    """A pi table keyed by sorted index set that is not a minor table:
+    sparse random constants (many forms vanish, so first failures spread
+    over the forms), or the minor table of a passing matrix with one entry
+    moved (by a constant, or by a monomial so that derivatives see it)."""
+    nv = n + m
+    subsets = list(itertools.combinations(range(1, nv + 1), n))
+    if kind == "constant":
+        return {S: LaurentPolynomial.constant(nv, rng.choice((0, 0, 0, 1, -1, 2)))
+                for S in subsets}
+    sampler = MonomialSampler(nv, seed=rng.randrange(10**6))
+    if kind == "scalar-moved":
+        pi = pi_table(sampler.scalar_matrix(n, m))
+        shift = LaurentPolynomial.constant(nv, rng.choice((-2, -1, 1, 3)))
+    else:
+        family = euler_family(nv)
+        pi = pi_table(gradient_matrix(n, m, [sampler.binomial() for _ in range(m)], family))
+        shift = sampler.monomials(1)[0]
+    S = rng.choice(subsets)
+    pi[S] = pi[S] + shift
+    return pi
+
+
+class TestCompiledForms:
+    """check_criterion evaluates each distinct form once, in first-label
+    order; the literal group-by-group scan is the reference."""
+
+    @pytest.mark.parametrize("kind", ["scalar", "monomial", "gradient", "block"])
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 1), (3, 3), (2, 1), (4, 2)])
+    def test_reports_match_the_reference_scan(self, kind, n, m):
+        family = euler_family(n + m)
+        for seed in range(3):
+            A = _seeded_matrix(kind, n, m, family, seed)
+            report = check_criterion(A, family, matrix_desc=f"{kind} seed={seed}")
+            expected = reference_first_nonzero_group(A, family, _SignedPi(pi_table(A), family))
+            reference = {**report.to_json_dict(), "counterexample": expected,
+                         "verdict": "pass" if expected is None else "fail"}
+            assert json.dumps(report.to_json_dict()) == json.dumps(reference), seed
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+    def test_tables_that_are_not_minor_tables(self, n, m):
+        """Minor tables pass the second family; these reach its
+        counterexamples, and first-family ones at moved entries."""
+        family = euler_family(n + m)
+        A = MonomialSampler(n + m, seed=0).scalar_matrix(n, m)  # only its shape is read
+        rng = random.Random(100 * n + m)
+        failed = set()
+        for trial in range(32):
+            kind = ("constant", "constant", "scalar-moved", "polynomial-moved")[trial % 4]
+            pi = _perturbed_table(kind, n, m, rng)
+            expected = reference_first_nonzero_group(A, family, _SignedPi(pi, family))
+            got, _ = _scan(pi, n, m, family)
+            assert got == expected, (trial, kind)
+            if got is not None:
+                failed.add(got["residual_family"])
+        assert "first" in failed
+        if _compiled_forms(n, m, True):
+            assert "second" in failed
+        else:
+            assert n == 2  # the second family is formally zero at n = 2
+
+    def test_form_counts(self):
+        counts = {shape: tuple(len(_compiled_forms(*shape, second)) for second in (False, True))
+                  for shape in ((5, 2), (4, 3))}
+        assert counts == {(5, 2): (350, 35), (4, 3): (665, 315)}
+
+    def test_each_shape_compiles_once(self):
+        """A second check of a shape compiles nothing, and a check that
+        fails in the first family never compiles the second."""
+        _compiled_forms.cache_clear()
+        family = euler_family(7)
+        for seed in (3, 4):
+            report = check_criterion(MonomialSampler(7, seed=seed).scalar_matrix(5, 2), family)
+            assert report.passed()
+            assert _compiled_forms.cache_info().misses == 2
+        t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
+        A = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
+        report = check_criterion(A, euler_family(3))
+        assert report.counterexample["residual_family"] == "first"
+        assert _compiled_forms.cache_info().misses == 3
+        assert set(report.phases) == {"pi_table_s", "compile_s", "evaluate_s"}
 
 
 class TestCheckCriterion:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from poisson_nlie.ring import (
     ExactDivisionError,
     ExponentOverflowError,
     FamilyCertificationError,
+    POWER_SIZE_LIMIT,
     LaurentPolynomial,
     ParseError,
     certify_family,
@@ -93,6 +95,28 @@ class TestGrammar:
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, 2)
         assert err.value.line >= 1 and err.value.column >= 1
+
+    @pytest.mark.parametrize("text, nvars, column", [
+        ("3^16777216", 1, 2),
+        ("t2*3^2147483647", 2, 5),
+        ("(t1+t2+t3+t4+t5+t6)^14", 6, 20),
+        ("(1+t1)^362", 1, 7),
+        ("((t1+t2+t3+t4+t5+t6)^5)^100000", 6, 24),
+    ])
+    def test_oversized_powers_are_refused_before_expanding(self, text, nvars, column):
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, nvars)
+        assert time.perf_counter() - started < 1.0
+        assert err.value.column == column
+        assert f"exceed the size limit {POWER_SIZE_LIMIT}" in str(err.value)
+
+    def test_powers_within_the_size_limit_expand(self):
+        # (1 + t1)^361: 362 terms of up to 361 bits, 362 * 362 <= 2^17
+        assert len(parse_polynomial("(1+t1)^361", 1)) == 362
+        assert parse_polynomial("t1^2147483647", 1) == LaurentPolynomial.monomial(1, (2**31 - 1,))
+        assert parse_polynomial("(2/3)^-5", 1) == Fraction(243, 32)
+        assert parse_polynomial("0^4", 1).is_zero()
 
     @given(polys(3))
     @settings(max_examples=60, deadline=None)

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ["fixture_tour.py"],
     ["find_negative_controls.py", "--limit", "1"],
     ["probe_conjecture.py", "--n", "3", "--m", "2", "--trials", "1", "--seed", "0"],
+    pytest.param(["probe_conjecture.py", "--n", "5", "--m", "2", "--trials", "2", "--seed", "0"],
+                 id="probe_conjecture_5_2"),
 ], ids=lambda argv: argv[0][:-3])
 def test_script_exits_zero(argv):
     env = dict(os.environ)
