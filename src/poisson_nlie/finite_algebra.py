@@ -582,12 +582,12 @@ def _adapted_basis(P: StructAlgebra) -> List[tuple]:
         for row in term.basis:
             if not spanned.contains(row):
                 collected.append(row)
-                spanned = spanned.sum(Subspace.from_vectors(P.dim, [row]))
+                spanned = Subspace.from_vectors(P.dim, spanned.basis + (row,))
     for j in range(P.dim):
         row = unit_vector(P.dim, j)
         if not spanned.contains(row):
             collected.append(row)
-            spanned = spanned.sum(Subspace.from_vectors(P.dim, [row]))
+            spanned = Subspace.from_vectors(P.dim, spanned.basis + (row,))
     return collected
 
 
@@ -602,7 +602,7 @@ def _greedy_ideal(start: Subspace, candidates: Sequence[tuple], closure,
         for row in candidates:
             if current.contains(row):
                 continue
-            grown = closure(current.sum(Subspace.from_vectors(current.ambient, [row])))
+            grown = closure(Subspace.from_vectors(current.ambient, current.basis + (row,)))
             if nilpotent(grown):
                 current = grown
                 changed = True
@@ -664,7 +664,7 @@ def annihilator(P: StructAlgebra) -> Subspace:
     current = full_space(P)
     for i in range(P.dim):
         rows = P.left_mult_matrix({i: Fraction(1)})
-        current = current.intersection(Subspace.from_vectors(P.dim, kernel(rows)))
+        current = current.intersection(kernel(rows))
         if current.is_zero():
             break
     return current
@@ -698,7 +698,7 @@ def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:
         ordered = sorted(candidates, key=lambda lam: (lam != 0, lam))
         for lam in ordered:
             shifted = mat_sub(matrix, scale_matrix(lam, P.dim))
-            cut = space.intersection(Subspace.from_vectors(P.dim, kernel(shifted)))
+            cut = space.intersection(kernel(shifted))
             if cut.is_zero():
                 continue
             chosen[tup] = lam
@@ -772,7 +772,7 @@ def solvable_flag(P: StructAlgebra) -> Optional[List[Subspace]]:
         if found is None:
             return None
         lifted = quo.lift(found.vector)
-        current = current.sum(Subspace.from_vectors(P.dim, [lifted]))
+        current = Subspace.from_vectors(P.dim, current.basis + (lifted,))
         flag.append(current)
     return flag
 
@@ -786,7 +786,7 @@ def generalized_eigenspace(P: StructAlgebra, a: SVec, eigenvalue) -> Subspace:
     matrix = P.left_mult_matrix(a)
     shifted = mat_sub(matrix, scale_matrix(eigenvalue, P.dim))
     power = mat_pow(shifted, max(P.dim, 1))
-    space = Subspace.from_vectors(P.dim, kernel(power)) if P.dim else Subspace.zero(0)
+    space = kernel(power) if P.dim else Subspace.zero(0)
     if not is_ideal(space, P):
         raise InternalCheckError("generalized eigenspaces must be ideals")
     return space
@@ -797,7 +797,7 @@ def bracket_center(P: StructAlgebra) -> Subspace:
     rows = [row for _, matrix in _adjoint_generators(P) for row in matrix]
     if not rows:
         return full_space(P)
-    return Subspace.from_vectors(P.dim, kernel(rows))
+    return kernel(rows)
 
 
 def idempotent_report(P: StructAlgebra, e: SVec) -> dict:

@@ -105,10 +105,6 @@ class AdjoinedMatrix:
     def empty(cls, n: int, nvars: int) -> "AdjoinedMatrix":
         return cls(n, 0, nvars, ())
 
-    @property
-    def is_scalar(self) -> bool:
-        return all(entry.is_constant() for row in self.entries for entry in row)
-
     def submatrix_rows(self, rows: Sequence[int]) -> tuple:
         return tuple(self.entries[r - 1] for r in rows)
 

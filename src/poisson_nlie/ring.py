@@ -124,16 +124,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self._terms.values()))
-
     def __len__(self):
         return len(self._terms)
 
@@ -599,7 +589,7 @@ class _Parser:
             try:
                 return base ** power
             except ExactDivisionError:
-                self._error("negative power of a non-monomial")
+                self._error("negative power of a non-monomial", offset)
             except ExponentOverflowError as exc:
                 self._error(str(exc), offset)
         return base

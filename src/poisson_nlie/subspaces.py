@@ -1,8 +1,9 @@
 """Exact rational linear algebra: RREF subspaces, kernels, eigen tools.
 
 Subspaces are stored in reduced row-echelon form over ``Fraction``, so two
-subspaces are equal iff their basis matrices are equal.  Everything is
-exact; nothing here ever rounds.
+subspaces are equal iff their basis matrices are equal.  A kernel or an
+intersection comes out of one elimination already in that form.  Everything
+is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -116,28 +117,32 @@ class Subspace:
         d = self.ambient
         stacked = [list(row) + list(row) for row in self.basis]
         stacked += [list(row) + [_F0] * d for row in other.basis]
-        reduced, _ = rref(stacked)
-        inter = [row[d:] for row in reduced if all(v == 0 for v in row[:d])]
-        return Subspace.from_vectors(d, inter)
+        reduced, pivots = rref(stacked)
+        k = sum(1 for p in pivots if p < d)  # zero-left rows come last, already in RREF
+        return Subspace(d, tuple(row[d:] for row in reduced[k:]), tuple(p - d for p in pivots[k:]))
 
 
-def kernel(matrix: Sequence[Sequence]) -> List[Vector]:
-    """Basis of {x : Mx = 0} for M given as rows."""
-    rows = [tuple(Fraction(v) for v in row) for row in matrix]
-    if not rows:
+def kernel(matrix: Sequence[Sequence]) -> Subspace:
+    """{x : Mx = 0} for M given as rows, as its canonical RREF subspace.
+
+    M's columns are eliminated from last to first, so the null vector of a
+    free column f has its leading 1 at f, zeros at every other free column
+    and entries only at later pivot columns: these vectors are the RREF
+    basis as they stand, and the free columns are its pivots."""
+    if not matrix:
         raise ValueError("kernel of an empty matrix is ambiguous")
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    ncols = len(matrix[0])
+    last = ncols - 1
+    reduced, pivots = rref(row[::-1] for row in matrix)  # pivots counted from the end
+    free = tuple(c for c in range(ncols) if last - c not in pivots)
     basis = []
     for f in free:
         vec = [_F0] * ncols
         vec[f] = _F1
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+            vec[last - p] = -row[last - f]
         basis.append(tuple(vec))
-    return basis
+    return Subspace(ncols, tuple(basis), free)
 
 
 def mat_vec(matrix: Sequence[Sequence], vector: Sequence) -> Vector:
@@ -147,8 +152,7 @@ def mat_vec(matrix: Sequence[Sequence], vector: Sequence) -> Vector:
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     bt = list(zip(*b))
-    return tuple(tuple(sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), _F0)
-                       for col in bt)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), _F0) for col in bt)
                  for row in a)
 
 
@@ -291,11 +295,3 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
 
 def rational_eigenvalues(matrix: Sequence[Sequence]) -> List[Fraction]:
     return rational_roots(char_poly(matrix))
-
-
-def eigenspace(matrix: Sequence[Sequence], eigenvalue) -> Subspace:
-    dim = len(matrix)
-    shifted = mat_sub(matrix, scale_matrix(eigenvalue, dim))
-    if dim == 0:
-        return Subspace.zero(0)
-    return Subspace.from_vectors(dim, kernel(shifted))

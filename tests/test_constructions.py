@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from poisson_nlie import constructions
 from poisson_nlie.constructions import (
     DimensionBudgetError,
+    _seed_epsilon,
+    _seed_heisenberg,
     direct_sum,
     iterated_bracket,
     kernel_of_adjoint,
@@ -21,9 +24,11 @@ from poisson_nlie.constructions import (
     xu_tensor,
 )
 from poisson_nlie.finite_algebra import (
+    InternalCheckError,
     StructAlgebra,
     _fundamental_holds,
     abelian_algebra,
+    parse_algebra,
     sv_to_dense,
     verify_axioms,
 )
@@ -203,6 +208,40 @@ class TestSkewDefectQuotient:
         assert quo.algebra.dim >= 1
 
 
+def _power_by_formula(L):
+    """The (n-1)-fold tensor power with [x, y] = sum over slots of y with
+    [x_1, ..., x_{n-1}, y_slot] in that slot, bracketing in L directly."""
+    tensors = list(itertools.product(range(L.dim), repeat=L.arity - 1))
+    index = {t: a for a, t in enumerate(tensors)}
+    brackets = {}
+    for (a, xs), (b, ys) in itertools.product(enumerate(tensors), repeat=2):
+        acc = {}
+        for slot, y in enumerate(ys):
+            for l, c in L.bracket([e(i) for i in xs] + [e(y)]).items():
+                target = index[ys[:slot] + (l,) + ys[slot + 1:]]
+                acc[target] = acc.get(target, 0) + c
+        brackets[(a, b)] = acc
+    return StructAlgebra(len(tensors), 2, brackets, skew=False)
+
+
+def _first_leibniz_failure(R):
+    """The brute-force oracle: the first basis triple breaking the left
+    Leibniz identity, over all dim^3 triples."""
+    for x, y, z in itertools.product(range(R.dim), repeat=3):
+        if not _fundamental_holds(R, (x,), (y, z)):
+            return (x, y, z)
+    return None
+
+
+# fails the fundamental identity at ((1, 5), (2, 3, 4)); its 81-dim power
+# breaks the Leibniz identity on 816 of 531,441 basis triples
+NOT_FUNDAMENTAL_9 = """dim 9
+arity 3
+bracket [1,2,6] = 2*e7
+bracket [3,4,5] = 2*e1
+"""
+
+
 class TestLeibnizTensorFunctor:
     def test_abelian_gives_zero_bracket(self):
         L = abelian_algebra(2, 3)
@@ -216,6 +255,51 @@ class TestLeibnizTensorFunctor:
         # Leibniz identity exhaustively (the constructor already asserted it)
         for x, y, z in itertools.product(range(9), repeat=3):
             assert _fundamental_holds(result, (x,), (y, z))
+
+    @pytest.mark.parametrize("L", [
+        line_bracket_3(), _seed_epsilon(), _seed_heisenberg(Fraction(2)),
+        abelian_algebra(3, 3),
+    ], ids=["line", "epsilon", "heisenberg", "abelian"])
+    def test_operator_check_agrees_with_the_triple_oracle(self, L):
+        expected = _power_by_formula(L)
+        assert expected.dim <= 64
+        assert _first_leibniz_failure(expected) is None
+        result = leibniz_tensor_functor(L)
+        assert dict(result.bracket_entries()) == dict(expected.bracket_entries())
+
+    def test_operator_check_refuses_exactly_what_the_triple_oracle_refuses(self):
+        rng = random.Random(1)
+        outcomes = set()
+        for _ in range(40):
+            d, n = rng.choice([(3, 3), (4, 3), (5, 3)])
+            keys = list(itertools.combinations(range(d), n))
+            L = StructAlgebra(d, n, {
+                key: {rng.randrange(d): Fraction(rng.choice([-2, -1, 1, 2]))}
+                for key in rng.sample(keys, rng.randint(1, len(keys)))})
+            failing = _first_leibniz_failure(_power_by_formula(L)) is not None
+            try:
+                leibniz_tensor_functor(L)
+                refused = False
+            except InternalCheckError:
+                refused = True
+            assert refused == failing == (not verify_axioms(L).fundamental)
+            outcomes.add(refused)
+        assert outcomes == {True, False}
+
+    def test_refuses_a_failure_only_a_pair_of_nonzero_adjoints_shows(self):
+        # [a, d] = c and [b, f] = d: every stored pair holds, but a and b do
+        # not bracket while ad_a ad_b maps e_f to e_c, so
+        # [a, [b, f]] = c differs from [[a, b], f] + [b, [a, f]] = 0
+        L = StructAlgebra(5, 2, {(0, 3): e(2), (1, 4): e(3)}, skew=False)
+        assert _first_leibniz_failure(_power_by_formula(L)) == (0, 1, 4)
+        with pytest.raises(InternalCheckError, match=r"Leibniz identity at \(0, 1\)"):
+            leibniz_tensor_functor(L)
+
+    def test_refuses_an_81_dim_power_that_breaks_the_leibniz_identity(self):
+        L = parse_algebra(NOT_FUNDAMENTAL_9)
+        assert _first_leibniz_failure(_power_by_formula(L)) == (14, 21, 4)
+        with pytest.raises(InternalCheckError, match=r"Leibniz identity at \(14, 21\)"):
+            leibniz_tensor_functor(L)
 
     def test_kernel_of_adjoint_is_a_leibniz_ideal(self):
         L = line_bracket_3()
@@ -235,14 +319,13 @@ class TestLeibnizTensorFunctor:
         with pytest.raises(DimensionBudgetError):
             leibniz_tensor_functor(L, budget=100)
 
-    def test_large_instance_sampled(self, hypo):
+    def test_large_instance_checked_on_adjoint_operators(self, hypo):
         L = StructAlgebra(7, 4, dict(hypo.bracket_entries()))
-        result = leibniz_tensor_functor(L)  # 343-dim, sampled identity check inside
+        result = leibniz_tensor_functor(L)  # 343-dim, exhaustive operator check inside
         assert result.dim == 343
         ker = kernel_of_adjoint(L)
         assert ker.dim == 343 - 10  # ad has rank 10 on this fixture
         # ideal property spot-checked through the adjoint homomorphism rule
-        import random
         rng = random.Random(5)
         basis = [dict((i, c) for i, c in enumerate(row) if c) for row in ker.basis]
         for _ in range(8):

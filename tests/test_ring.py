@@ -111,6 +111,16 @@ class TestGrammar:
         assert err.value.column == column
         assert f"exceed the size limit {POWER_SIZE_LIMIT}" in str(err.value)
 
+    @pytest.mark.parametrize("text, column", [
+        ("(t1 - 1/2)^-3", 11),
+        ("(t1+1)^-1 + t1", 7),
+    ])
+    def test_negative_power_of_a_non_monomial_names_the_caret(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, 1)
+        assert "negative power of a non-monomial" in str(err.value)
+        assert err.value.column == column
+
     def test_powers_within_the_size_limit_expand(self):
         # (1 + t1)^361: 362 terms of up to 361 bits, 362 * 362 <= 2^17
         assert len(parse_polynomial("(1+t1)^361", 1)) == 362

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,18 +9,45 @@ from poisson_nlie.subspaces import (
     Subspace,
     char_poly,
     det_fraction,
-    eigenspace,
     is_nilpotent_matrix,
     kernel,
     mat_pow,
+    mat_sub,
     mat_vec,
     rational_eigenvalues,
     rational_roots,
+    rref,
+    scale_matrix,
     unit_vector,
 )
 
 small = st.integers(-4, 4).map(Fraction)
 vectors4 = st.tuples(small, small, small, small)
+
+
+def _kernel_two_step(matrix):
+    """The former kernel, kept as the reference: null vectors from a
+    first-to-last elimination, then reduced a second time."""
+    reduced, pivots = rref(matrix)
+    ncols = len(matrix[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return Subspace.from_vectors(ncols, basis)
+
+
+def _intersection_two_step(U, V):
+    """The former intersection: the right halves of the zero-left Zassenhaus
+    rows, reduced a second time."""
+    d = U.ambient
+    stacked = [list(row) + list(row) for row in U.basis]
+    stacked += [list(row) + [Fraction(0)] * d for row in V.basis]
+    reduced, _ = rref(stacked)
+    return Subspace.from_vectors(d, [row[d:] for row in reduced if not any(row[:d])])
 
 
 class TestSubspace:
@@ -56,14 +84,114 @@ class TestKernels:
     def test_kernel_matches_rank(self):
         rows = [(1, 2, 3), (2, 4, 6)]
         null = kernel(rows)
-        assert len(null) == 2
-        for vec in null:
+        assert null.dim == 2
+        for vec in null.basis:
             assert all(v == 0 for v in mat_vec(rows, vec))
 
     def test_eigenspace(self):
         m = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(3)))
-        assert eigenspace(m, 2).basis == (unit_vector(2, 0),)
-        assert eigenspace(m, 5).dim == 0
+        assert kernel(mat_sub(m, scale_matrix(2, 2))).basis == (unit_vector(2, 0),)
+        assert kernel(mat_sub(m, scale_matrix(5, 2))).dim == 0
+
+    @given(st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(small, min_size=c, max_size=c), min_size=1, max_size=5)))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_is_the_reduced_two_step_kernel(self, rows):
+        assert kernel(rows) == _kernel_two_step(rows)
+
+    @given(st.lists(vectors4, max_size=5), st.lists(vectors4, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_intersection_is_the_reduced_two_step_intersection(self, rows_u, rows_v):
+        U = Subspace.from_vectors(4, rows_u)
+        V = Subspace.from_vectors(4, rows_v)
+        assert U.intersection(V) == _intersection_two_step(U, V)
+
+
+def _rational_matrices():
+    """Seeded rational matrices: the named shapes, then sparse random ones."""
+    rng = random.Random(8)
+
+    def entry(sparsity=0.0):
+        if rng.random() < sparsity:
+            return Fraction(0)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def dense(r, c, sparsity=0.0):
+        return [[entry(sparsity) for _ in range(c)] for _ in range(r)]
+
+    base = dense(3, 6)
+    mixes = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(2)]
+    cases = {
+        "zero": [[Fraction(0)] * 4 for _ in range(3)],
+        "full_rank": [[v + (20 if i == j else 0) for j, v in enumerate(row)]
+                      for i, row in enumerate(dense(4, 4))],
+        "rank_deficient": base + [[sum(m * row[j] for m, row in zip(mix, base))
+                                   for j in range(6)] for mix in mixes],
+        "one_row": dense(1, 5),
+        "one_column": dense(5, 1),
+        "zero_columns": [[Fraction(0) if j in (1, 4) else v for j, v in enumerate(row)]
+                         for row in dense(4, 6)],
+    }
+    for k in range(20):
+        cases[f"sparse_{k}"] = dense(rng.randint(1, 6), rng.randint(1, 6), 0.6)
+    return cases
+
+
+MATRICES = _rational_matrices()
+
+
+class TestAgainstSympy:
+    """sympy is a test-only oracle; without it these tests skip."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def to_sympy(sp, rows):
+        return sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in row]
+                          for row in rows])
+
+    @staticmethod
+    def from_sympy(matrix):
+        return tuple(tuple(Fraction(int(v.p), int(v.q)) for v in matrix.row(i))
+                     for i in range(matrix.rows))
+
+    def sympy_rref(self, sp, rows):
+        reduced, pivots = self.to_sympy(sp, rows).rref()
+        return self.from_sympy(reduced)[:len(pivots)], tuple(pivots)
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_rref(self, sp, name):
+        assert rref(MATRICES[name]) == self.sympy_rref(sp, MATRICES[name])
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_kernel(self, sp, name):
+        rows = MATRICES[name]
+        null = self.to_sympy(sp, rows).nullspace()
+        if null:
+            basis, pivots = self.sympy_rref(sp, sp.Matrix.hstack(*null).T.tolist())
+        else:
+            basis, pivots = (), ()
+        assert kernel(rows) == Subspace(len(rows[0]), basis, pivots)
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_intersection(self, sp, name):
+        rows = MATRICES[name]
+        ncols = len(rows[0])
+        rng = random.Random(name)
+        others = [[Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
+                  for _ in range(rng.randint(1, 4))]
+        others += [[a + b for a, b in zip(rows[0], row)] for row in others[:1]]
+        U = Subspace.from_vectors(ncols, rows)
+        V = Subspace.from_vectors(ncols, others)
+        # (a, b) with a U = b V, so the meet is spanned by the products a U
+        stacked = self.to_sympy(sp, list(U.basis) + [[-v for v in row] for row in V.basis])
+        coeffs = stacked.T.nullspace()
+        meet = [self.from_sympy(c[:U.dim, :].T * self.to_sympy(sp, U.basis))[0]
+                for c in coeffs] if U.dim else []
+        expected = self.sympy_rref(sp, meet) if meet else ((), ())
+        assert U.intersection(V) == Subspace(ncols, *expected)
 
 
 class TestMatrixTools:
@@ -95,6 +223,5 @@ class TestMatrixTools:
     @settings(max_examples=40, deadline=None)
     def test_char_poly_root_kills_matrix(self, rows):
         m = tuple(tuple(row) for row in rows)
-        from poisson_nlie.subspaces import mat_sub, scale_matrix
         for lam in rational_eigenvalues(m):
             assert det_fraction(mat_sub(m, scale_matrix(lam, 3))) == 0
