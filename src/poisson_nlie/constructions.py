@@ -10,6 +10,12 @@ algebra on its quotient by the symmetrized-bracket ideal.
 Every constructor asserts the verification suite of its output; a
 constructor returning an unverified algebra is treated as a defect.  No
 such check samples: the tensor power's is decided on adjoint operators of L.
+
+The work of each construction follows the stored entries of its inputs,
+not every basis tuple: nestings, skew defects, adjoint images and the
+tensor-power tables are grown from nonzero values.  A basis tensor of the
+k-fold power sits at the index whose base-d digits, most significant
+first, are its factors, as ``_kron`` builds it.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .finite_algebra import (
     InternalCheckError,
     StructAlgebra,
     SVec,
+    _bracket_with_vector,
     _fundamental_cases,
     _fundamental_holds,
     _sv_accum,
@@ -152,25 +159,27 @@ def xu_tensor(P1: StructAlgebra, P2: StructAlgebra) -> TensorAlgebra:
 def iterated_bracket(P2: StructAlgebra, n: int) -> StructAlgebra:
     """n-ary bracket [x_1, [x_2, [... [x_{n-1}, x_n]]]] from a binary one.
 
-    The result is generally not alternating; the fundamental identity is
-    verified exhaustively over the stored entries and asserted.
+    The nestings are grown from the right, one leading index at a time, and
+    only the nonzero ones are kept, so the work is d times the number of
+    nonzero nestings.  The result is generally not alternating; the
+    fundamental identity is verified exhaustively over the stored entries
+    and asserted.
     """
     if P2.arity != 2:
         raise ValueError("iterated nesting starts from a binary bracket")
     if n < 2:
         raise ValueError("need n >= 2")
     d = P2.dim
-    basis = [{i: Fraction(1)} for i in range(d)]
-    brackets: Dict[tuple, SVec] = {}
-    for key in itertools.product(range(d), repeat=n):
-        inner: SVec = basis[key[-1]]
-        for pos in range(n - 2, -1, -1):
-            inner = P2.bracket([basis[key[pos]], inner])
-            if not inner:
-                break
-        if inner:
-            brackets[key] = inner
-    result = StructAlgebra(d, n, brackets,
+    nestings: Dict[tuple, SVec] = {(j,): {j: Fraction(1)} for j in range(d)}
+    for _ in range(n - 1):
+        grown: Dict[tuple, SVec] = {}
+        for key, inner in nestings.items():
+            for i in range(d):
+                value = _bracket_with_vector(P2, (i,), inner, ())
+                if value:
+                    grown[(i,) + key] = value
+        nestings = grown
+    result = StructAlgebra(d, n, dict(sorted(nestings.items())),
                            dict(P2.product_entries()), skew=False)
     for xs, ys in _fundamental_cases(result):
         if not _fundamental_holds(result, xs, ys):
@@ -180,21 +189,24 @@ def iterated_bracket(P2: StructAlgebra, n: int) -> StructAlgebra:
 
 
 def skew_defect_spans(P: StructAlgebra) -> List[tuple]:
-    """Generators [.., x_i, .., x_j, ..] + [.., x_j, .., x_i, ..] over basis
-    tuples and slot pairs, measuring the failure of skew-symmetry."""
-    vectors = []
+    """The distinct nonzero skew defects [.., x_i, .., x_j, ..] +
+    [.., x_j, .., x_i, ..] over basis tuples and slot pairs, as dense
+    vectors in sorted order.
+
+    A defect is nonzero only when its tuple or the swapped one is stored,
+    and both give the same vector, so only the stored keys are visited."""
+    defects = set()
     n = P.arity
-    for key in itertools.product(range(P.dim), repeat=n):
-        for a in range(n):
-            for b in range(a + 1, n):
-                swapped = list(key)
-                swapped[a], swapped[b] = swapped[b], swapped[a]
-                acc: SVec = {}
-                _sv_accum(acc, P.bracket_basis(key), Fraction(1))
-                _sv_accum(acc, P.bracket_basis(tuple(swapped)), Fraction(1))
-                if acc:
-                    vectors.append(sv_to_dense(acc, P.dim))
-    return vectors
+    for key, _ in P.bracket_entries():
+        for a, b in itertools.combinations(range(n), 2):
+            swapped = list(key)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            acc: SVec = {}
+            _sv_accum(acc, P.bracket_basis(key), Fraction(1))
+            _sv_accum(acc, P.bracket_basis(tuple(swapped)), Fraction(1))
+            if acc:
+                defects.add(tuple(sorted(acc.items())))
+    return sorted(sv_to_dense(dict(items), P.dim) for items in defects)
 
 
 def skew_defect_quotient(P: StructAlgebra) -> QuotientAlgebra:
@@ -209,30 +221,18 @@ def skew_defect_quotient(P: StructAlgebra) -> QuotientAlgebra:
     return quotient
 
 
-def _split(a: int, d: int, parts: int) -> tuple:
-    """Base-``d`` digits of a tensor-power index, most significant first."""
-    out = []
-    for _ in range(parts):
-        a, r = divmod(a, d)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 def _adjoint_images(L: StructAlgebra) -> List[List[SVec]]:
     """images[a][j] = [x_1, ..., x_{n-1}, e_j] for the basis tensor
-    x_1 (x) .. (x) x_{n-1} at index ``a`` of the (n-1)-fold tensor power."""
-    n = L.arity
+    x_1 (x) .. (x) x_{n-1} at index ``a`` of the (n-1)-fold tensor power,
+    whose base-d digits, most significant first, are x_1 .. x_{n-1}.
+
+    Entries may be L's own stored vectors: read them, never modify them."""
     d = L.dim
-    basis = [{i: Fraction(1)} for i in range(d)]
-    images = []
-    for a in range(d ** (n - 1)):
-        xs = [basis[i] for i in _split(a, d, n - 1)]
-        images.append([L.bracket(xs + [basis[j]]) for j in range(d)])
-    return images
+    return [[L.bracket_basis(xs + (j,)) for j in range(d)]
+            for xs in itertools.product(range(d), repeat=L.arity - 1)]
 
 
-def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
-                           budget: int = DIMENSION_BUDGET) -> StructAlgebra:
+def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> StructAlgebra:
     """Binary Leibniz bracket on the (n-1)-fold tensor power:
     [x, y] = sum_i y_1 (x) .. (x) [x_1..x_{n-1}, y_i] (x) .. (x) y_{n-1}.
 
@@ -244,55 +244,35 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
     n = L.arity
     d = L.dim
     dim = d ** (n - 1)
-    if dim > budget:
-        raise DimensionBudgetError(f"tensor power dimension {dim} exceeds {budget}")
-
-    def join(tup: Sequence[int]) -> int:
-        a = 0
-        for r in tup:
-            a = a * d + r
-        return a
+    if dim > DIMENSION_BUDGET:
+        raise DimensionBudgetError(f"tensor power dimension {dim} exceeds {DIMENSION_BUDGET}")
 
     images = _adjoint_images(L)
+    live = [a for a in range(dim) if any(images[a])]
+    # the digit y of slot s of b sits at place d^(n-2-s); replacing it by l
+    # moves b to b + (l - y) * place
+    places = [d ** (n - 2 - slot) for slot in range(n - 1)]
     brackets: Dict[tuple, SVec] = {}
-    for a in range(dim):
+    for a in live:
         for b in range(dim):
-            ys = _split(b, d, n - 1)
             acc: SVec = {}
-            for slot in range(n - 1):
-                w = images[a][ys[slot]]
-                if not w:
-                    continue
-                for l, c in w.items():
-                    target = list(ys)
-                    target[slot] = l
-                    _sv_accum(acc, {join(target): Fraction(1)}, c)
+            for place in places:
+                y = b // place % d
+                for l, c in images[a][y].items():
+                    _sv_accum(acc, {b + (l - y) * place: c}, Fraction(1))
             if acc:
                 brackets[(a, b)] = acc
     products: Dict[Tuple[int, int], SVec] = {}
     if with_product:
-        for a in range(dim):
-            xs = _split(a, d, n - 1)
-            for b in range(a, dim):
-                ys = _split(b, d, n - 1)
-                slots: List[SVec] = []
-                dead = False
-                for xa, yb in zip(xs, ys):
-                    piece = L.product_basis(xa, yb)
-                    if not piece:
-                        dead = True
-                        break
-                    slots.append(piece)
-                if dead:
-                    continue
-                value: SVec = {}
-                for combo in itertools.product(*(piece.items() for piece in slots)):
-                    coeff = Fraction(1)
-                    for _, c in combo:
-                        coeff *= c
-                    _sv_accum(value, {join([l for l, _ in combo]): Fraction(1)}, coeff)
-                if value:
-                    products[(a, b)] = value
+        # e_x . e_y is the tensor product of the slot products x_s . y_s, so
+        # grow words of oriented stored pairs one slot at a time
+        oriented = [(pair, v) for (i, j), v in L.product_entries()
+                    for pair in dict.fromkeys([(i, j), (j, i)])]
+        words = [(0, 0, {0: Fraction(1)})]
+        for _ in range(n - 1):
+            words = [(a * d + i, b * d + j, _kron(acc, v, d))
+                     for a, b, acc in words for (i, j), v in oriented]
+        products = dict(sorted(((a, b), acc) for a, b, acc in words if a <= b))
     result = StructAlgebra(dim, 2, brackets, products, skew=False)
     # Left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]].  [x, -] is the
     # derivation extension of ad_x, and that extension is an injective Lie
@@ -300,7 +280,6 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False,
     # exactly when [ad_x, ad_y] = ad_[x,y] on L for every basis pair.  Both
     # sides vanish unless (x, y) is stored or both adjoints are nonzero.
     stored = dict(result.bracket_entries())
-    live = [a for a in range(dim) if any(images[a])]
     for x, y in sorted(set(stored) | set(itertools.product(live, repeat=2))):
         value = stored.get((x, y), {})
         for j in range(d):

@@ -565,17 +565,15 @@ class ProbeReport:
 
 
 def probe_conjecture(n: int, m: int, trials: int, seed: int,
-                     budget: int = DEFAULT_GROUP_BUDGET, threads: int = 1,
-                     family: Optional[CertifiedDerivationFamily] = None) -> ProbeReport:
-    """Run the exhaustive criterion on seeded random scalar matrices; any
-    failure would be a counterexample to the scalar-matrix conjecture and
-    is dumped verbatim.  Trials run serially; ``threads`` is accepted for
-    compatibility."""
+                     budget: int = DEFAULT_GROUP_BUDGET, threads: int = 1) -> ProbeReport:
+    """Run the exhaustive criterion, with the Euler family on n + m
+    variables, on seeded random scalar matrices; any failure would be a
+    counterexample to the scalar-matrix conjecture and is dumped verbatim.
+    Trials run serially; ``threads`` is accepted for compatibility."""
     from .ring import euler_family
 
     nvars = n + m
-    if family is None:
-        family = euler_family(nvars)
+    family = euler_family(nvars)
     sampler = MonomialSampler(nvars, seed=seed)
     matrices = [sampler.scalar_matrix(n, m) for _ in range(trials)]
 

@@ -661,13 +661,10 @@ class CommonEigenvector:
 
 def annihilator(P: StructAlgebra) -> Subspace:
     """{v : x . v = 0 for all x}; an ideal by the Leibniz rule."""
-    current = full_space(P)
-    for i in range(P.dim):
-        rows = P.left_mult_matrix({i: Fraction(1)})
-        current = current.intersection(kernel(rows))
-        if current.is_zero():
-            break
-    return current
+    rows = [row for i in range(P.dim) for row in P.left_mult_matrix({i: Fraction(1)})]
+    if not rows:
+        return full_space(P)
+    return kernel(rows)
 
 
 def _adjoint_generators(P: StructAlgebra):

@@ -77,7 +77,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.from_vectors(ambient, [unit_vector(ambient, j) for j in range(ambient)])
+        return cls(ambient, identity_matrix(ambient), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:

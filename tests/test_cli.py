@@ -303,6 +303,17 @@ class TestStructureCommands:
         final = parse_algebra((emit / "quotient.alg").read_text())
         assert final.arity == 3
 
+    def test_quotient_pipeline_zero_algebra_does_not_scale_with_dim(self, capsys, tmp_path):
+        """The 144-dim zero tensor square has 2,985,984 nestings at arity 3,
+        none of them nonzero."""
+        source = tmp_path / "zero.alg"
+        source.write_text("dim 12\narity 2\n")
+        started = time.perf_counter()
+        code, report, _ = invoke(capsys, "quotient-pipeline", str(source), "--arity", "3")
+        assert time.perf_counter() - started < 3.0
+        assert code == 0 and report["tensor_dim"] == report["quotient_dim"] == 144
+        assert report["nested_bracket_entries"] == 0
+
 
 class TestDeterminism:
     def test_reports_identical_across_thread_counts(self, capsys):

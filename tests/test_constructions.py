@@ -28,6 +28,7 @@ from poisson_nlie.finite_algebra import (
     StructAlgebra,
     _fundamental_holds,
     abelian_algebra,
+    fixture_hypo,
     parse_algebra,
     sv_to_dense,
     verify_axioms,
@@ -82,6 +83,68 @@ def _tensor_by_full_scan(P, B):
         if x and y:
             products[(a, b)] = kron(x, y)
     return brackets, products
+
+
+def _iterated_by_full_scan(P2, n):
+    """The former iterated_bracket table: every basis n-tuple, nested from
+    the right with multilinear brackets of unit vectors."""
+    basis = [e(i) for i in range(P2.dim)]
+    brackets = {}
+    for key in itertools.product(range(P2.dim), repeat=n):
+        inner = basis[key[-1]]
+        for pos in range(n - 2, -1, -1):
+            inner = P2.bracket([basis[key[pos]], inner])
+            if not inner:
+                break
+        if inner:
+            brackets[key] = inner
+    return brackets
+
+
+def _skew_defects_by_full_scan(P):
+    """The former skew_defect_spans, as a set: every basis tuple and slot pair."""
+    vectors = set()
+    for key in itertools.product(range(P.dim), repeat=P.arity):
+        for a, b in itertools.combinations(range(P.arity), 2):
+            swapped = list(key)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            acc = dict(P.bracket_basis(key))
+            for i, c in P.bracket_basis(tuple(swapped)).items():
+                acc[i] = acc.get(i, 0) + c
+            if any(acc.values()):
+                vectors.add(sv_to_dense(acc, P.dim))
+    return vectors
+
+
+def _power_products_by_full_scan(L):
+    """The former product table of the (n-1)-fold tensor power: every index
+    pair a <= b, its slot products multiplied out."""
+    d = L.dim
+    tensors = list(itertools.product(range(d), repeat=L.arity - 1))
+    products = {}
+    for a, xs in enumerate(tensors):
+        for b in range(a, len(tensors)):
+            pieces = [L.product_basis(x, y) for x, y in zip(xs, tensors[b])]
+            value = {}
+            for combo in itertools.product(*(piece.items() for piece in pieces)):
+                index, coeff = 0, F1
+                for l, c in combo:
+                    index, coeff = index * d + l, coeff * c
+                value[index] = value.get(index, 0) + coeff
+            value = {i: c for i, c in value.items() if c}
+            if value:
+                products[(a, b)] = value
+    return products
+
+
+LIE = StructAlgebra(2, 2, {(0, 1): e(1)}, {(0, 0): e(0), (0, 1): e(1)})
+
+
+def _raw_cases():
+    """The algebras of the quotient cases: the hypo fixture, seeded random
+    instances, seeded raw (not alternating) algebras and iterated brackets."""
+    from test_finite_algebra import _quotient_cases
+    return [P for P, _ in _quotient_cases()]
 
 
 class TestTensorPoissonN:
@@ -181,6 +244,30 @@ class TestIteratedBracket:
         with pytest.raises(ValueError):
             iterated_bracket(hypo, 3)
 
+    @pytest.mark.parametrize("P2, n", [
+        (LIE, 2), (LIE, 3), (LIE, 4), (LIE, 5),
+        (xu_tensor(StructAlgebra(2, 2, {(0, 1): e(1)}), two_dim_poisson()).algebra, 3),
+        (xu_tensor(StructAlgebra(2, 2, {(0, 1): e(1)}), two_dim_poisson()).algebra, 4),
+    ], ids=["lie-2", "lie-3", "lie-4", "lie-5", "xu-3", "xu-4"])
+    def test_matches_the_full_scan(self, P2, n):
+        result = iterated_bracket(P2, n)
+        expected = _iterated_by_full_scan(P2, n)
+        assert expected
+        # same entries in the same (lexicographic) order
+        assert list(result.bracket_entries()) == list(expected.items())
+
+    def test_raw_tables_match_the_full_scan(self, monkeypatch):
+        """Raw binary brackets mostly lose the fundamental identity, so the
+        check is switched off to compare the tables alone."""
+        monkeypatch.setattr(constructions, "_fundamental_cases", lambda P: [])
+        binaries = [P for P in _raw_cases() if P.arity == 2]
+        assert len(binaries) >= 10
+        for P in binaries:
+            for n in (3, 4):
+                result = iterated_bracket(P, n)
+                assert list(result.bracket_entries()) == list(
+                    _iterated_by_full_scan(P, n).items())
+
 
 class TestSkewDefectQuotient:
     def test_already_skew_gives_trivial_ideal(self, hypo):
@@ -198,6 +285,15 @@ class TestSkewDefectQuotient:
         # the skew defects really are the zero coset downstairs
         for vec in skew_defect_spans(nested):
             assert quo.ideal.contains(vec)
+
+    def test_spans_are_the_distinct_defects_of_the_full_scan(self):
+        cases = _raw_cases() + [iterated_bracket(LIE, n) for n in (3, 4, 5)]
+        found = 0
+        for P in cases:
+            spans = skew_defect_spans(P)
+            assert spans == sorted(_skew_defects_by_full_scan(P))
+            found += len(spans)
+        assert found >= 50
 
     def test_pipeline_from_xu_square(self):
         P = two_dim_poisson()
@@ -315,9 +411,30 @@ class TestLeibnizTensorFunctor:
                 assert ker.contains(sv_to_dense(right, 9))
 
     def test_budget_guard(self, hypo):
-        L = StructAlgebra(7, 4, dict(hypo.bracket_entries()))
+        L = StructAlgebra(9, 4, dict(hypo.bracket_entries()))  # a 729-dim power
         with pytest.raises(DimensionBudgetError):
-            leibniz_tensor_functor(L, budget=100)
+            leibniz_tensor_functor(L)
+
+    @pytest.mark.parametrize("L", [
+        fixture_hypo(), line_bracket_3(), abelian_algebra(3, 3),
+        StructAlgebra(3, 3, {}, {(0, 0): e(1), (0, 1): {1: F1, 2: -F1}, (2, 2): e(2)}),
+    ], ids=["hypo", "line", "abelian", "abelian-with-product"])
+    def test_tables_match_the_references(self, L):
+        result = leibniz_tensor_functor(L, with_product=True)
+        assert list(result.product_entries()) == list(_power_products_by_full_scan(L).items())
+        expected = _power_by_formula(L)
+        assert list(result.bracket_entries()) == list(expected.bracket_entries())
+
+    def test_raw_product_tables_match_the_full_scan(self):
+        """The product table alone, on the raw cases with their brackets
+        dropped (most raw brackets fail the Leibniz check)."""
+        ternaries = [P for P in _raw_cases() if P.arity == 3]
+        assert len(ternaries) >= 10
+        for P in ternaries:
+            L = StructAlgebra(P.dim, 3, {}, dict(P.product_entries()), skew=P.skew)
+            result = leibniz_tensor_functor(L, with_product=True)
+            assert list(result.product_entries()) == list(
+                _power_products_by_full_scan(L).items())
 
     def test_large_instance_checked_on_adjoint_operators(self, hypo):
         L = StructAlgebra(7, 4, dict(hypo.bracket_entries()))

@@ -39,7 +39,7 @@ from poisson_nlie.finite_algebra import (
 )
 from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import ParseError
-from poisson_nlie.subspaces import Subspace, is_nilpotent_matrix, mat_pow, mat_sub, mat_vec, scale_matrix, unit_vector
+from poisson_nlie.subspaces import Subspace, is_nilpotent_matrix, kernel, mat_pow, mat_sub, mat_vec, scale_matrix, unit_vector
 
 F1 = Fraction(1)
 
@@ -485,6 +485,27 @@ class TestEigenstructure:
 
     def test_annihilator_of_fixture(self, hypo):
         assert annihilator(hypo) == span(7, 0, 1, 2, 5, 6)
+
+    def test_annihilator_is_the_meet_of_the_multiplication_kernels(self, hypo, torus):
+        from poisson_nlie.constructions import (
+            random_poisson_n_lie, truncated_power_algebra, xu_tensor)
+
+        def by_intersections(P):
+            """The former annihilator: one kernel intersected per basis vector."""
+            current = full_space(P)
+            for i in range(P.dim):
+                current = current.intersection(kernel(P.left_mult_matrix(e(i))))
+                if current.is_zero():
+                    break
+            return current
+
+        two = StructAlgebra(2, 2, {}, {(0, 0): e(0), (0, 1): e(1)})
+        algebras = [hypo, torus, StructAlgebra(0, 2), abelian_algebra(3, 3)]
+        algebras += [random_poisson_n_lie(seed)[0] for seed in range(40)]
+        algebras += [xu_tensor(P, P).algebra for P in (
+            two, truncated_power_algebra(3), truncated_power_algebra(2, unital=True))]
+        for P in algebras:
+            assert annihilator(P) == by_intersections(P)
 
     def test_flag_of_fixture(self, hypo):
         flag = solvable_flag(hypo)

@@ -257,3 +257,52 @@ class TestExactDivision:
         b = parse_polynomial("t1 - 1", 1)
         with pytest.raises(ExactDivisionError):
             exact_divide(a, b)
+
+
+class TestAgainstSympy:
+    """sympy is a test-only oracle; without it these tests skip."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def to_sympy(sp, p):
+        t = sp.symbols("t1:3")
+        return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                        * sp.Mul(*(x ** k for x, k in zip(t, exps)))
+                        for exps, c in p.terms()))
+
+    @staticmethod
+    def seeded_poly(rng, max_terms=3):
+        return LaurentPolynomial(2, {
+            (rng.randint(-1, 2), rng.randint(-1, 2)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(0, max_terms))})
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_det_ring(self, sp, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 5)
+        entries = [[self.seeded_poly(rng) for _ in range(k)] for _ in range(k)]
+        expected = sp.Matrix([[self.to_sympy(sp, p) for p in row] for row in entries]).det(
+            method="berkowitz")
+        for method in ("cofactor", "bareiss"):
+            assert sp.expand(self.to_sympy(sp, det_ring(entries, method)) - expected) == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_divide(self, sp, seed):
+        rng = random.Random(100 + seed)
+        den = self.seeded_poly(rng)
+        while len(den) < 2:
+            den = self.seeded_poly(rng)
+        num = self.seeded_poly(rng) * den
+        if seed % 2:  # divisible or not, as sympy says
+            num = num + LaurentPolynomial.monomial(2, (rng.randint(-1, 2), rng.randint(-1, 2)))
+        t = sp.symbols("t1:3")
+        quotient = sp.cancel(self.to_sympy(sp, num) / self.to_sympy(sp, den))
+        # divisible in the Laurent ring iff the reduced denominator is a monomial
+        if sp.Poly(sp.fraction(quotient)[1], *t).is_monomial:
+            assert sp.expand(self.to_sympy(sp, exact_divide(num, den)) - quotient) == 0
+        else:
+            with pytest.raises(ExactDivisionError):
+                exact_divide(num, den)

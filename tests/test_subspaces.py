@@ -78,6 +78,9 @@ class TestSubspace:
     def test_zero_and_full(self):
         assert Subspace.zero(3).dim == 0
         assert Subspace.full(3).dim == 3
+        for d in range(5):
+            units = [unit_vector(d, j) for j in range(d)]
+            assert Subspace.full(d) == Subspace.from_vectors(d, units)
 
 
 class TestKernels:
@@ -192,6 +195,43 @@ class TestAgainstSympy:
                 for c in coeffs] if U.dim else []
         expected = self.sympy_rref(sp, meet) if meet else ((), ())
         assert U.intersection(V) == Subspace(ncols, *expected)
+
+    @staticmethod
+    def square(rows):
+        """The matrix itself when square, else M M^T."""
+        if len(rows) == len(rows[0]):
+            return rows
+        return [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in rows] for r in rows]
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_det_fraction(self, sp, name):
+        m = self.square(MATRICES[name])
+        expected = self.to_sympy(sp, m).det()
+        assert det_fraction(m) == Fraction(int(expected.p), int(expected.q))
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_char_poly(self, sp, name):
+        m = self.square(MATRICES[name])
+        expected = self.to_sympy(sp, m).charpoly(sp.Symbol("x")).all_coeffs()
+        assert char_poly(m) == [Fraction(int(c.p), int(c.q)) for c in expected]
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_rational_roots(self, sp, name):
+        """Roots of the characteristic polynomial, and of it times linear
+        factors with seeded rational roots, against sympy's factorization."""
+        x = sp.Symbol("x")
+        rng = random.Random(name)
+        coeffs = char_poly(self.square(MATRICES[name]))
+        for _ in range(rng.randint(0, 3)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            coeffs = [a - root * b for a, b in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)]
+        poly = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in coeffs], x)
+        expected = set()
+        for factor, _ in sp.factor_list(poly)[1]:
+            if factor.degree() == 1:
+                a, b = factor.all_coeffs()
+                expected.add(Fraction(int((-b / a).p), int((-b / a).q)))
+        assert rational_roots(coeffs) == sorted(expected)
 
 
 class TestMatrixTools:
