@@ -154,8 +154,7 @@ def _cmd_construct_jacobian(args):
     if args.samples:
         result = expansion_equivalence_check(args.n, args.m, family,
                                              samples=args.samples,
-                                             seed=0 if args.seed is None else args.seed,
-                                             threads=args.threads)
+                                             seed=0 if args.seed is None else args.seed)
         payload = {"mode": "equivalence", **result}
         code = EXIT_PASS if result["equal"] else EXIT_MATH_FAIL
         return code, payload, (
@@ -202,8 +201,7 @@ def _cmd_criterion_check(args):
 def _cmd_criterion_probe(args):
     if args.seed is None:
         raise UsageError("criterion-probe requires an explicit --seed")
-    report = probe_conjecture(args.n, args.m, args.trials, args.seed,
-                              budget=args.budget, threads=args.threads)
+    report = probe_conjecture(args.n, args.m, args.trials, args.seed, budget=args.budget)
     payload = {**report.to_json_dict(), "timing": _phase_timing(report.phases)}
     code = EXIT_PASS if report.all_pass else EXIT_MATH_FAIL
     return code, payload, (

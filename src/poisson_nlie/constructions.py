@@ -33,6 +33,7 @@ from .finite_algebra import (
     _bracket_with_vector,
     _fundamental_cases,
     _fundamental_holds,
+    _require_verified,
     _sv_accum,
     ideal_closure,
     quotient_algebra,
@@ -66,12 +67,6 @@ def _require_commutative_associative(B: StructAlgebra, label: str):
     report = verify_axioms(B)
     if not (report.commutative and report.associative):
         raise ValueError(f"{label} must be commutative and associative: {report}")
-
-
-def _require_verified(P: StructAlgebra, label: str) -> None:
-    report = verify_axioms(P)
-    if not report.all_pass:
-        raise InternalCheckError(f"{label} failed verification: {report}")
 
 
 def _kron(x_part: SVec, y_part: SVec, right_dim: int) -> SVec:
@@ -215,9 +210,7 @@ def skew_defect_quotient(P: StructAlgebra) -> QuotientAlgebra:
     defects = Subspace.from_vectors(P.dim, skew_defect_spans(P))
     ideal = ideal_closure(defects, P)
     quotient = quotient_algebra(P, ideal)
-    report = verify_axioms(quotient.algebra)
-    if not report.all_pass:
-        raise InternalCheckError(f"skew-defect quotient failed verification: {report}")
+    _require_verified(quotient.algebra, "skew-defect quotient")
     return quotient
 
 
@@ -308,7 +301,7 @@ def kernel_of_adjoint(L: StructAlgebra) -> Subspace:
         for j, image in enumerate(row):
             for i, c in image.items():
                 rows[i * d + j][a] = c
-    return kernel(rows)
+    return kernel(rows, dim)
 
 
 def poisson_quotient_tilde(P: StructAlgebra) -> QuotientAlgebra:
@@ -322,9 +315,7 @@ def poisson_quotient_tilde(P: StructAlgebra) -> QuotientAlgebra:
         raise InternalCheckError("symmetrized brackets must lie in Ker(ad)")
     ideal = ideal_closure(defects, tilde)
     quotient = quotient_algebra(tilde, ideal)
-    report = verify_axioms(quotient.algebra)
-    if not report.all_pass:
-        raise InternalCheckError(f"tensor-power quotient failed verification: {report}")
+    _require_verified(quotient.algebra, "tensor-power quotient")
     return quotient
 
 
@@ -432,7 +423,5 @@ def random_poisson_n_lie(seed: int, max_dim: int = 6) -> Tuple[StructAlgebra, st
         P = direct_sum(_seed_line_bracket(scale),
                        _seed_line_bracket(Fraction(rng.choice([1, 2]))))
         desc = "two line brackets"
-    report = verify_axioms(P)
-    if not report.all_pass:
-        raise InternalCheckError(f"random instance failed verification: {report}")
+    _require_verified(P, "random instance")
     return P, desc

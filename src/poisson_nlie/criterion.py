@@ -565,11 +565,11 @@ class ProbeReport:
 
 
 def probe_conjecture(n: int, m: int, trials: int, seed: int,
-                     budget: int = DEFAULT_GROUP_BUDGET, threads: int = 1) -> ProbeReport:
+                     budget: int = DEFAULT_GROUP_BUDGET) -> ProbeReport:
     """Run the exhaustive criterion, with the Euler family on n + m
     variables, on seeded random scalar matrices; any failure would be a
     counterexample to the scalar-matrix conjecture and is dumped verbatim.
-    Trials run serially; ``threads`` is accepted for compatibility."""
+    Trials run serially."""
     from .ring import euler_family
 
     nvars = n + m

@@ -9,7 +9,9 @@ multiplication operators, common eigenvectors, eigenspace ideals, and
 idempotent bookkeeping.  The series, the classification and both
 nilradical searches (two-operation and bracket-only) share one descent
 loop, ``_series_terms``; both searches share one greedy adjoin-and-close
-loop, and every basis adjoint comes from ``_adjoint_generators``.
+loop, and every basis adjoint comes from ``_adjoint_generators``.  Both
+operations are evaluated by ``_multilinear`` and spanned by ``_span``, which
+fills whole-space slots only from stored keys.
 
 Sparse vectors (``{index: Fraction}``) are used for structure constants so
 large tensor-power algebras stay cheap; dense tuples appear at the
@@ -72,6 +74,20 @@ def dense_to_sv(vec: Sequence) -> SVec:
     return _sv(vec)
 
 
+def _multilinear(value, vectors: Sequence[SVec]) -> SVec:
+    """The multilinear extension of ``value``, which maps a tuple of basis
+    indices to its sparse image, evaluated on sparse vectors."""
+    acc: SVec = {}
+    for combo in itertools.product(*(v.items() for v in vectors)):
+        base = value(tuple(i for i, _ in combo))
+        if base:
+            coeff = Fraction(1)
+            for _, c in combo:
+                coeff *= c
+            _sv_accum(acc, base, coeff)
+    return acc
+
+
 class StructAlgebra:
     """Algebra on Q^dim with a symmetric product and an n-ary bracket.
 
@@ -128,43 +144,29 @@ class StructAlgebra:
     # -- multilinear extension ----------------------------------------------
 
     def product(self, x: SVec, y: SVec) -> SVec:
-        acc: SVec = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                base = self.product_basis(i, j)
-                if base:
-                    _sv_accum(acc, base, ci * cj)
-        return acc
+        return _multilinear(lambda key: self.product_basis(*key), (x, y))
 
     def bracket(self, vectors: Sequence[SVec]) -> SVec:
         if len(vectors) != self.arity:
             raise ValueError(f"bracket arity is {self.arity}")
-        acc: SVec = {}
-        for combo in itertools.product(*(v.items() for v in vectors)):
-            base = self.bracket_basis([i for i, _ in combo])
-            if base:
-                coeff = Fraction(1)
-                for _, c in combo:
-                    coeff *= c
-                _sv_accum(acc, base, coeff)
-        return acc
+        return _multilinear(self.bracket_basis, vectors)
 
     # -- operators ------------------------------------------------------------
 
-    def left_mult_matrix(self, x: SVec) -> tuple:
-        """Matrix of v -> x . v in the standard basis (columns indexed by v)."""
-        cols = [sv_to_dense(self.product(x, {j: Fraction(1)}), self.dim)
-                for j in range(self.dim)]
+    def _operator_matrix(self, image) -> tuple:
+        """Matrix of the linear map ``image`` (columns indexed by e_j)."""
+        cols = [sv_to_dense(image({j: Fraction(1)}), self.dim) for j in range(self.dim)]
         return tuple(tuple(col[i] for col in cols) for i in range(self.dim))
+
+    def left_mult_matrix(self, x: SVec) -> tuple:
+        """Matrix of v -> x . v in the standard basis."""
+        return self._operator_matrix(lambda v: self.product(x, v))
 
     def adjoint_matrix(self, ys: Sequence[SVec]) -> tuple:
         """Matrix of v -> [y_1, ..., y_{n-1}, v]."""
         if len(ys) != self.arity - 1:
             raise ValueError("adjoint needs n-1 leading arguments")
-        cols = []
-        for j in range(self.dim):
-            cols.append(sv_to_dense(self.bracket(list(ys) + [{j: Fraction(1)}]), self.dim))
-        return tuple(tuple(col[i] for col in cols) for i in range(self.dim))
+        return self._operator_matrix(lambda v: self.bracket(list(ys) + [v]))
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -357,36 +359,51 @@ def verify_axioms(P: StructAlgebra) -> AxiomReport:
     return report
 
 
+def _require_verified(P: StructAlgebra, label: str) -> None:
+    report = verify_axioms(P)
+    if not report.all_pass:
+        raise InternalCheckError(f"{label} failed verification: {report}")
+
+
 # ---------------------------------------------------------------------------
 # Subspace arithmetic driven by the algebra
 # ---------------------------------------------------------------------------
 
-def _subspace_svecs(U: Subspace) -> List[SVec]:
-    return [dense_to_sv(row) for row in U.basis]
+def _span(P: StructAlgebra, value, keys, unordered: bool,
+          slots: Sequence[Subspace]) -> Subspace:
+    """Span of the multilinear ``value`` with slot p drawn from slots[p].
+
+    ``value`` is zero off the stored ``keys`` (off every order of them when
+    ``unordered``, where reordering changes at most the sign), so a slot
+    holding the whole space takes only the entries keys carry there."""
+    whole = [p for p, U in enumerate(slots) if U.dim == P.dim]
+    pools = [[] if p in whole else [dense_to_sv(row) for row in U.basis]
+             for p, U in enumerate(slots)]
+    if unordered:
+        fills = {fill for key in keys for fill in itertools.combinations(key, len(whole))}
+    else:
+        fills = {tuple(key[p] for p in whole) for key in keys}
+    vectors = []
+    for fill in fills:
+        for p, i in zip(whole, fill):
+            pools[p] = [{i: Fraction(1)}]
+        for combo in itertools.product(*pools):
+            w = _multilinear(value, combo)
+            if w:
+                vectors.append(sv_to_dense(w, P.dim))
+    return Subspace.from_vectors(P.dim, vectors)
 
 
 def subspace_product(U: Subspace, V: Subspace, P: StructAlgebra) -> Subspace:
     """Span of u . v over basis vectors."""
-    vectors = []
-    for u in _subspace_svecs(U):
-        for v in _subspace_svecs(V):
-            w = P.product(u, v)
-            if w:
-                vectors.append(sv_to_dense(w, P.dim))
-    return Subspace.from_vectors(P.dim, vectors)
+    return _span(P, lambda key: P.product_basis(*key), P._product, True, [U, V])
 
 
 def bracket_span(subspaces: Sequence[Subspace], P: StructAlgebra) -> Subspace:
     """Span of [u_1, ..., u_n] with slot p drawn from subspaces[p]."""
     if len(subspaces) != P.arity:
         raise ValueError("bracket_span needs one subspace per slot")
-    vectors = []
-    pools = [_subspace_svecs(U) for U in subspaces]
-    for combo in itertools.product(*pools):
-        w = P.bracket(list(combo))
-        if w:
-            vectors.append(sv_to_dense(w, P.dim))
-    return Subspace.from_vectors(P.dim, vectors)
+    return _span(P, P.bracket_basis, P._bracket, P.skew, subspaces)
 
 
 def full_space(P: StructAlgebra) -> Subspace:
@@ -662,9 +679,7 @@ class CommonEigenvector:
 def annihilator(P: StructAlgebra) -> Subspace:
     """{v : x . v = 0 for all x}; an ideal by the Leibniz rule."""
     rows = [row for i in range(P.dim) for row in P.left_mult_matrix({i: Fraction(1)})]
-    if not rows:
-        return full_space(P)
-    return kernel(rows)
+    return kernel(rows, P.dim)
 
 
 def _adjoint_generators(P: StructAlgebra):
@@ -677,40 +692,46 @@ def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:
     """A vector killed by every product and scaled by every adjoint.
 
     Searches the annihilator by iterated rational-eigenspace intersection
-    over the increasing-tuple adjoint generators; eigenvalue branches are
-    explored with 0 first.  Returns None when no simultaneous eigenvector
-    exists over Q (the rationals are not algebraically closed).
+    over the distinct adjoint operators of the increasing-tuple generators;
+    eigenvalue branches are explored with 0 first.  A repeated operator
+    would find the space inside one of its eigenspaces already, so each is
+    searched once and its eigenvalue given to every tuple carrying it.
+    Returns None when no simultaneous eigenvector exists over Q (the
+    rationals are not algebraically closed).
     """
     if not classify(P).solvable:
         raise ValueError("common eigenvector search expects a solvable algebra")
     generators = list(_adjoint_generators(P))
+    operators = list(dict.fromkeys(matrix for _, matrix in generators))
+    spectra: Dict[int, List[Fraction]] = {}  # by position, filled on first visit
 
     def descend(space: Subspace, position: int, chosen: Dict[tuple, Fraction]):
         if space.is_zero():
             return None
-        if position == len(generators):
+        if position == len(operators):
             return space, dict(chosen)
-        tup, matrix = generators[position]
-        candidates = rational_eigenvalues(matrix)
-        ordered = sorted(candidates, key=lambda lam: (lam != 0, lam))
-        for lam in ordered:
+        matrix = operators[position]
+        if position not in spectra:
+            spectra[position] = sorted(rational_eigenvalues(matrix),
+                                       key=lambda lam: (lam != 0, lam))
+        for lam in spectra[position]:
             shifted = mat_sub(matrix, scale_matrix(lam, P.dim))
-            cut = space.intersection(kernel(shifted))
+            cut = space.intersection(kernel(shifted, P.dim))
             if cut.is_zero():
                 continue
-            chosen[tup] = lam
+            chosen[matrix] = lam
             found = descend(cut, position + 1, chosen)
             if found is not None:
                 return found
-            del chosen[tup]
+            del chosen[matrix]
         return None
 
-    start = annihilator(P)
-    found = descend(start, 0, {})
+    found = descend(annihilator(P), 0, {})
     if found is None:
         return None
-    space, eigenvalues = found
-    return CommonEigenvector(space.basis[0], eigenvalues)
+    space, chosen = found
+    return CommonEigenvector(space.basis[0],
+                             {tup: chosen[matrix] for tup, matrix in generators})
 
 
 @dataclass(frozen=True)
@@ -782,8 +803,7 @@ def generalized_eigenspace(P: StructAlgebra, a: SVec, eigenvalue) -> Subspace:
     """ker (L_a - lambda)^dim; always an ideal, asserted as a postcondition."""
     matrix = P.left_mult_matrix(a)
     shifted = mat_sub(matrix, scale_matrix(eigenvalue, P.dim))
-    power = mat_pow(shifted, max(P.dim, 1))
-    space = kernel(power) if P.dim else Subspace.zero(0)
+    space = kernel(mat_pow(shifted, P.dim), P.dim)
     if not is_ideal(space, P):
         raise InternalCheckError("generalized eigenspaces must be ideals")
     return space
@@ -792,9 +812,7 @@ def generalized_eigenspace(P: StructAlgebra, a: SVec, eigenvalue) -> Subspace:
 def bracket_center(P: StructAlgebra) -> Subspace:
     """{v : [v, x_2, ..., x_n] = 0 for all x}; the center of the bracket part."""
     rows = [row for _, matrix in _adjoint_generators(P) for row in matrix]
-    if not rows:
-        return full_space(P)
-    return kernel(rows)
+    return kernel(rows, P.dim)
 
 
 def idempotent_report(P: StructAlgebra, e: SVec) -> dict:
@@ -908,9 +926,7 @@ def fixture_hypo(n: int = 4, m: int = 6) -> StructAlgebra:
         brackets[(i,) + tail] = {i: Fraction(1)}
     products = {(m - n + 1, m - n + 2): {dim - 1: Fraction(1)}}
     P = StructAlgebra(dim, n, brackets, products)
-    report = verify_axioms(P)
-    if not report.all_pass:
-        raise InternalCheckError(f"fixture failed axiom verification: {report}")
+    _require_verified(P, "fixture")
     return P
 
 
@@ -932,9 +948,7 @@ def fixture_torus(n: int = 4, k: int = 5) -> StructAlgebra:
         value = Fraction(1) if sign > 0 else Fraction(-1)
         brackets[key] = {n - 3 + i: value}
     P = StructAlgebra(dim, n, brackets, {})
-    report = verify_axioms(P)
-    if not report.all_pass:
-        raise InternalCheckError(f"fixture failed axiom verification: {report}")
+    _require_verified(P, "fixture")
     return P
 
 

@@ -337,11 +337,10 @@ class MonomialSampler:
 
 
 def expansion_equivalence_check(n: int, m: int, family: CertifiedDerivationFamily,
-                                samples: int = 200, seed: int = 0,
-                                threads: int = 1) -> dict:
+                                samples: int = 200, seed: int = 0) -> dict:
     """Compare bracket(full) with bracket(expanded) on seeded monomial
     inputs under seeded scalar/monomial adjoined matrices.  Samples run
-    serially; ``threads`` is accepted for compatibility."""
+    serially."""
     sampler = MonomialSampler(family.nvars, seed=seed)
     first_mismatch = None
     for index in range(samples):

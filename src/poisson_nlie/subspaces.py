@@ -122,16 +122,14 @@ class Subspace:
         return Subspace(d, tuple(row[d:] for row in reduced[k:]), tuple(p - d for p in pivots[k:]))
 
 
-def kernel(matrix: Sequence[Sequence]) -> Subspace:
-    """{x : Mx = 0} for M given as rows, as its canonical RREF subspace.
+def kernel(matrix: Sequence[Sequence], ncols: int) -> Subspace:
+    """{x in Q^ncols : Mx = 0} for M given as rows, as its canonical RREF
+    subspace; a matrix with no rows has the whole space as kernel.
 
     M's columns are eliminated from last to first, so the null vector of a
     free column f has its leading 1 at f, zeros at every other free column
     and entries only at later pivot columns: these vectors are the RREF
     basis as they stand, and the free columns are its pivots."""
-    if not matrix:
-        raise ValueError("kernel of an empty matrix is ambiguous")
-    ncols = len(matrix[0])
     last = ncols - 1
     reduced, pivots = rref(row[::-1] for row in matrix)  # pivots counted from the end
     free = tuple(c for c in range(ncols) if last - c not in pivots)

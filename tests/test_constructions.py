@@ -410,6 +410,9 @@ class TestLeibnizTensorFunctor:
                 assert ker.contains(sv_to_dense(left, 9))
                 assert ker.contains(sv_to_dense(right, 9))
 
+    def test_kernel_of_adjoint_of_a_zero_dimensional_algebra(self):
+        assert kernel_of_adjoint(StructAlgebra(0, 3)) == Subspace.zero(0)
+
     def test_budget_guard(self, hypo):
         L = StructAlgebra(9, 4, dict(hypo.bracket_entries()))  # a 729-dim power
         with pytest.raises(DimensionBudgetError):
@@ -498,6 +501,10 @@ class TestPoissonQuotientTilde:
         assert verify_axioms(P).all_pass
         quo = poisson_quotient_tilde(P)
         assert verify_axioms(quo.algebra).all_pass
+
+    def test_zero_dimensional_algebra(self):
+        quo = poisson_quotient_tilde(StructAlgebra(0, 3))
+        assert quo.parent.dim == quo.algebra.dim == 0 and quo.ideal == Subspace.zero(0)
 
 
 class TestHelpers:

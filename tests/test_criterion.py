@@ -649,7 +649,7 @@ class TestProbe:
 
     def test_probe_is_deterministic(self):
         a = probe_conjecture(3, 1, trials=4, seed=9)
-        b = probe_conjecture(3, 1, trials=4, seed=9, threads=3)
+        b = probe_conjecture(3, 1, trials=4, seed=9)
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_open_territory_probe(self):

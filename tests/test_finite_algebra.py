@@ -15,8 +15,10 @@ from poisson_nlie.finite_algebra import (
     bracket_span,
     classify,
     common_eigenvector,
+    dense_to_sv,
     engel_operators_nilpotent,
     fixture_hypo,
+    fixture_torus,
     format_algebra,
     full_space,
     generalized_eigenspace,
@@ -39,7 +41,9 @@ from poisson_nlie.finite_algebra import (
 )
 from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import ParseError
-from poisson_nlie.subspaces import Subspace, is_nilpotent_matrix, kernel, mat_pow, mat_sub, mat_vec, scale_matrix, unit_vector
+from poisson_nlie.subspaces import (
+    Subspace, is_nilpotent_matrix, kernel, mat_pow, mat_sub, mat_vec, rational_eigenvalues,
+    scale_matrix, unit_vector)
 
 F1 = Fraction(1)
 
@@ -304,6 +308,121 @@ class TestSubspaceOps:
         assert not is_subalgebra(span(7, 3, 4), hypo)  # e4.e5 leaves the span
 
 
+def _bracket_span_by_scan(subspaces, P):
+    """The former bracket_span, kept as the reference: every combination of
+    basis vectors, one per slot, bracketed."""
+    pools = [[dense_to_sv(row) for row in U.basis] for U in subspaces]
+    images = (P.bracket(list(combo)) for combo in itertools.product(*pools))
+    return Subspace.from_vectors(P.dim, [sv_to_dense(w, P.dim) for w in images if w])
+
+
+def _subspace_product_by_scan(U, V, P):
+    """The former subspace_product: every pair of basis vectors multiplied."""
+    images = (P.product(dense_to_sv(u), dense_to_sv(v)) for u in U.basis for v in V.basis)
+    return Subspace.from_vectors(P.dim, [sv_to_dense(w, P.dim) for w in images if w])
+
+
+def _raw_algebras():
+    """Verified raw brackets: iterated nestings and the tensor power of the
+    3-Lie line."""
+    from poisson_nlie.constructions import iterated_bracket, leibniz_tensor_functor, xu_tensor
+
+    lie = StructAlgebra(2, 2, {(0, 1): e(1)})
+    two = StructAlgebra(2, 2, {}, {(0, 0): e(0), (0, 1): e(1)})
+    line = StructAlgebra(3, 3, {(0, 1, 2): e(0)})
+    nested = [iterated_bracket(xu_tensor(lie, two).algebra, n) for n in (3, 4)]
+    return nested + [leibniz_tensor_functor(line, with_product=True)]
+
+
+@pytest.fixture(scope="module")
+def span_algebras():
+    """Alternating and raw algebras: both fixtures at two shapes, seeded
+    random instances, the raw brackets above, a square product key, dim 0
+    and the raw quotient cases (the others are among the former)."""
+    from poisson_nlie.constructions import random_poisson_n_lie
+
+    algebras = [fixture_hypo(), fixture_hypo(5, 7), fixture_torus(), fixture_torus(3, 4)]
+    algebras += [random_poisson_n_lie(seed)[0] for seed in range(40)]
+    algebras += _raw_algebras() + [
+        StructAlgebra(3, 2, {(0, 2): e(1)}, {(1, 1): {0: F1, 2: -F1}}), StructAlgebra(0, 3)]
+    return algebras + [P for P, _ in _quotient_cases() if not P.skew]
+
+
+def _slot_patterns(P, rng):
+    """Slot lists with the whole space leading, in the middle and trailing,
+    next to zero, proper and random subspaces."""
+    d, n = P.dim, P.arity
+    whole, zero = full_space(P), Subspace.zero(d)
+    units = [unit_vector(d, j) for j in range(d)]
+    proper = Subspace.from_vectors(d, units[:-1])
+
+    def random_subspace():
+        vectors = [sv_to_dense({rng.randrange(d): Fraction(rng.choice([-2, -1, 1, 2]))
+                                for _ in range(2)}, d) for _ in range(rng.randint(1, 3))]
+        return Subspace.from_vectors(d, vectors)
+
+    U, V = random_subspace() if d else zero, ideal_closure(random_subspace(), P) if d else zero
+    return [[whole] * n, [U] + [whole] * (n - 1), [whole, U] + [whole] * (n - 2),
+            [whole] * (n - 1) + [V], [U, V] + [whole] * (n - 2), [whole, V] + [U] * (n - 2),
+            [U] * n, [V] * n, [proper] * n, [zero] + [whole] * (n - 1),
+            [whole] * (n - 1) + [zero]]
+
+
+class TestSpansFollowStoredEntries:
+    def test_match_the_former_scans(self, span_algebras):
+        rng = random.Random(11)
+        seen = Counter()
+        for P in span_algebras:
+            for slots in _slot_patterns(P, rng):
+                assert bracket_span(slots, P) == _bracket_span_by_scan(slots, P), (P, slots)
+                for U, V in (slots[:2], slots[-2:], slots[::-1][:2]):
+                    assert subspace_product(U, V, P) == _subspace_product_by_scan(U, V, P)
+                    seen["product", subspace_product(U, V, P).dim > 0] += 1
+                seen["skew" if P.skew else "raw", bracket_span(slots, P).dim > 0] += 1
+        # nonzero spans of both storages and of the product were compared
+        assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+    def test_structure_results_match_the_former_scans(self, monkeypatch):
+        from poisson_nlie.constructions import random_poisson_n_lie, skew_defect_quotient
+
+        algebras = [fixture_hypo(), fixture_torus(), fixture_torus(3, 4)]
+        algebras += [random_poisson_n_lie(seed)[0] for seed in range(0, 40, 3)]
+        raw = _raw_algebras()
+
+        def results():
+            out = []
+            for P in algebras:
+                solvable = classify(P).solvable
+                out.append((classify(P), nilradical(P) if solvable else None,
+                            solvable_flag(P) if solvable else None, algebra_square(P)))
+            for P in raw:
+                closure = ideal_closure(Subspace.from_vectors(P.dim, [unit_vector(P.dim, 0)]), P)
+                quotient = skew_defect_quotient(P)
+                out.append((closure, is_ideal(closure, P), quotient.ideal, quotient.algebra))
+            return out
+
+        fast = results()
+        monkeypatch.setattr(finite_algebra, "bracket_span", _bracket_span_by_scan)
+        monkeypatch.setattr(finite_algebra, "subspace_product", _subspace_product_by_scan)
+        assert results() == fast
+
+    def test_classification_brackets_only_stored_combinations(self, monkeypatch):
+        """A return to bracketing every combination of basis vectors would
+        make 14,259 and 20,608 lookups here."""
+        calls = []
+        lookup = StructAlgebra.bracket_basis
+
+        def counted(self, idxs):
+            calls.append(idxs)
+            return lookup(self, idxs)
+
+        monkeypatch.setattr(StructAlgebra, "bracket_basis", counted)
+        for P in (fixture_hypo(), fixture_torus()):
+            calls.clear()
+            classify(P)
+            assert len(calls) <= 1000, len(calls)
+
+
 class TestSeries:
     def test_derived_series_of_fixture(self, hypo):
         result = series(full_space(hypo), hypo, "derived")
@@ -483,6 +602,50 @@ class TestEigenstructure:
         assert all(v.denominator == 1 for v in found.eigenvalues.values())
         assert any(v != 0 for v in found.eigenvalues.values())
 
+    def test_matches_the_per_generator_search(self, span_algebras, monkeypatch):
+        """The eigenvector and the whole eigenvalue map, zero generators and
+        their order included, are those of a search that gives every
+        generator its own branch."""
+        def per_generator(P):
+            generators = list(finite_algebra._adjoint_generators(P))
+
+            def descend(space, position, chosen):
+                if space.is_zero():
+                    return None
+                if position == len(generators):
+                    return space, dict(chosen)
+                tup, matrix = generators[position]
+                for lam in sorted(rational_eigenvalues(matrix), key=lambda lam: (lam != 0, lam)):
+                    cut = space.intersection(kernel(mat_sub(matrix, scale_matrix(lam, P.dim)), P.dim))
+                    if cut.is_zero():
+                        continue
+                    chosen[tup] = lam
+                    found = descend(cut, position + 1, chosen)
+                    if found is not None:
+                        return found
+                    del chosen[tup]
+                return None
+
+            found = descend(annihilator(P), 0, {})
+            return None if found is None else (found[0].basis[0], list(found[1].items()))
+
+        searched = 0
+        for P in span_algebras:
+            if P.skew and verify_axioms(P).all_pass and classify(P).solvable:
+                found = common_eigenvector(P)
+                expected = per_generator(P)
+                assert (None if found is None else
+                        (found.vector, list(found.eigenvalues.items()))) == expected, P
+                searched += found is not None
+        assert searched >= 30
+
+        calls = []
+        monkeypatch.setattr(finite_algebra, "rational_eigenvalues",
+                            lambda matrix: calls.append(matrix) or rational_eigenvalues(matrix))
+        torus = fixture_torus()
+        common_eigenvector(torus)
+        assert len(calls) == len(set(calls)) == 13
+
     def test_annihilator_of_fixture(self, hypo):
         assert annihilator(hypo) == span(7, 0, 1, 2, 5, 6)
 
@@ -494,7 +657,7 @@ class TestEigenstructure:
             """The former annihilator: one kernel intersected per basis vector."""
             current = full_space(P)
             for i in range(P.dim):
-                current = current.intersection(kernel(P.left_mult_matrix(e(i))))
+                current = current.intersection(kernel(P.left_mult_matrix(e(i)), P.dim))
                 if current.is_zero():
                     break
             return current

@@ -86,21 +86,25 @@ class TestSubspace:
 class TestKernels:
     def test_kernel_matches_rank(self):
         rows = [(1, 2, 3), (2, 4, 6)]
-        null = kernel(rows)
+        null = kernel(rows, 3)
         assert null.dim == 2
         for vec in null.basis:
             assert all(v == 0 for v in mat_vec(rows, vec))
 
     def test_eigenspace(self):
         m = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(3)))
-        assert kernel(mat_sub(m, scale_matrix(2, 2))).basis == (unit_vector(2, 0),)
-        assert kernel(mat_sub(m, scale_matrix(5, 2))).dim == 0
+        assert kernel(mat_sub(m, scale_matrix(2, 2)), 2).basis == (unit_vector(2, 0),)
+        assert kernel(mat_sub(m, scale_matrix(5, 2)), 2).dim == 0
+
+    def test_kernel_without_rows_is_the_whole_space(self):
+        for ncols in range(4):
+            assert kernel([], ncols) == Subspace.full(ncols)
 
     @given(st.integers(1, 5).flatmap(
         lambda c: st.lists(st.lists(small, min_size=c, max_size=c), min_size=1, max_size=5)))
     @settings(max_examples=150, deadline=None)
     def test_kernel_is_the_reduced_two_step_kernel(self, rows):
-        assert kernel(rows) == _kernel_two_step(rows)
+        assert kernel(rows, len(rows[0])) == _kernel_two_step(rows)
 
     @given(st.lists(vectors4, max_size=5), st.lists(vectors4, max_size=5))
     @settings(max_examples=100, deadline=None)
@@ -176,7 +180,7 @@ class TestAgainstSympy:
             basis, pivots = self.sympy_rref(sp, sp.Matrix.hstack(*null).T.tolist())
         else:
             basis, pivots = (), ()
-        assert kernel(rows) == Subspace(len(rows[0]), basis, pivots)
+        assert kernel(rows, len(rows[0])) == Subspace(len(rows[0]), basis, pivots)
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_intersection(self, sp, name):
