@@ -25,6 +25,20 @@ The compiled state is shape data only (no pi value), kept in the process,
 and O(distinct forms): (5, 2) has 735 + 20,580 groups, 350 + 35 forms.  The
 second family, compiled only once the first vanishes, consists of
 three-term Grassmann-Pluecker relations (Fulton, Young Tableaux, 1997, sec. 9).
+
+A form is evaluated on integers.  Once per check every pi^S is scaled by
+``den``, the lcm of the table's coefficient denominators, and its exponent
+vector packed into one integer, a field of ``_BITS`` bits per variable
+holding e + ``_OFFSET`` (Monagan and Pearce, CASC 2007), so the key of a
+product is k1 + k2 minus the offsets.  d_r pi^T is taken by the family's own
+``apply`` on first use and packed the same way.  Each form multiplies and
+accumulates its terms into one dict; only a nonzero form is unpacked, with
+coefficients divided exactly by den^2, and formatted, so residuals are those
+of the ring.  A pair whose largest exponent magnitudes sum past
+``EXPONENT_LIMIT`` is checked term by term and raises the ring product's
+``ExponentOverflowError``.  When every pi^S is constant, every d_r pi^T is
+zero (d(1) = d(1 * 1) = 2 d(1)), so the first family vanishes and is neither
+compiled nor evaluated.
 """
 
 from __future__ import annotations
@@ -43,7 +57,13 @@ from .jacobian_bracket import (
     perm_sign,
     pi_table,
 )
-from .ring import CertifiedDerivationFamily, LaurentPolynomial, format_polynomial
+from .ring import (
+    EXPONENT_LIMIT,
+    CertifiedDerivationFamily,
+    ExponentOverflowError,
+    LaurentPolynomial,
+    format_polynomial,
+)
 from .subspaces import det_fraction
 
 # Residual groups one exhaustive check may evaluate.  The value is that of
@@ -265,43 +285,106 @@ def _compiled_forms(n: int, m: int, second: bool) -> tuple:
     return tuple(forms)
 
 
+# Packed exponent vectors: variable j holds e_j + _OFFSET in bits
+# [_BITS * j, _BITS * (j + 1)).  Every exponent within EXPONENT_LIMIT, and so
+# every in-range sum of two, fits its field.
+_OFFSET = EXPONENT_LIMIT + 1
+_BITS = (2 * EXPONENT_LIMIT + 1).bit_length()
+_MASK = (1 << _BITS) - 1
+
+
+def _pack(p: LaurentPolynomial, den: int) -> Optional[tuple]:
+    """None for zero, else (terms, reach): ``terms`` maps each packed
+    exponent vector, in the ring's term order, to den times its coefficient
+    (an int unless a derivation brought in another denominator), and
+    ``reach`` is the largest exponent magnitude."""
+    if p.is_zero():
+        return None
+    terms = {}
+    for exps, c in p.terms():
+        key = 0
+        for e in reversed(exps):
+            key = (key << _BITS) | (e + _OFFSET)
+        scaled = c * den
+        terms[key] = scaled.numerator if scaled.denominator == 1 else scaled
+    reach = max((abs(e) for exps, _ in p.terms() for e in exps), default=0)
+    return terms, reach
+
+
+def _unpack(key: int, nvars: int) -> Tuple[int, ...]:
+    return tuple(((key >> (_BITS * j)) & _MASK) - _OFFSET for j in range(nvars))
+
+
+def _check_exponents(left: dict, right: dict, nvars: int) -> None:
+    """Raise what the ring product of the packed ``left`` and ``right``
+    raises when an exponent leaves the range: the first such exponent in
+    its term order."""
+    for k1 in left:
+        e1 = _unpack(k1, nvars)
+        for k2 in right:
+            for a, b in zip(e1, _unpack(k2, nvars)):
+                if abs(a + b) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError(f"exponent {a + b} out of range")
+
+
 def _scan(pi: dict, n: int, m: int,
           family: CertifiedDerivationFamily) -> Tuple[Optional[dict], float]:
     """For the table ``pi`` (keyed by sorted index set): the counterexample
     at the first label of the first form, in order, whose value is nonzero
     (first family before second), or None; and the seconds spent compiling.
-    The second family is compiled only once the first vanishes."""
+    The second family is compiled only once the first vanishes, and the
+    first only when some pi^S is not constant."""
     pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
+    den = math.lcm(*(c.denominator for p in pis for _, c in p.terms()))
+    packed = [_pack(p, den) for p in pis]
+    nvars = family.nvars
+    shift = sum(_OFFSET << (_BITS * j) for j in range(nvars))
+    constant = all(p is None or p[0].keys() == {shift} for p in packed)
     derivatives = {}
     compile_s = 0.0
     for second, name, fields in ((False, "first", ("x_pattern", "y_tail")),
                                  (True, "second", ("x_pattern", "derivative_pair", "y_tail_rest"))):
+        if constant and not second:
+            continue
         started = time.perf_counter()
         forms = _compiled_forms(n, m, second)
         compile_s += time.perf_counter() - started
         width = 3 if second else 4
         for label, sign, terms in forms:
-            total = LaurentPolynomial.zero(family.nvars)
+            total = {}
             for i in range(0, len(terms), width):
-                c, S, T = terms[i], terms[i + 1], terms[i + width - 1]
-                left = pis[S]
-                if left.is_zero():
+                left = packed[terms[i + 1]]
+                if left is None:
                     continue
+                T = terms[i + width - 1]
                 if second:
-                    right = pis[T]
+                    right = packed[T]
                 else:
                     r = terms[i + 2]
-                    right = derivatives.get((r, T))
-                    if right is None:
-                        right = derivatives[r, T] = family[r - 1].apply(pis[T])
-                if not right.is_zero():
-                    product = left * right
-                    total = total + (product if c == 1 else product * c)
-            if not total.is_zero():
+                    right = derivatives.get((r, T), _MISSING)
+                    if right is _MISSING:
+                        right = derivatives[r, T] = _pack(family[r - 1].apply(pis[T]), den)
+                if right is None:
+                    continue
+                left_terms, left_reach = left
+                right_terms, right_reach = right
+                if left_reach + right_reach > EXPONENT_LIMIT:
+                    _check_exponents(left_terms, right_terms, nvars)
+                c = terms[i]
+                for k1, v1 in left_terms.items():
+                    k1 -= shift
+                    v1 *= c
+                    for k2, v2 in right_terms.items():
+                        k = k1 + k2
+                        total[k] = total.get(k, 0) + v1 * v2
+            if any(total.values()):
+                scale = sign * den * den
+                residual = LaurentPolynomial(nvars, {
+                    _unpack(k, nvars): Fraction(v, scale) for k, v in total.items() if v})
                 return {
                     "residual_family": name,
                     **{f: list(part) for f, part in zip(fields, label)},
-                    "residual": format_polynomial(total if sign > 0 else -total),
+                    "residual": format_polynomial(residual),
                 }, compile_s
     return None, compile_s
 

@@ -164,6 +164,25 @@ class TestCriterionCommands:
         code, report, _ = invoke(capsys, *argv, "849")
         assert code == 3 and "850 residual groups" in report["error"]
 
+    def test_exponent_overflow_exits_four(self, capsys, tmp_path):
+        """A product whose exponent leaves the fixed-width range ends in the
+        ring's error, as a report body with exit code 4."""
+        path = tmp_path / "big.mat"
+        path.write_text("2 1\nt1^1073741829\nt1^1073741829*t2\nt1^1073741829*t3\n")
+        code, report, _ = invoke(capsys, "criterion-check", "--n", "2", "--m", "1",
+                                 "--matrix", f"file:{path}")
+        assert code == 4
+        assert strip_timing(report) == {
+            "command": "criterion-check",
+            "error": "exponent 2147483658 out of range",
+            "exit_code": 4,
+            "parameters": {"budget": 500000000, "m": 1, "matrix": f"file:{path}",
+                           "n": 2, "threads": 1},
+            "schema": "poisson-nlie/report-v1",
+            "tool": "poisson-nlie",
+            "version": cli.__version__,
+        }
+
     def test_probe(self, capsys):
         code, report, _ = invoke(capsys, "criterion-probe", "--n", "3", "--m", "1",
                                  "--trials", "3", "--seed", "1")

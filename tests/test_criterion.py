@@ -12,7 +12,9 @@ from poisson_nlie.criterion import (
     DEFAULT_GROUP_BUDGET,
     BudgetExceededError,
     _SignedPi,
+    _check_exponents,
     _compiled_forms,
+    _pack,
     _scan,
     _tuple_counts,
     check_criterion,
@@ -31,7 +33,10 @@ from poisson_nlie.jacobian_bracket import (
     pi_table,
 )
 from poisson_nlie.ring import (
+    DerivationSpec,
+    ExponentOverflowError,
     LaurentPolynomial,
+    certify_family,
     euler_family,
     format_polynomial,
     parse_polynomial,
@@ -375,14 +380,46 @@ def _reference_group_b(alpha, pair, rest, A, pi):
     return total
 
 
+def _derivations(kind, nv):
+    """The Euler family, or a family certified for the check whose
+    derivations shift exponents: partial derivatives, or halved ones, whose
+    coefficient 1/2 brings in a denominator the pi table need not have."""
+    if kind == "euler":
+        return euler_family(nv)
+    half = LaurentPolynomial.constant(nv, Fraction(1, 2))
+    zero = LaurentPolynomial.zero(nv)
+    specs = [DerivationSpec.partial(i, nv) if kind == "partial" else
+             DerivationSpec.general([half if j == i else zero for j in range(1, nv + 1)])
+             for i in range(1, nv + 1)]
+    return certify_family(specs, assumptions_12=True)
+
+
+def _negative(p):
+    """p with every exponent e moved to -1 - |e|."""
+    return LaurentPolynomial(p.nvars, {tuple(-1 - abs(e) for e in exps): c
+                                       for exps, c in p.terms()})
+
+
+def _rational_binomial(sampler):
+    """A binomial with negative exponents and coefficients over 3."""
+    return _negative(sampler.binomial()) * Fraction(2, 3)
+
+
 def _seeded_matrix(kind, n, m, family, seed):
     sampler = MonomialSampler(n + m, seed=seed)
     if kind == "scalar":
         return sampler.scalar_matrix(n, m)
     if kind == "monomial":
         return sampler.monomial_matrix(n, m)
-    if kind == "gradient":
+    if kind in ("gradient", "partial"):
         return gradient_matrix(n, m, [sampler.binomial() for _ in range(m)], family)
+    if kind == "rational":
+        return AdjoinedMatrix.from_rows(
+            n, m, [[sampler.monomial() * Fraction(r + 1, 3 + s) for s in range(m)]
+                   for r in range(n + m)])
+    if kind == "negative":
+        return AdjoinedMatrix.from_rows(
+            n, m, [[_negative(sampler.monomial()) for _ in range(m)] for _ in range(n + m)])
     return identity_block_matrix(n, m, sampler.binomial())
 
 
@@ -422,11 +459,12 @@ class TestSignedCache:
         assert time.perf_counter() - started < 1.0
 
 
-def _perturbed_table(kind, n, m, rng):
+def _perturbed_table(kind, n, m, rng, family):
     """A pi table keyed by sorted index set that is not a minor table:
     sparse random constants (many forms vanish, so first failures spread
     over the forms), or the minor table of a passing matrix with one entry
-    moved (by a constant, or by a monomial so that derivatives see it)."""
+    moved (by a constant, or by a monomial so that derivatives see it; the
+    rational kind has denominators and negative exponents throughout)."""
     nv = n + m
     subsets = list(itertools.combinations(range(1, nv + 1), n))
     if kind == "constant":
@@ -436,8 +474,11 @@ def _perturbed_table(kind, n, m, rng):
     if kind == "scalar-moved":
         pi = pi_table(sampler.scalar_matrix(n, m))
         shift = LaurentPolynomial.constant(nv, rng.choice((-2, -1, 1, 3)))
+    elif kind == "rational-moved":
+        ys = [_rational_binomial(sampler) for _ in range(m)]
+        pi = pi_table(gradient_matrix(n, m, ys, family))
+        shift = _negative(sampler.monomial()) * Fraction(-3, 7)
     else:
-        family = euler_family(nv)
         pi = pi_table(gradient_matrix(n, m, [sampler.binomial() for _ in range(m)], family))
         shift = sampler.monomials(1)[0]
     S = rng.choice(subsets)
@@ -449,10 +490,14 @@ class TestCompiledForms:
     """check_criterion evaluates each distinct form once, in first-label
     order; the literal group-by-group scan is the reference."""
 
-    @pytest.mark.parametrize("kind", ["scalar", "monomial", "gradient", "block"])
+    @pytest.mark.parametrize("kind", ["scalar", "monomial", "gradient", "block",
+                                      "rational", "negative", "partial"])
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 1), (3, 3), (2, 1), (4, 2)])
     def test_reports_match_the_reference_scan(self, kind, n, m):
-        family = euler_family(n + m)
+        """``rational`` has coefficient denominators, ``negative`` only
+        negative exponents, and ``partial`` is a gradient matrix under the
+        partial family."""
+        family = _derivations("partial" if kind == "partial" else "euler", n + m)
         for seed in range(3):
             A = _seeded_matrix(kind, n, m, family, seed)
             report = check_criterion(A, family, matrix_desc=f"{kind} seed={seed}")
@@ -464,24 +509,27 @@ class TestCompiledForms:
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
     def test_tables_that_are_not_minor_tables(self, n, m):
         """Minor tables pass the second family; these reach its
-        counterexamples, and first-family ones at moved entries."""
-        family = euler_family(n + m)
+        counterexamples, and first-family ones at moved entries, under the
+        Euler family and under two that shift exponents."""
         A = MonomialSampler(n + m, seed=0).scalar_matrix(n, m)  # only its shape is read
-        rng = random.Random(100 * n + m)
-        failed = set()
-        for trial in range(32):
-            kind = ("constant", "constant", "scalar-moved", "polynomial-moved")[trial % 4]
-            pi = _perturbed_table(kind, n, m, rng)
-            expected = reference_first_nonzero_group(A, family, _SignedPi(pi, family))
-            got, _ = _scan(pi, n, m, family)
-            assert got == expected, (trial, kind)
-            if got is not None:
-                failed.add(got["residual_family"])
-        assert "first" in failed
-        if _compiled_forms(n, m, True):
-            assert "second" in failed
-        else:
-            assert n == 2  # the second family is formally zero at n = 2
+        kinds = ("constant", "constant", "scalar-moved", "polynomial-moved", "rational-moved")
+        for derivations in ("euler", "partial", "halved"):
+            family = _derivations(derivations, n + m)
+            rng = random.Random(100 * n + m)
+            failed = set()
+            for trial in range(40):
+                kind = kinds[trial % len(kinds)]
+                pi = _perturbed_table(kind, n, m, rng, family)
+                expected = reference_first_nonzero_group(A, family, _SignedPi(pi, family))
+                got, _ = _scan(pi, n, m, family)
+                assert got == expected, (derivations, trial, kind)
+                if got is not None:
+                    failed.add(got["residual_family"])
+            assert "first" in failed
+            if _compiled_forms(n, m, True):
+                assert "second" in failed
+            else:
+                assert n == 2  # the second family is formally zero at n = 2
 
     def test_form_counts(self):
         counts = {shape: tuple(len(_compiled_forms(*shape, second)) for second in (False, True))
@@ -489,20 +537,88 @@ class TestCompiledForms:
         assert counts == {(5, 2): (350, 35), (4, 3): (665, 315)}
 
     def test_each_shape_compiles_once(self):
-        """A second check of a shape compiles nothing, and a check that
-        fails in the first family never compiles the second."""
+        """A second check of a shape compiles nothing, a scalar table never
+        compiles the first family, and a check that fails in the first
+        family never compiles the second."""
         _compiled_forms.cache_clear()
         family = euler_family(7)
         for seed in (3, 4):
             report = check_criterion(MonomialSampler(7, seed=seed).scalar_matrix(5, 2), family)
             assert report.passed()
-            assert _compiled_forms.cache_info().misses == 2
+            assert _compiled_forms.cache_info().misses == 1
         t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
         A = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
         report = check_criterion(A, euler_family(3))
         assert report.counterexample["residual_family"] == "first"
-        assert _compiled_forms.cache_info().misses == 3
+        assert _compiled_forms.cache_info().misses == 2
         assert set(report.phases) == {"pi_table_s", "compile_s", "evaluate_s"}
+
+
+class TestPackedEvaluation:
+    """The compiled forms are evaluated on packed integer monomials; the
+    ring's exponent range and its error are kept."""
+
+    BIG = 2**30 + 5
+
+    @pytest.mark.parametrize("rows", [
+        [f"t1^{BIG}", f"t1^{BIG}*t2", f"t1^{BIG}*t3"],
+        [f"t1^{BIG}", f"2*t1^{BIG}", f"3*t1^{BIG}"],
+    ])
+    def test_exponent_overflow_raises_the_ring_error(self, rows):
+        A = AdjoinedMatrix.from_rows(2, 1, [[parse_polynomial(r, 3)] for r in rows])
+        with pytest.raises(ExponentOverflowError) as caught:
+            check_criterion(A, euler_family(3))
+        assert str(caught.value) == "exponent 2147483658 out of range"
+
+    def test_large_exponents_that_stay_in_range_pass(self):
+        rows = [f"t1^{self.BIG} + t1^-{self.BIG}", "t2", "t3"]
+        A = AdjoinedMatrix.from_rows(2, 1, [[parse_polynomial(r, 3)] for r in rows])
+        assert check_criterion(A, euler_family(3)).passed()
+
+    def test_exponent_check_matches_the_ring_product(self):
+        """On random pairs with exponents near the limit, the packed check
+        raises exactly when the ring product does, with its message."""
+        rng = random.Random(5)
+        near = (0, 1, -1, 2**30, -2**30, 2**31 - 2, -(2**31 - 2), 2**30 + 7, -(2**30 + 7))
+        raised = 0
+        for _ in range(300):
+            nv = rng.randint(1, 3)
+            left, right = (LaurentPolynomial(nv, {tuple(rng.choice(near) for _ in range(nv)): 1
+                                                  for _ in range(rng.randint(1, 3))})
+                           for _ in range(2))
+            try:
+                left * right
+                expected = None
+            except ExponentOverflowError as exc:
+                expected = str(exc)
+            try:
+                _check_exponents(_pack(left, 1)[0], _pack(right, 1)[0], nv)
+                got = None
+            except ExponentOverflowError as exc:
+                got = str(exc)
+            assert got == expected, (left, right)
+            raised += expected is not None
+        assert 50 < raised < 250
+
+    def test_scan_does_no_ring_arithmetic(self, monkeypatch):
+        """A passing gradient check at (3, 3) multiplies and adds no
+        LaurentPolynomial inside the scan (the ring product made 2,720
+        calls there)."""
+        family = euler_family(6)
+        sampler = MonomialSampler(6, seed=1)
+        pi = pi_table(gradient_matrix(3, 3, [sampler.binomial() for _ in range(3)], family))
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            original = getattr(LaurentPolynomial, name)
+
+            def counting(self, other, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, other)
+
+            monkeypatch.setattr(LaurentPolynomial, name, counting)
+        counterexample, _ = _scan(pi, 3, 3, family)
+        assert counterexample is None
+        assert calls == []
 
 
 class TestCheckCriterion:
