@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Probe the scalar-matrix conjecture on seeded random matrices.
+"""Run the exhaustive criterion on seeded random scalar matrices.
 
-The paper-backed cases are (n, m) in {(3, 2), (4, 2), (4, 3)}; anything
-beyond that is open territory, so a clean sweep is evidence, not proof,
-while a single failure would be a counterexample and is dumped verbatim.
+The paper states the scalar-matrix case for (n, m) in {(3, 2), (4, 2),
+(4, 3)}.  Within the criterion's reduction every scalar matrix passes, at
+every shape: its pi^S are constant, so the first residual family vanishes,
+and the second is a Grassmann-Pluecker identity among maximal minors
+(Fulton, Young Tableaux, 1997, sec. 9).  The probe therefore exercises
+pi_table, the budget and the report path, and a sweep cannot fail; a
+failure would be a fault in the program and is dumped verbatim.
 
 Usage:
     python scripts/probe_conjecture.py --n 5 --m 2 --trials 10 --seed 0

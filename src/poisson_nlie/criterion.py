@@ -5,8 +5,14 @@ whose derivation family separates derivative patterns (the Euler preset on
 the full Laurent ring) reduces the Poisson n-Lie axioms to finitely many
 grouped residual conditions, one per derivative-pattern class, obtained by
 summing the free substituted index over all rows.  Their joint vanishing
-is exactly equivalent to the bracket being Poisson n-Lie;
-``check_criterion`` decides it exhaustively.
+is exactly equivalent to the bracket being Poisson n-Lie.  The groups
+(alpha, beta) of the first family sum products pi^S * d_r pi^T; those
+(alpha, pair, rest) of the second sum products pi^S * pi^T, and each of
+its forms is a three-term Grassmann-Pluecker relation.  Every pi^S is a
+signed maximal minor of A, and these relations hold for the maximal minors
+of any matrix over any commutative ring (Fulton, Young Tableaux, 1997,
+sec. 9), so ``check_criterion`` evaluates the first family only; its counts
+and budget still cover both.
 
 Signed coefficients are written pi^tau = sgn(tau) * pi^{set(tau)} for an
 index tuple tau, zero when an index repeats; that convention silently
@@ -14,17 +20,15 @@ removes every degenerate substitution.  ``signed_pi`` defines it, and
 ``group_residual_a`` / ``group_residual_b`` evaluate one group literally
 through one cache per check (``_SignedPi``) of pi^tau and its derivatives.
 
-``check_criterion`` does not call them: which products a group sums, with
-which signs, depends only on the shape (n, m).  Each family is compiled once
-per shape into sparse forms (pi^S * d_r pi^T, resp. pi^S * pi^T, over sorted
-index sets S, T), equal terms summed, formally zero groups dropped, and each
-form equal up to sign kept once, in the order of its first group label, with
-its sign there.  The first nonzero group is the first label of the first
+``check_criterion`` does not call them: which products a first-family group
+sums, with which signs, depends only on the shape (n, m).  The family is
+compiled once per shape into sparse forms (pi^S * d_r pi^T over sorted index
+sets S, T), equal terms summed, formally zero groups dropped, and each form
+equal up to sign kept once, in the order of its first group label, with its
+sign there.  The first nonzero group is the first label of the first
 nonzero form, so a check evaluates each distinct form once, in that order.
 The compiled state is shape data only (no pi value), kept in the process,
-and O(distinct forms): (5, 2) has 735 + 20,580 groups, 350 + 35 forms.  The
-second family, compiled only once the first vanishes, consists of
-three-term Grassmann-Pluecker relations (Fulton, Young Tableaux, 1997, sec. 9).
+and O(distinct forms): (5, 2) has 735 groups and 350 forms.
 
 A form is evaluated on integers.  Once per check every pi^S is scaled by
 ``den``, the lcm of the table's coefficient denominators, and its exponent
@@ -37,8 +41,7 @@ coefficients divided exactly by den^2, and formatted, so residuals are those
 of the ring.  A pair whose largest exponent magnitudes sum past
 ``EXPONENT_LIMIT`` is checked term by term and raises the ring product's
 ``ExponentOverflowError``.  When every pi^S is constant, every d_r pi^T is
-zero (d(1) = d(1 * 1) = 2 d(1)), so the first family vanishes and is neither
-compiled nor evaluated.
+zero (d(1) = d(1 * 1) = 2 d(1)), so the check passes at once.
 """
 
 from __future__ import annotations
@@ -208,8 +211,8 @@ def group_residual_b(alpha: Tuple[int, ...], pair: Tuple[int, int],
 # ---------------------------------------------------------------------------
 
 def _first_family_terms(n, idx, alpha, signed):
-    """(tail, key, coeff) for the formally nonzero terms of the groups
-    (alpha, beta): tail (beta,), key (S, r, T) for coeff * pi^S * d_r pi^T."""
+    """(beta, key, coeff) for the formally nonzero terms of the groups
+    (alpha, beta): key (S, r, T) for coeff * pi^S * d_r pi^T."""
     swaps = [(x, [(r, *signed(replace_position(alpha, k, r)))
                   for r in idx if r == x or r not in alpha])
              for k, x in enumerate(alpha, 1)]
@@ -218,40 +221,22 @@ def _first_family_terms(n, idx, alpha, signed):
         for r in idx:
             if r not in beta:
                 sign, S = signed((r,) + beta)
-                yield (beta,), (S, r, lead), sign
+                yield beta, (S, r, lead), sign
         for x, swapped in swaps:
             if x not in beta:
                 down_sign, T = signed((x,) + beta)
                 for r, sign, S in swapped:
-                    yield (beta,), (S, r, T), -sign * down_sign
-
-
-def _second_family_terms(n, idx, alpha, signed):
-    """(tail, key, coeff) for the formally nonzero terms of the groups
-    (alpha, pair, rest): tail (pair, rest), key (S <= T) for coeff * pi^S * pi^T."""
-    for k, x in enumerate(alpha, 1):
-        swapped = [(a, *signed(replace_position(alpha, k, a)))
-                   for a in idx if a == x or a not in alpha]
-        others = [i for i in idx if i != x]
-        for rest in itertools.combinations(others, n - 2):
-            for b in others:
-                down = signed((x, b) + rest)
-                if down is not None:
-                    down_sign, T = down
-                    for a, sign, S in swapped:
-                        yield (((a, b) if a <= b else (b, a), rest),
-                               (S, T) if S <= T else (T, S), sign * down_sign)
+                    yield beta, (S, r, T), -sign * down_sign
 
 
 @functools.lru_cache(maxsize=16)
-def _compiled_forms(n: int, m: int, second: bool) -> tuple:
-    """The distinct forms of one residual family at shape (n, m), in the
-    order of the first group label that carries each.
+def _compiled_forms(n: int, m: int) -> tuple:
+    """The distinct forms of the first residual family at shape (n, m), in
+    the order of the first group label that carries each.
 
     Entries are (label, sign, terms): ``label`` is that first group,
-    (alpha, beta) in the first family and (alpha, pair, rest) in the
-    second, and its residual is ``sign`` times the form.  ``terms`` flattens
-    sorted (coeff, S, r, T) or (coeff, S, T) int terms, S and T indexing
+    (alpha, beta), and its residual is ``sign`` times the form.  ``terms``
+    flattens sorted (coeff, S, r, T) int terms, S and T indexing
     ``combinations(1..n+m, n)``; the first coeff is positive.  Formally zero
     groups carry no form.  No entry depends on a matrix; 16 are cached.
     """
@@ -261,27 +246,25 @@ def _compiled_forms(n: int, m: int, second: bool) -> tuple:
     signs = {}
 
     def signed(tau):
-        """(sgn tau, index of set tau), None on a repeated index."""
+        """(sgn tau, index of set tau) for tau without a repeated index."""
         if tau not in signs:
-            sign = perm_sign(tau)
-            signs[tau] = (sign, subset[tuple(sorted(tau))]) if sign else None
+            signs[tau] = perm_sign(tau), subset[tuple(sorted(tau))]
         return signs[tau]
 
-    family_terms = _second_family_terms if second else _first_family_terms
     forms, seen = [], set()
     for alpha in alphas:
         groups = {}
-        for tail, key, c in family_terms(n, idx, alpha, signed):
-            terms = groups.setdefault(tail, {})
+        for beta, key, c in _first_family_terms(n, idx, alpha, signed):
+            terms = groups.setdefault(beta, {})
             terms[key] = terms.get(key, 0) + c
-        for tail in sorted(groups):
-            terms = sorted((key, c) for key, c in groups[tail].items() if c)
+        for beta in sorted(groups):
+            terms = sorted((key, c) for key, c in groups[beta].items() if c)
             if terms:
                 sign = 1 if terms[0][1] > 0 else -1
                 flat = tuple(v for key, c in terms for v in (sign * c, *key))
                 if flat not in seen:
                     seen.add(flat)
-                    forms.append(((alpha,) + tail, sign, flat))
+                    forms.append(((alpha, beta), sign, flat))
     return tuple(forms)
 
 
@@ -330,62 +313,53 @@ def _check_exponents(left: dict, right: dict, nvars: int) -> None:
 def _scan(pi: dict, n: int, m: int,
           family: CertifiedDerivationFamily) -> Tuple[Optional[dict], float]:
     """For the table ``pi`` (keyed by sorted index set): the counterexample
-    at the first label of the first form, in order, whose value is nonzero
-    (first family before second), or None; and the seconds spent compiling.
-    The second family is compiled only once the first vanishes, and the
-    first only when some pi^S is not constant."""
+    at the first label of the first form, in order, whose value is nonzero,
+    or None; and the seconds spent compiling.  Nothing is compiled when
+    every pi^S is constant."""
     pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
+    if all(not any(exps) for p in pis for exps, _ in p.terms()):
+        return None, 0.0
     den = math.lcm(*(c.denominator for p in pis for _, c in p.terms()))
     packed = [_pack(p, den) for p in pis]
     nvars = family.nvars
     shift = sum(_OFFSET << (_BITS * j) for j in range(nvars))
-    constant = all(p is None or p[0].keys() == {shift} for p in packed)
     derivatives = {}
-    compile_s = 0.0
-    for second, name, fields in ((False, "first", ("x_pattern", "y_tail")),
-                                 (True, "second", ("x_pattern", "derivative_pair", "y_tail_rest"))):
-        if constant and not second:
-            continue
-        started = time.perf_counter()
-        forms = _compiled_forms(n, m, second)
-        compile_s += time.perf_counter() - started
-        width = 3 if second else 4
-        for label, sign, terms in forms:
-            total = {}
-            for i in range(0, len(terms), width):
-                left = packed[terms[i + 1]]
-                if left is None:
-                    continue
-                T = terms[i + width - 1]
-                if second:
-                    right = packed[T]
-                else:
-                    r = terms[i + 2]
-                    right = derivatives.get((r, T), _MISSING)
-                    if right is _MISSING:
-                        right = derivatives[r, T] = _pack(family[r - 1].apply(pis[T]), den)
-                if right is None:
-                    continue
-                left_terms, left_reach = left
-                right_terms, right_reach = right
-                if left_reach + right_reach > EXPONENT_LIMIT:
-                    _check_exponents(left_terms, right_terms, nvars)
-                c = terms[i]
-                for k1, v1 in left_terms.items():
-                    k1 -= shift
-                    v1 *= c
-                    for k2, v2 in right_terms.items():
-                        k = k1 + k2
-                        total[k] = total.get(k, 0) + v1 * v2
-            if any(total.values()):
-                scale = sign * den * den
-                residual = LaurentPolynomial(nvars, {
-                    _unpack(k, nvars): Fraction(v, scale) for k, v in total.items() if v})
-                return {
-                    "residual_family": name,
-                    **{f: list(part) for f, part in zip(fields, label)},
-                    "residual": format_polynomial(residual),
-                }, compile_s
+    started = time.perf_counter()
+    forms = _compiled_forms(n, m)
+    compile_s = time.perf_counter() - started
+    for (alpha, beta), sign, terms in forms:
+        total = {}
+        for i in range(0, len(terms), 4):
+            left = packed[terms[i + 1]]
+            if left is None:
+                continue
+            r, T = terms[i + 2], terms[i + 3]
+            right = derivatives.get((r, T), _MISSING)
+            if right is _MISSING:
+                right = derivatives[r, T] = _pack(family[r - 1].apply(pis[T]), den)
+            if right is None:
+                continue
+            left_terms, left_reach = left
+            right_terms, right_reach = right
+            if left_reach + right_reach > EXPONENT_LIMIT:
+                _check_exponents(left_terms, right_terms, nvars)
+            c = terms[i]
+            for k1, v1 in left_terms.items():
+                k1 -= shift
+                v1 *= c
+                for k2, v2 in right_terms.items():
+                    k = k1 + k2
+                    total[k] = total.get(k, 0) + v1 * v2
+        if any(total.values()):
+            scale = sign * den * den
+            residual = LaurentPolynomial(nvars, {
+                _unpack(k, nvars): Fraction(v, scale) for k, v in total.items() if v})
+            return {
+                "residual_family": "first",
+                "x_pattern": list(alpha),
+                "y_tail": list(beta),
+                "residual": format_polynomial(residual),
+            }, compile_s
     return None, compile_s
 
 
@@ -443,13 +417,13 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
                     matrix_desc: str = "") -> CriterionReport:
     """Decide whether (A, family) yields a Poisson n-Lie bracket.
 
-    Checks every grouped residual condition (which jointly cover all
+    Decides every grouped residual condition (which jointly cover all
     per-tuple cases, including the collision classes outside the tuple
     parametrization); exact arithmetic, zero tolerance.  The verdict is
     equivalent to the vanishing of the fundamental-identity defect on all
     inputs whenever the family's separating assumptions hold.  The
     counterexample is the first group, in label order, that does not
-    vanish; each distinct form is evaluated once (see the module docstring).
+    vanish; the second family always vanishes (see the module docstring).
 
     ``budget`` caps the residual groups covered (``counts["groups_total"]``).
     The check runs serially; ``threads`` is accepted for compatibility and
@@ -492,8 +466,9 @@ def grassmann_plucker_defect(es: Sequence[Sequence], fs: Sequence[Sequence]) -> 
     """sum_k (-1)^{k-1} det(e_1..e_k-hat..e_n) det(e_k, f_3..f_n); always 0.
 
     Row vectors over Q of length n-1, with n = len(es) and n-2 trailing
-    f vectors; this is the sign-cancellation engine behind the second
-    residual family for scalar matrices.
+    f vectors: a Grassmann-Pluecker relation, which holds for the maximal
+    minors of any matrix over any commutative ring (Fulton, Young Tableaux,
+    1997, sec. 9), as the second residual family does for the pi^S.
     """
     n = len(es)
     if n < 2:
@@ -650,9 +625,10 @@ class ProbeReport:
 def probe_conjecture(n: int, m: int, trials: int, seed: int,
                      budget: int = DEFAULT_GROUP_BUDGET) -> ProbeReport:
     """Run the exhaustive criterion, with the Euler family on n + m
-    variables, on seeded random scalar matrices; any failure would be a
-    counterexample to the scalar-matrix conjecture and is dumped verbatim.
-    Trials run serially."""
+    variables, on seeded random scalar matrices, serially.  Within the
+    criterion's reduction every scalar matrix passes (constant pi^S), so
+    this exercises ``pi_table``, the budget and the report path, and a
+    sweep cannot fail; a failure would be a fault and is dumped verbatim."""
     from .ring import euler_family
 
     nvars = n + m

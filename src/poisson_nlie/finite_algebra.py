@@ -993,6 +993,14 @@ def _parse_combination(text: str, dim: int, line_no: int) -> dict:
     return result
 
 
+def _parse_index(text: str, dim: int, what: str, line_no: int) -> int:
+    """The 0-based index of a 1-based basis index in an entry's key."""
+    text = text.strip()
+    if not text.isdecimal() or not 1 <= int(text) <= dim:
+        raise ParseError(f"{what} index {text!r} is not in 1..{dim}", line_no, 1)
+    return int(text) - 1
+
+
 def parse_algebra(text: str) -> StructAlgebra:
     """Read the definition grammar:
 
@@ -1018,7 +1026,9 @@ def parse_algebra(text: str) -> StructAlgebra:
                 raise ParseError(f"{words[0]} needs one integer value", line_no, 1)
             if header[words[0]] is not None:
                 raise ParseError(f"repeated {words[0]} line", line_no, 1)
-            header[words[0]] = int(words[1])
+            header[words[0]] = value = int(words[1])
+            if value < (0 if words[0] == "dim" else 2):
+                raise ParseError("need dim >= 0 and arity >= 2", line_no, 1)
             continue
         dim, arity = header["dim"], header["arity"]
         if dim is None or arity is None:
@@ -1027,7 +1037,7 @@ def parse_algebra(text: str) -> StructAlgebra:
             match = re.match(r"bracket\s*\[([\d,\s]+)\]\s*=\s*(.+)$", line)
             if not match:
                 raise ParseError("bad bracket line", line_no, 1)
-            key = tuple(int(p) - 1 for p in match.group(1).split(","))
+            key = tuple(_parse_index(p, dim, "bracket", line_no) for p in match.group(1).split(","))
             if len(key) != arity:
                 raise ParseError("bracket tuple length must equal the arity", line_no, 1)
             if any(a >= b for a, b in zip(key, key[1:])):
@@ -1040,7 +1050,7 @@ def parse_algebra(text: str) -> StructAlgebra:
             match = re.match(r"product\s*(\d+)\s*\*\s*(\d+)\s*=\s*(.+)$", line)
             if not match:
                 raise ParseError("bad product line", line_no, 1)
-            i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
+            i, j = (_parse_index(match.group(k), dim, "product", line_no) for k in (1, 2))
             if i > j:
                 raise ParseError("product pairs need i <= j", line_no, 1)
             if (i, j) in products:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -126,26 +127,24 @@ def parse_adjoined_matrix(text: str, nvars: int) -> AdjoinedMatrix:
         raise ParseError("empty matrix block", 1, 1)
     header_num, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != 2 or not all(re.fullmatch(r"-?\d+", p) for p in parts):
         raise ParseError("matrix header must be 'n m'", header_num, 1)
     n, m = int(parts[0]), int(parts[1])
+    if n < 2 or m < 0:
+        raise ParseError("matrix header needs n >= 2 and m >= 0", header_num, 1)
     body = lines[1:]
     if len(body) != (n + m) * m:
         raise ParseError(f"expected {(n + m) * m} entries, found {len(body)}",
                          body[-1][0] if body else header_num, 1)
-    entries = []
-    position = 0
-    for _ in range(n + m):
-        row = []
-        for _ in range(m):
-            num, line = body[position]
-            try:
-                row.append(parse_polynomial(line, nvars))
-            except ParseError as exc:
-                raise ParseError(f"bad matrix entry: {exc}", num, exc.column) from exc
-            position += 1
-        entries.append(tuple(row))
-    return AdjoinedMatrix(n, m, nvars, tuple(entries))
+    values = []
+    for num, line in body:
+        try:
+            values.append(parse_polynomial(line, nvars))
+        except ParseError as exc:
+            raise ParseError(f"bad matrix entry: {exc}", num, exc.column) from exc
+    # m = 0 has no rows of entries, whatever n is
+    entries = tuple(tuple(values[r * m:(r + 1) * m]) for r in range(n + m)) if m else ()
+    return AdjoinedMatrix(n, m, nvars, entries)
 
 
 # ---------------------------------------------------------------------------

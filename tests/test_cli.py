@@ -183,6 +183,30 @@ class TestCriterionCommands:
             "version": cli.__version__,
         }
 
+    @pytest.mark.parametrize("scalars, row, exponent", [
+        ("-1 3 -2 2 -2 3 -3 2 1 2 2 3 1 3 0 -1 1 -2", 1, 1073741829),
+        ("-3 -2 -3 -1 -1 1 -1 -1 1 0 -1 3 -1 -1 -2 2 3 1", 2, 1073741830),
+        ("1 -3 -2 -3 1 -1 2 -1 -2 0 1 0 -1 -3 0 -1 3 3", 3, 2147483647),
+        ("1 1 1 -3 1 2 0 -3 2 -3 2 3 3 -3 -1 -1 2 -2", 6, 1073741824),
+    ])
+    def test_row_scaled_matrix_passes_without_evaluating_the_second_family(
+            self, capsys, tmp_path, scalars, row, exponent):
+        """A (3, 3) scalar matrix whose row j is scaled by t_j^e, 2e beyond
+        the exponent range, passes the first family; some pi^S * pi^T of
+        the second family leaves the range.  That family is a
+        Grassmann-Pluecker identity and is not evaluated, so the check
+        passes (exit 0) instead of raising the ring's overflow error."""
+        values = [int(v) for v in scalars.split()]
+        lines = [f"{c}*t{row}^{exponent}" if r == row else str(c)
+                 for r in range(1, 7) for c in values[3 * (r - 1):3 * r]]
+        path = tmp_path / "scaled.mat"
+        path.write_text("3 3\n" + "\n".join(lines) + "\n")
+        code, report, _ = invoke(capsys, "criterion-check", "--n", "3", "--m", "3",
+                                 "--matrix", f"file:{path}")
+        assert code == 0
+        assert report["verdict"] == "pass" and report["counterexample"] is None
+        assert "error" not in report
+
     def test_probe(self, capsys):
         code, report, _ = invoke(capsys, "criterion-probe", "--n", "3", "--m", "1",
                                  "--trials", "3", "--seed", "1")

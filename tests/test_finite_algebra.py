@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_nlie import finite_algebra
 from poisson_nlie.finite_algebra import (
@@ -944,3 +946,66 @@ class TestDefinitionGrammar:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_algebra(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("dim 3\narity 2\nbracket [1,,2] = e1\n", 3),
+        ("dim 3\narity 2\nbracket [0,1] = e1\n", 3),
+        ("dim 3\narity 2\nbracket [1,4] = e1\n", 3),
+        ("dim 3\narity 2\nbracket [1 2] = e1\n", 3),
+        ("dim 3\narity 2\n\nproduct 0*1 = e1\n", 4),
+        ("dim 3\narity 2\nproduct 1*4 = e1\n", 3),
+        ("dim -3\narity 2\n", 1),
+        ("dim 3\narity 1\n", 2),
+    ])
+    def test_bad_indices_and_headers_report_their_line(self, text, line):
+        with pytest.raises(ParseError) as caught:
+            parse_algebra(text)
+        assert caught.value.line == line
+
+    _numbers = st.integers(-2, 5).map(str) | st.sampled_from(
+        ["", " ", "x", "1.5", "+1", "99999999999999999999", "\u0663"])
+    _combinations = st.lists(st.sampled_from(
+        ["e1", "e2", "e4", "e0", "2*e1", "-1/3*e2", "1/0*e1", "+", "-", " ", "0", "*", "x"]),
+        min_size=1, max_size=4).map("".join)
+    _lines = st.one_of(
+        st.builds(lambda word, value: f"{word} {value}",
+                  st.sampled_from(["dim", "arity"]), _numbers),
+        st.builds(lambda key, combo: f"bracket [{key}] = {combo}",
+                  st.lists(_numbers, max_size=4).map(",".join), _combinations),
+        st.builds(lambda i, j, combo: f"product {i}*{j} = {combo}",
+                  _numbers, _numbers, _combinations),
+        st.sampled_from(["", "# comment", "dim 3", "arity 2", "arity 3"]),
+        st.text(max_size=16),
+    )
+
+    @given(st.sampled_from(["", "dim 3\narity 2\n", "dim 4\narity 3\n"]),
+           st.lists(_lines, max_size=8).map("\n".join))
+    @settings(max_examples=400, deadline=None)
+    def test_every_input_parses_or_raises_a_parse_error(self, headers, lines):
+        """Any text ends in an algebra, which formats and parses back to
+        itself, or in a ParseError; never in another exception."""
+        text = headers + lines
+        try:
+            P = parse_algebra(text)
+        except ParseError:
+            return
+        assert parse_algebra(format_algebra(P)) == P
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_format_then_parse_round_trips(self, data):
+        dim = data.draw(st.integers(0, 5))
+        arity = data.draw(st.integers(2, 3))
+        vectors = st.dictionaries(
+            st.integers(0, dim - 1),
+            st.fractions(min_value=-4, max_value=4, max_denominator=5), max_size=3)
+        brackets = data.draw(st.dictionaries(
+            st.sampled_from(list(itertools.combinations(range(dim), arity)) or [()]),
+            vectors, max_size=4)) if dim >= arity else {}
+        products = data.draw(st.dictionaries(
+            st.sampled_from(list(itertools.combinations_with_replacement(range(dim), 2))),
+            vectors, max_size=4)) if dim else {}
+        P = StructAlgebra(dim, arity, brackets, products)
+        text = format_algebra(P)
+        assert parse_algebra(text) == P
+        assert format_algebra(parse_algebra(text)) == text

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_nlie.jacobian_bracket import (
     AdjoinedMatrix,
@@ -281,3 +283,31 @@ class TestMatrixBlockFormat:
         with pytest.raises(ParseError) as err:
             parse_adjoined_matrix("2 1\nt1\n??\n0\n", 3)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text", ["-3 1\n", "2 -1\n", "1 1\nt1\nt2\n", "--3 1\n",
+                                      "\u00b2 1\n"])
+    def test_bad_header_reports_line(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_adjoined_matrix("# shape\n" + text, 3)
+        assert err.value.line == 2 and "matrix header" in str(err.value)
+
+    def test_no_adjoined_columns(self):
+        assert parse_adjoined_matrix("3 0\n", 3) == AdjoinedMatrix.empty(3, 3)
+
+    _headers = st.builds(lambda n, m: f"{n} {m}", *(st.integers(-2, 3) | st.sampled_from(
+        ["", "x", "--1", "\u00b2", "99999999999"]) for _ in range(2)))
+    _entries = st.lists(st.sampled_from(
+        ["t1", "t3", "t4", "2*t2^-1", "1/2", "1/0", "(t1 + t2)^2", "t1^2147483648", "0",
+         "", "# note", "??", "-", "t1 t2"]), max_size=12)
+
+    @given(_headers, _entries, st.text(max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_every_input_parses_or_raises_a_parse_error(self, header, entries, noise):
+        """Any text ends in a matrix, which serializes and parses back to
+        itself, or in a ParseError; never in another exception."""
+        for text in ("\n".join([header] + entries), "\n".join([header, noise] + entries), noise):
+            try:
+                A = parse_adjoined_matrix(text, 3)
+            except ParseError:
+                continue
+            assert parse_adjoined_matrix(A.serialize(), 3) == A
