@@ -22,7 +22,6 @@ from .ring import (  # noqa: F401
     DerivationSpec,
     LaurentPolynomial,
     certify_family,
-    commutator_defect,
     det_ring,
     euler_family,
     parse_polynomial,

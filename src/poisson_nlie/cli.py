@@ -32,6 +32,7 @@ from .criterion import (
     BudgetExceededError,
     DEFAULT_GROUP_BUDGET,
     check_criterion,
+    check_group_budget,
     probe_conjecture,
 )
 from .finite_algebra import (
@@ -100,7 +101,11 @@ def _load_matrix(spec: str, n: int, m: int, nvars: int, seed) -> AdjoinedMatrix:
         path = Path(spec[5:])
         if not path.exists():
             raise UsageError(f"matrix file {path} does not exist")
-        return parse_adjoined_matrix(path.read_text(), nvars)
+        A = parse_adjoined_matrix(path.read_text(), nvars)
+        if (A.n, A.m) != (n, m):
+            raise UsageError(f"matrix file {path} has shape (n, m) = ({A.n}, {A.m}), "
+                             f"not ({n}, {m})")
+        return A
     if spec == "scalar:random":
         if seed is None:
             raise UsageError("scalar:random requires an explicit --seed")
@@ -187,6 +192,8 @@ def _phase_timing(phases: dict) -> dict:
 
 
 def _cmd_criterion_check(args):
+    if not args.ring and args.n >= 2 and args.m >= 0:  # the matrix refuses other shapes
+        check_group_budget(args.n, args.m, args.budget)  # before building the family
     family = _parse_ring_spec(args.ring) if args.ring else euler_family(args.n + args.m)
     A = _load_matrix(args.matrix, args.n, args.m, family.nvars, args.seed)
     report = check_criterion(A, family, budget=args.budget, threads=args.threads,
@@ -370,9 +377,9 @@ def _cmd_quotient_pipeline(args):
 
 def _cmd_fixtures(args):
     if args.name == "hypo":
-        P = fixture_hypo(args.n or 4, args.m or 6)
+        P = fixture_hypo(4 if args.n is None else args.n, 6 if args.m is None else args.m)
     elif args.name == "torus":
-        P = fixture_torus(args.n or 4, args.k or 5)
+        P = fixture_torus(4 if args.n is None else args.n, 5 if args.k is None else args.k)
     else:
         raise UsageError(f"unknown fixture {args.name!r}")
     text = format_algebra(P)

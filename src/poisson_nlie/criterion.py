@@ -30,18 +30,18 @@ nonzero form, so a check evaluates each distinct form once, in that order.
 The compiled state is shape data only (no pi value), kept in the process,
 and O(distinct forms): (5, 2) has 735 groups and 350 forms.
 
-A form is evaluated on integers.  Once per check every pi^S is scaled by
-``den``, the lcm of the table's coefficient denominators, and its exponent
-vector packed into one integer, a field of ``_BITS`` bits per variable
-holding e + ``_OFFSET`` (Monagan and Pearce, CASC 2007), so the key of a
-product is k1 + k2 minus the offsets.  d_r pi^T is taken by the family's own
-``apply`` on first use and packed the same way.  Each form multiplies and
-accumulates its terms into one dict; only a nonzero form is unpacked, with
-coefficients divided exactly by den^2, and formatted, so residuals are those
-of the ring.  A pair whose largest exponent magnitudes sum past
-``EXPONENT_LIMIT`` is checked term by term and raises the ring product's
-``ExponentOverflowError``.  When every pi^S is constant, every d_r pi^T is
-zero (d(1) = d(1 * 1) = 2 d(1)), so the check passes at once.
+A form is evaluated on integers, over the ring's packed exponent keys (the
+encoding is ``ring``'s alone).  Once per check every pi^S has its
+coefficients scaled by ``den``, the lcm of the table's coefficient
+denominators; d_r pi^T is taken by the family's own ``apply`` on first use
+and scaled the same way.  Each form accumulates its products into one dict
+through the ring's ``multiply_into``, each after the ring's
+``check_product_range``, so an exponent leaving ``EXPONENT_LIMIT`` raises
+the ring product's ``ExponentOverflowError``.  Only a nonzero form becomes
+a polynomial again, with coefficients divided exactly by den^2, and is
+formatted, so residuals are those of the ring.  When every pi^S is
+constant, every d_r pi^T is zero (d(1) = d(1 * 1) = 2 d(1)), so the check
+passes at once.
 """
 
 from __future__ import annotations
@@ -63,9 +63,12 @@ from .jacobian_bracket import (
 from .ring import (
     EXPONENT_LIMIT,
     CertifiedDerivationFamily,
-    ExponentOverflowError,
     LaurentPolynomial,
+    _from_keys,
+    _origin,
+    check_product_range,
     format_polynomial,
+    multiply_into,
 )
 from .subspaces import det_fraction
 
@@ -268,46 +271,16 @@ def _compiled_forms(n: int, m: int) -> tuple:
     return tuple(forms)
 
 
-# Packed exponent vectors: variable j holds e_j + _OFFSET in bits
-# [_BITS * j, _BITS * (j + 1)).  Every exponent within EXPONENT_LIMIT, and so
-# every in-range sum of two, fits its field.
-_OFFSET = EXPONENT_LIMIT + 1
-_BITS = (2 * EXPONENT_LIMIT + 1).bit_length()
-_MASK = (1 << _BITS) - 1
-
-
-def _pack(p: LaurentPolynomial, den: int) -> Optional[tuple]:
-    """None for zero, else (terms, reach): ``terms`` maps each packed
-    exponent vector, in the ring's term order, to den times its coefficient
-    (an int unless a derivation brought in another denominator), and
-    ``reach`` is the largest exponent magnitude."""
+def _scaled(p: LaurentPolynomial, den: int) -> Optional[tuple]:
+    """None for zero, else (p, its packed terms times den): ints unless a
+    derivation brought in another denominator."""
     if p.is_zero():
         return None
     terms = {}
-    for exps, c in p.terms():
-        key = 0
-        for e in reversed(exps):
-            key = (key << _BITS) | (e + _OFFSET)
+    for key, c in p._terms.items():
         scaled = c * den
         terms[key] = scaled.numerator if scaled.denominator == 1 else scaled
-    reach = max((abs(e) for exps, _ in p.terms() for e in exps), default=0)
-    return terms, reach
-
-
-def _unpack(key: int, nvars: int) -> Tuple[int, ...]:
-    return tuple(((key >> (_BITS * j)) & _MASK) - _OFFSET for j in range(nvars))
-
-
-def _check_exponents(left: dict, right: dict, nvars: int) -> None:
-    """Raise what the ring product of the packed ``left`` and ``right``
-    raises when an exponent leaves the range: the first such exponent in
-    its term order."""
-    for k1 in left:
-        e1 = _unpack(k1, nvars)
-        for k2 in right:
-            for a, b in zip(e1, _unpack(k2, nvars)):
-                if abs(a + b) > EXPONENT_LIMIT:
-                    raise ExponentOverflowError(f"exponent {a + b} out of range")
+    return p, terms
 
 
 def _scan(pi: dict, n: int, m: int,
@@ -317,12 +290,11 @@ def _scan(pi: dict, n: int, m: int,
     or None; and the seconds spent compiling.  Nothing is compiled when
     every pi^S is constant."""
     pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
-    if all(not any(exps) for p in pis for exps, _ in p.terms()):
-        return None, 0.0
-    den = math.lcm(*(c.denominator for p in pis for _, c in p.terms()))
-    packed = [_pack(p, den) for p in pis]
     nvars = family.nvars
-    shift = sum(_OFFSET << (_BITS * j) for j in range(nvars))
+    if all(key == _origin(nvars) for p in pis for key in p._terms):
+        return None, 0.0
+    den = math.lcm(*(c.denominator for p in pis for c in p._terms.values()))
+    scaled = [_scaled(p, den) for p in pis]
     derivatives = {}
     started = time.perf_counter()
     forms = _compiled_forms(n, m)
@@ -330,30 +302,23 @@ def _scan(pi: dict, n: int, m: int,
     for (alpha, beta), sign, terms in forms:
         total = {}
         for i in range(0, len(terms), 4):
-            left = packed[terms[i + 1]]
+            left = scaled[terms[i + 1]]
             if left is None:
                 continue
             r, T = terms[i + 2], terms[i + 3]
             right = derivatives.get((r, T), _MISSING)
             if right is _MISSING:
-                right = derivatives[r, T] = _pack(family[r - 1].apply(pis[T]), den)
+                right = derivatives[r, T] = _scaled(family[r - 1].apply(pis[T]), den)
             if right is None:
                 continue
-            left_terms, left_reach = left
-            right_terms, right_reach = right
-            if left_reach + right_reach > EXPONENT_LIMIT:
-                _check_exponents(left_terms, right_terms, nvars)
-            c = terms[i]
-            for k1, v1 in left_terms.items():
-                k1 -= shift
-                v1 *= c
-                for k2, v2 in right_terms.items():
-                    k = k1 + k2
-                    total[k] = total.get(k, 0) + v1 * v2
+            (left_poly, left_terms), (right_poly, right_terms) = left, right
+            check_product_range(left_poly, right_poly)
+            multiply_into(total, left_terms, right_terms, nvars, terms[i])
         if any(total.values()):
             scale = sign * den * den
-            residual = LaurentPolynomial(nvars, {
-                _unpack(k, nvars): Fraction(v, scale) for k, v in total.items() if v})
+            # every key is in range: each product passed check_product_range
+            residual = _from_keys(nvars, {
+                k: Fraction(v, scale) for k, v in total.items() if v}, EXPONENT_LIMIT)
             return {
                 "residual_family": "first",
                 "x_pattern": list(alpha),
@@ -412,6 +377,17 @@ def _tuple_counts(n: int, m: int) -> Dict[str, int]:
     return counts
 
 
+def check_group_budget(n: int, m: int, budget: int) -> Dict[str, int]:
+    """The residual group counts at shape (n, m); raises BudgetExceededError
+    when the groups exceed ``budget``."""
+    counts = _tuple_counts(n, m)
+    if counts["groups_total"] > budget:
+        raise BudgetExceededError(
+            f"{counts['groups_total']} residual groups exceed budget {budget}",
+            counts["groups_total"], budget)
+    return counts
+
+
 def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
                     budget: int = DEFAULT_GROUP_BUDGET, threads: int = 1,
                     matrix_desc: str = "") -> CriterionReport:
@@ -437,11 +413,7 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
             "assumptions; only the sampled identity check applies")
     if len(family) != A.n + A.m:
         raise ValueError("derivation family size must be n + m")
-    counts = _tuple_counts(A.n, A.m)
-    if counts["groups_total"] > budget:
-        raise BudgetExceededError(
-            f"{counts['groups_total']} residual groups exceed budget {budget}",
-            counts["groups_total"], budget)
+    counts = check_group_budget(A.n, A.m, budget)
 
     start = time.perf_counter()
     pi = pi_table(A)
@@ -631,6 +603,8 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
     sweep cannot fail; a failure would be a fault and is dumped verbatim."""
     from .ring import euler_family
 
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative")
     nvars = n + m
     family = euler_family(nvars)
     sampler = MonomialSampler(nvars, seed=seed)

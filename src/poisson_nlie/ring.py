@@ -7,11 +7,19 @@ ring live commuting derivations (with pairwise-commutation certification)
 and exact ring-valued determinants (cofactor expansion and fraction-free
 elimination, cross-checkable against each other).
 
+This module alone encodes exponent vectors: each term is keyed by one
+packed integer (Monagan and Pearce, CASC 2007) whose integer order is the
+graded-lex order.  ``terms`` unpacks keys to exponent tuples; the criterion
+evaluates on the keys directly.  Exponents stay within ``EXPONENT_LIMIT``:
+the constructor checks outside input, and a product checks its terms only
+when its operands' bounds on exponent magnitude sum past the limit.
+
 Everything is immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -65,15 +73,50 @@ def _coeff(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+# A key holds the total degree plus nvars * _OFFSET in its top field, then
+# one _BITS-bit field per variable holding e + _OFFSET, t1 highest.  A key is
+# linear in the exponents, so the key of a product of monomials is the sum of
+# their keys minus the key of 1 while every exponent stays in range.
+_OFFSET = EXPONENT_LIMIT + 1
+_BITS = (2 * EXPONENT_LIMIT + 1).bit_length()
+_MASK = (1 << _BITS) - 1
+
+
+def _pack(exps: Sequence[int]) -> int:
+    key = sum(exps) + len(exps) * _OFFSET
+    for e in exps:
+        key = (key << _BITS) + e + _OFFSET
+    return key
+
+
+def _unpack(key: int, nvars: int) -> Exponents:
+    return tuple(((key >> (_BITS * j)) & _MASK) - _OFFSET for j in range(nvars - 1, -1, -1))
+
+
+@functools.cache
+def _origin(nvars: int) -> int:
+    """The key of the monomial 1."""
+    return _pack((0,) * nvars)
+
+
+def _from_keys(nvars: int, terms: dict, reach: int) -> "LaurentPolynomial":
+    """The polynomial with packed terms ``terms`` (nonzero coefficients);
+    ``reach`` bounds its exponent magnitudes and is at most EXPONENT_LIMIT."""
+    p = LaurentPolynomial.__new__(LaurentPolynomial)
+    p.nvars, p._terms, p._reach, p._hash = nvars, terms, reach, None
+    return p
+
+
 class LaurentPolynomial:
     """Element of Q[t_1^{+-1}, ..., t_v^{+-1}] with sparse exact terms."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_reach", "_hash")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponents, Scalar]] = None):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         cleaned = {}
+        reach = 0
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -82,11 +125,13 @@ class LaurentPolynomial:
                 for e in exps:
                     if abs(e) > EXPONENT_LIMIT:
                         raise ExponentOverflowError(f"exponent {e} out of range")
+                reach = max(reach, max(map(abs, exps), default=0))
                 c = _coeff(coeff)
                 if c:
-                    cleaned[exps] = c
+                    cleaned[_pack(exps)] = c
         self.nvars = nvars
         self._terms = cleaned
+        self._reach = reach
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -119,7 +164,8 @@ class LaurentPolynomial:
     # -- inspection --------------------------------------------------------
 
     def terms(self):
-        return self._terms.items()
+        """(exponent tuple, coefficient) pairs."""
+        return [(_unpack(key, self.nvars), c) for key, c in self._terms.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -141,15 +187,16 @@ class LaurentPolynomial:
             other = LaurentPolynomial.constant(self.nvars, other)
         self._check(other)
         result = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            cur = result.get(exps)
-            result[exps] = coeff if cur is None else cur + coeff
-        return LaurentPolynomial(self.nvars, result)
+        for key, coeff in other._terms.items():
+            cur = result.get(key)
+            result[key] = coeff if cur is None else cur + coeff
+        return _from_keys(self.nvars, {k: c for k, c in result.items() if c},
+                          max(self._reach, other._reach))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return _from_keys(self.nvars, {k: -c for k, c in self._terms.items()}, self._reach)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,18 +211,15 @@ class LaurentPolynomial:
             c = _coeff(other)
             if not c:
                 return LaurentPolynomial(self.nvars)
-            return LaurentPolynomial(self.nvars, {e: c * v for e, v in self._terms.items()})
+            return _from_keys(self.nvars, {k: c * v for k, v in self._terms.items()}, self._reach)
         self._check(other)
         if not self._terms or not other._terms:
             return LaurentPolynomial(self.nvars)
+        check_product_range(self, other)
         result = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                cur = result.get(exps)
-                prod = c1 * c2
-                result[exps] = prod if cur is None else cur + prod
-        return LaurentPolynomial(self.nvars, result)
+        multiply_into(result, self._terms, other._terms, self.nvars, 1)
+        return _from_keys(self.nvars, {k: c for k, c in result.items() if c},
+                          min(self._reach + other._reach, EXPONENT_LIMIT))
 
     __rmul__ = __mul__
 
@@ -185,8 +229,8 @@ class LaurentPolynomial:
         if power < 0:
             if len(self._terms) != 1:
                 raise ExactDivisionError("only monomials are invertible in the Laurent ring")
-            (exps, coeff), = self._terms.items()
-            inv = LaurentPolynomial(self.nvars, {tuple(-e for e in exps): 1 / coeff})
+            (key, coeff), = self._terms.items()
+            inv = _from_keys(self.nvars, {2 * _origin(self.nvars) - key: 1 / coeff}, self._reach)
             return inv ** (-power)
         result = LaurentPolynomial.one(self.nvars)
         base = self
@@ -214,7 +258,8 @@ class LaurentPolynomial:
     # -- ordering helpers (graded lexicographic) ----------------------------
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        return [(_unpack(key, self.nvars), self._terms[key])
+                for key in sorted(self._terms, reverse=True)]
 
     def __repr__(self):
         return f"LaurentPolynomial({self.nvars}, {format_polynomial(self)!r})"
@@ -223,12 +268,44 @@ class LaurentPolynomial:
         return format_polynomial(self)
 
 
+def multiply_into(total: dict, left: dict, right: dict, nvars: int, scale: Scalar) -> None:
+    """Add scale * left * right to ``total``, each a map from packed keys to
+    coefficients; the exponents of the product must be in range (see
+    ``check_product_range``)."""
+    one = _origin(nvars)
+    for k1, c1 in left.items():
+        k1 -= one
+        if scale != 1:
+            c1 *= scale
+        for k2, c2 in right.items():
+            key = k1 + k2
+            cur = total.get(key)
+            prod = c1 * c2
+            total[key] = prod if cur is None else cur + prod
+
+
+def check_product_range(left: LaurentPolynomial, right: LaurentPolynomial) -> None:
+    """Raise the ExponentOverflowError of the first exponent of left * right,
+    in term order, out of range; checked only when the bounds sum past it."""
+    if left._reach + right._reach <= EXPONENT_LIMIT:
+        return
+    nvars = left.nvars
+    for k1 in left._terms:
+        e1 = _unpack(k1, nvars)
+        for k2 in right._terms:
+            for a, b in zip(e1, _unpack(k2, nvars)):
+                if abs(a + b) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError(f"exponent {a + b} out of range")
+
+
 def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
     """Quotient num/den when den divides num exactly; raises otherwise.
 
-    Laurent divisibility reduces to ordinary polynomial divisibility after
-    clearing the componentwise minimum exponents (minima are additive in a
-    domain), where graded-lex division terminates by well-ordering.
+    Minimum and maximum exponents are additive in a domain, so every term
+    of the quotient lies in the box [min num - min den, max num - max den].
+    Graded-lex division refuses a leading quotient term outside it, which
+    keeps every remainder term inside num's box (so in range, and finitely
+    many: the division terminates).
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -236,35 +313,30 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
         return LaurentPolynomial(num.nvars)
     num._check(den)
     v = num.nvars
-
-    def shift(poly):
-        mins = [min(e[j] for e in poly._terms) for j in range(v)]
-        shifted = {tuple(a - b for a, b in zip(e, mins)): c for e, c in poly._terms.items()}
-        return shifted, mins
-
-    nterms, nmin = shift(num)
-    dterms, dmin = shift(den)
-    lt_d = max(dterms, key=lambda e: (sum(e), e))
-    cd = dterms[lt_d]
+    columns = [list(zip(*(_unpack(key, v) for key in p._terms))) for p in (num, den)]
+    lo = [min(n) - min(d) for n, d in zip(*columns)]
+    hi = [max(n) - max(d) for n, d in zip(*columns)]
+    lt_d = max(den._terms)
+    cd = den._terms[lt_d]
+    ed = _unpack(lt_d, v)
     quotient = {}
-    rem = dict(nterms)
+    rem = dict(num._terms)
     while rem:
-        lt_r = max(rem, key=lambda e: (sum(e), e))
-        diff = tuple(a - b for a, b in zip(lt_r, lt_d))
-        if any(d < 0 for d in diff):
+        lt_r = max(rem)
+        diff = tuple(r - d for r, d in zip(_unpack(lt_r, v), ed))
+        if any(not low <= e <= high for e, low, high in zip(diff, lo, hi)):
             raise ExactDivisionError("polynomial division is not exact")
         factor = rem[lt_r] / cd
-        quotient[diff] = quotient.get(diff, Fraction(0)) + factor
-        for e, c in dterms.items():
-            key = tuple(a + b for a, b in zip(diff, e))
-            cur = rem.get(key, Fraction(0)) - factor * c
+        quotient[diff] = factor
+        shift = lt_r - lt_d
+        for key, c in den._terms.items():
+            key += shift
+            cur = rem.get(key, 0) - factor * c
             if cur:
                 rem[key] = cur
             else:
                 rem.pop(key, None)
-    offset = tuple(a - b for a, b in zip(nmin, dmin))
-    return LaurentPolynomial(v, {tuple(a + b for a, b in zip(e, offset)): c
-                                 for e, c in quotient.items() if c})
+    return LaurentPolynomial(v, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +394,25 @@ class DerivationSpec:
     def apply(self, p: LaurentPolynomial) -> LaurentPolynomial:
         if p.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        if self.kind == "euler":
-            i = self.index - 1
-            return LaurentPolynomial(p.nvars, {e: c * e[i] for e, c in p.terms() if e[i]})
-        if self.kind == "partial":
-            i = self.index - 1
+        if self.kind in ("euler", "partial"):
+            field = _BITS * (p.nvars - self.index)
+            # a partial derivative lowers e_i and the total degree by one
+            step = (1 << field) + (1 << (_BITS * p.nvars)) if self.kind == "partial" else 0
             result = {}
-            for e, c in p.terms():
-                if e[i]:
-                    shifted = list(e)
-                    shifted[i] -= 1
-                    result[tuple(shifted)] = c * e[i]
-            return LaurentPolynomial(p.nvars, result)
+            for key, c in p._terms.items():
+                e = ((key >> field) & _MASK) - _OFFSET
+                if e:
+                    if step and e == -EXPONENT_LIMIT:
+                        raise ExponentOverflowError(f"exponent {e - 1} out of range")
+                    result[key - step] = c * e
+            reach = min(p._reach + 1, EXPONENT_LIMIT) if step else p._reach
+            return _from_keys(p.nvars, result, reach)
         total = LaurentPolynomial.zero(p.nvars)
         for j, cj in enumerate(self.coeffs):
             if cj.is_zero():
                 continue
             total = total + cj * DerivationSpec.partial(j + 1, self.nvars).apply(p)
         return total
-
-
-def commutator_defect(d1: DerivationSpec, d2: DerivationSpec) -> tuple:
-    """Coefficient vector of [d1, d2]; the zero vector iff d1, d2 commute."""
-    if d1.nvars != d2.nvars:
-        raise ValueError("variable count mismatch")
-    c1 = d1.coefficient_vector()
-    c2 = d2.coefficient_vector()
-    return tuple(d1.apply(c2[j]) - d2.apply(c1[j]) for j in range(d1.nvars))
 
 
 class FamilyCertificationError(ValueError):
@@ -389,11 +453,15 @@ def certify_family(specs: Iterable[DerivationSpec], assumptions_12: bool = False
     nv = specs[0].nvars
     if any(s.nvars != nv for s in specs):
         raise ValueError("derivation family mixes variable counts")
+    # [d_a, d_b] has coefficients d_a(c_b[j]) - d_b(c_a[j]), which is
+    # d_a(0) - d_b(0) = 0 wherever both c_a[j] and c_b[j] are zero
+    zero = LaurentPolynomial.zero(nv)
+    sparse = [{j: c for j, c in enumerate(s.coefficient_vector()) if c} for s in specs]
     for a, b in itertools.combinations(range(len(specs)), 2):
-        defect = commutator_defect(specs[a], specs[b])
-        if any(not p.is_zero() for p in defect):
-            raise FamilyCertificationError(
-                f"derivations {a + 1} and {b + 1} do not commute")
+        for j in sorted(sparse[a].keys() | sparse[b].keys()):
+            if specs[a].apply(sparse[b].get(j, zero)) != specs[b].apply(sparse[a].get(j, zero)):
+                raise FamilyCertificationError(
+                    f"derivations {a + 1} and {b + 1} do not commute")
     return CertifiedDerivationFamily(specs, assumptions_12)
 
 
@@ -647,8 +715,9 @@ def _power_size(base: LaurentPolynomial, power: int) -> int:
             return terms
     if not terms:
         return 0
-    denominator = math.lcm(*(c.denominator for _, c in base.terms()))
-    numerators = sum(abs(c.numerator) * (denominator // c.denominator) for _, c in base.terms())
+    coeffs = base._terms.values()
+    denominator = math.lcm(*(c.denominator for c in coeffs))
+    numerators = sum(abs(c.numerator) * (denominator // c.denominator) for c in coeffs)
     return terms * (1 + math.ceil(p * math.log2(numerators * denominator)))
 
 

@@ -150,6 +150,26 @@ class TestCriterionCommands:
         assert report["verdict"] == "fail"
         assert report["counterexample"]["residual"] != "0"
 
+    @pytest.mark.parametrize("command, extra", [
+        ("criterion-check", ("--ring", "laurent:v=3:euler")),
+        ("construct-jacobian", ("--ring", "laurent:v=5:euler", "--args", "t1; t2; t3")),
+    ])
+    def test_file_matrix_must_have_the_given_shape(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "small.mat"
+        path.write_text("2 1\nt2\nt3\nt1\n")
+        code, report, _ = invoke(capsys, command, "--n", "3", "--m", "2",
+                                 "--matrix", f"file:{path}", *extra)
+        assert code == 2
+        assert "shape (n, m) = (2, 1), not (3, 2)" in report["error"]
+        assert "verdict" not in report and "full" not in report
+
+    def test_budget_is_checked_before_the_default_family_is_built(self, capsys):
+        started = time.perf_counter()
+        code, report, _ = invoke(capsys, "criterion-check", "--n", "20000", "--m", "0",
+                                 "--matrix", "scalar:random", "--seed", "0")
+        assert time.perf_counter() - started < 2.0
+        assert code == 3 and "exceed budget" in report["error"]
+
     def test_budget_exit_three(self, capsys):
         code, report, _ = invoke(capsys, "criterion-check", "--n", "3", "--m", "2",
                                  "--matrix", "scalar:random", "--seed", "0",
@@ -212,6 +232,12 @@ class TestCriterionCommands:
                                  "--trials", "3", "--seed", "1")
         assert code == 0
         assert report["all_pass"] and report["verdicts"] == ["pass"] * 3
+
+    def test_probe_refuses_a_negative_trial_count(self, capsys):
+        code, report, _ = invoke(capsys, "criterion-probe", "--n", "2", "--m", "1",
+                                 "--trials", "-1", "--seed", "0")
+        assert code == 2
+        assert "negative" in report["error"] and "verdicts" not in report
 
     def test_timing_is_split_by_phase(self, capsys, tmp_path):
         path = tmp_path / "bad.mat"
@@ -322,6 +348,13 @@ class TestStructureCommands:
         assert parse_algebra(out.read_text()) == fixture_hypo()
         code, report, _ = invoke(capsys, "verify", str(out))
         assert code == 0 and report["all_pass"]
+
+    @pytest.mark.parametrize("argv", [
+        ("hypo", "--n", "0"), ("hypo", "--m", "0"), ("torus", "--n", "0"), ("torus", "--k", "0"),
+    ])
+    def test_fixture_parameters_of_zero_are_passed_on(self, capsys, argv):
+        code, report, _ = invoke(capsys, "fixtures", *argv)
+        assert code == 2 and report["error"].startswith("fixture needs")
 
     def test_tensor_command(self, capsys, tmp_path):
         left = tmp_path / "left.alg"

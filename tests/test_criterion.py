@@ -12,9 +12,7 @@ from poisson_nlie.criterion import (
     DEFAULT_GROUP_BUDGET,
     BudgetExceededError,
     _SignedPi,
-    _check_exponents,
     _compiled_forms,
-    _pack,
     _scan,
     _tuple_counts,
     check_criterion,
@@ -35,8 +33,10 @@ from poisson_nlie.jacobian_bracket import (
 from poisson_nlie.ring import (
     DerivationSpec,
     ExponentOverflowError,
+    EXPONENT_LIMIT,
     LaurentPolynomial,
     certify_family,
+    check_product_range,
     euler_family,
     format_polynomial,
     parse_polynomial,
@@ -614,29 +614,38 @@ class TestPackedEvaluation:
         assert check_criterion(A, euler_family(3)).passed()
 
     def test_exponent_check_matches_the_ring_product(self):
-        """On random pairs with exponents near the limit, the packed check
-        raises exactly when the ring product does, with its message."""
+        """On random pairs with exponents near the limit, the ring product
+        and the range check the scan calls raise exactly when some pair of
+        terms leaves the range, with the message of the first exponent out
+        of range in term order."""
+        def reference(left, right):
+            for e1, _ in left.terms():
+                for e2, _ in right.terms():
+                    for a, b in zip(e1, e2):
+                        if abs(a + b) > EXPONENT_LIMIT:
+                            return f"exponent {a + b} out of range"
+            return None
+
+        def raised(call, *operands):
+            try:
+                call(*operands)
+            except ExponentOverflowError as exc:
+                return str(exc)
+            return None
+
         rng = random.Random(5)
         near = (0, 1, -1, 2**30, -2**30, 2**31 - 2, -(2**31 - 2), 2**30 + 7, -(2**30 + 7))
-        raised = 0
+        overflows = 0
         for _ in range(300):
             nv = rng.randint(1, 3)
             left, right = (LaurentPolynomial(nv, {tuple(rng.choice(near) for _ in range(nv)): 1
                                                   for _ in range(rng.randint(1, 3))})
                            for _ in range(2))
-            try:
-                left * right
-                expected = None
-            except ExponentOverflowError as exc:
-                expected = str(exc)
-            try:
-                _check_exponents(_pack(left, 1)[0], _pack(right, 1)[0], nv)
-                got = None
-            except ExponentOverflowError as exc:
-                got = str(exc)
-            assert got == expected, (left, right)
-            raised += expected is not None
-        assert 50 < raised < 250
+            expected = reference(left, right)
+            assert raised(LaurentPolynomial.__mul__, left, right) == expected, (left, right)
+            assert raised(check_product_range, left, right) == expected, (left, right)
+            overflows += expected is not None
+        assert 50 < overflows < 250
 
     def test_scan_does_no_ring_arithmetic(self, monkeypatch):
         """A passing gradient check at (3, 3) multiplies and adds no

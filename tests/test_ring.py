@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from poisson_nlie.ring import (
     DerivationSpec,
+    EXPONENT_LIMIT,
     DeterminantSizeError,
     ExactDivisionError,
     ExponentOverflowError,
@@ -16,7 +18,6 @@ from poisson_nlie.ring import (
     LaurentPolynomial,
     ParseError,
     certify_family,
-    commutator_defect,
     det_ring,
     euler_family,
     exact_divide,
@@ -24,6 +25,7 @@ from poisson_nlie.ring import (
     parse_polynomial,
     partial_family,
 )
+from poisson_nlie.ring import _pack, _unpack
 
 coeffs = st.integers(-9, 9).map(Fraction) | st.fractions(
     min_value=-5, max_value=5, max_denominator=6)
@@ -73,6 +75,53 @@ class TestArithmetic:
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             LaurentPolynomial.one(2) + LaurentPolynomial.one(3)
+
+
+edge_exponents = st.sampled_from((-EXPONENT_LIMIT, -EXPONENT_LIMIT + 1, -1, 0, 1,
+                                  EXPONENT_LIMIT - 1, EXPONENT_LIMIT)) | st.integers(
+    -EXPONENT_LIMIT, EXPONENT_LIMIT)
+
+
+def exponent_vectors(nvars):
+    return st.tuples(*(edge_exponents for _ in range(nvars)))
+
+
+class TestPackedKeys:
+    """Each term is keyed by one packed integer; the ring alone encodes."""
+
+    @given(st.integers(0, 8).flatmap(exponent_vectors))
+    @settings(max_examples=200, deadline=None)
+    def test_tuple_key_tuple_round_trip(self, exps):
+        assert _unpack(_pack(exps), len(exps)) == exps
+        assert LaurentPolynomial.monomial(len(exps), exps, 3).terms() == [(exps, 3)]
+
+    @given(st.integers(0, 8).flatmap(
+        lambda nv: st.dictionaries(exponent_vectors(nv), coeffs, max_size=6).map(
+            lambda terms: LaurentPolynomial(nv, terms))))
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_terms_is_the_graded_lex_order(self, p):
+        assert p.sorted_terms() == sorted(p.terms(), key=lambda item: (sum(item[0]), item[0]),
+                                          reverse=True)
+
+    def test_products_and_derivatives_at_the_limit(self):
+        top = LaurentPolynomial.monomial(2, (EXPONENT_LIMIT, -EXPONENT_LIMIT), 2)
+        assert top * top ** -1 == LaurentPolynomial.one(2)
+        with pytest.raises(ExponentOverflowError, match="^exponent 4294967294 out of range$"):
+            top * top
+        assert DerivationSpec.partial(1, 2).apply(top) == LaurentPolynomial.monomial(
+            2, (EXPONENT_LIMIT - 1, -EXPONENT_LIMIT), 2 * EXPONENT_LIMIT)
+        with pytest.raises(ExponentOverflowError, match="^exponent -2147483648 out of range$"):
+            DerivationSpec.partial(2, 2).apply(top)
+        # results of ring operations keep a bound on their exponents that
+        # still makes the product with t1^-1 or t1 check its terms
+        t1, high = LaurentPolynomial.variable(1, 1), LaurentPolynomial.monomial(1, (EXPONENT_LIMIT,))
+        low = DerivationSpec.partial(1, 1).apply(LaurentPolynomial.monomial(1, (1 - EXPONENT_LIMIT,)))
+        with pytest.raises(ExponentOverflowError, match="^exponent -2147483648 out of range$"):
+            low * t1 ** -1
+        for p in (t1 + high, high + 1, -high, 2 * high, high * high ** 0,
+                  DerivationSpec.euler(1, 1).apply(high)):
+            with pytest.raises(ExponentOverflowError, match="^exponent 2147483648 out of range$"):
+                p * t1
 
 
 class TestGrammar:
@@ -161,17 +210,43 @@ class TestDerivations:
             assert d.apply(p * q) == p * d.apply(q) + q * d.apply(p)
 
     def test_commutators(self):
-        zero = tuple(LaurentPolynomial.zero(3) for _ in range(3))
-        assert commutator_defect(DerivationSpec.euler(1, 3),
-                                 DerivationSpec.euler(2, 3)) == zero
         d = DerivationSpec.general((LaurentPolynomial.variable(3, 2),
                                     LaurentPolynomial.zero(3),
                                     LaurentPolynomial.one(3)))
-        assert commutator_defect(d, d) == zero
-        defect = commutator_defect(DerivationSpec.partial(1, 3),
-                                    DerivationSpec.euler(1, 3))
-        assert defect[0] == LaurentPolynomial.one(3)
-        assert defect[1].is_zero() and defect[2].is_zero()
+        for specs in ([DerivationSpec.euler(1, 3), DerivationSpec.euler(2, 3)], [d, d]):
+            assert certify_family(specs).specs == tuple(specs)
+        with pytest.raises(FamilyCertificationError, match="derivations 1 and 2"):
+            certify_family([DerivationSpec.partial(1, 3), DerivationSpec.euler(1, 3)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_certification_matches_the_commutator_on_the_variables(self, seed):
+        """certify_family compares coefficients only where one is nonzero;
+        it accepts exactly the families whose commutators d_a d_b - d_b d_a
+        vanish on every variable, which determines a derivation."""
+        rng = random.Random(seed)
+
+        def spec():
+            kind = rng.choice(("euler", "partial", "general"))
+            if kind != "general":
+                return getattr(DerivationSpec, kind)(rng.randint(1, 2), 2)
+            return DerivationSpec.general([
+                LaurentPolynomial.monomial(2, (rng.randint(-1, 1), rng.randint(-1, 1)),
+                                           rng.randint(-1, 1)) for _ in range(2)])
+
+        specs = [spec() for _ in range(rng.randint(2, 3))]
+        ts = [LaurentPolynomial.variable(2, i) for i in (1, 2)]
+        commute = all(a.apply(b.apply(t)) == b.apply(a.apply(t))
+                      for a, b in itertools.combinations(specs, 2) for t in ts)
+        if commute:
+            assert certify_family(specs).specs == tuple(specs)
+        else:
+            with pytest.raises(FamilyCertificationError):
+                certify_family(specs)
+
+    def test_euler_family_certification_is_not_cubic(self):
+        started = time.perf_counter()
+        assert len(euler_family(200)) == 200
+        assert time.perf_counter() - started < 5.0
 
     def test_family_certification(self):
         fam = euler_family(4)
@@ -257,6 +332,16 @@ class TestExactDivision:
         b = parse_polynomial("t1 - 1", 1)
         with pytest.raises(ExactDivisionError):
             exact_divide(a, b)
+
+    def test_division_near_the_exponent_limit(self):
+        """The quotient t1^(L-2) is refused for t1^L*t2 over a divisor whose
+        leading term t2 lacks its largest t1 power: the remainder would
+        leave the exponent range.  The exact multiple divides."""
+        den = parse_polynomial("t1^2*t2^-5 + t2", 2)
+        with pytest.raises(ExactDivisionError):
+            exact_divide(LaurentPolynomial.monomial(2, (EXPONENT_LIMIT, 1)), den)
+        quotient = LaurentPolynomial.monomial(2, (EXPONENT_LIMIT - 2, 0))
+        assert exact_divide(den * quotient, den) == quotient
 
 
 class TestAgainstSympy:
