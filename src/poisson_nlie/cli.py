@@ -82,6 +82,8 @@ class UsageError(ValueError):
 
 
 def _parse_ring_spec(spec: str):
+    """(variable count, family preset) of a ring spec; builds nothing, since
+    certifying k derivations compares k(k-1)/2 pairs."""
     parts = spec.split(":")
     if len(parts) != 3 or parts[0] != "laurent" or not parts[1].startswith("v="):
         raise UsageError(f"bad ring spec {spec!r}; expected laurent:v=<k>:euler|partial")
@@ -89,11 +91,16 @@ def _parse_ring_spec(spec: str):
         nvars = int(parts[1][2:])
     except ValueError:
         raise UsageError(f"bad variable count in {spec!r}")
-    if parts[2] == "euler":
-        return euler_family(nvars)
-    if parts[2] == "partial":
-        return partial_family(nvars)
-    raise UsageError(f"unknown derivation preset {parts[2]!r}")
+    presets = {"euler": euler_family, "partial": partial_family}
+    if parts[2] not in presets:
+        raise UsageError(f"unknown derivation preset {parts[2]!r}")
+    return nvars, presets[parts[2]]
+
+
+def _build_family(nvars: int, preset, n: int, m: int):
+    if nvars != n + m:
+        raise UsageError("ring preset must provide exactly n + m derivations")
+    return preset(nvars)
 
 
 def _load_matrix(spec: str, n: int, m: int, nvars: int, seed) -> AdjoinedMatrix:
@@ -153,9 +160,7 @@ def _format_subspace(U: Subspace):
 # ---------------------------------------------------------------------------
 
 def _cmd_construct_jacobian(args):
-    family = _parse_ring_spec(args.ring)
-    if len(family) != args.n + args.m:
-        raise UsageError("ring preset must provide exactly n + m derivations")
+    family = _build_family(*_parse_ring_spec(args.ring), args.n, args.m)
     if args.samples:
         result = expansion_equivalence_check(args.n, args.m, family,
                                              samples=args.samples,
@@ -192,10 +197,11 @@ def _phase_timing(phases: dict) -> dict:
 
 
 def _cmd_criterion_check(args):
-    if not args.ring and args.n >= 2 and args.m >= 0:  # the matrix refuses other shapes
+    if args.n >= 2 and args.m >= 0:  # the matrix refuses other shapes
         check_group_budget(args.n, args.m, args.budget)  # before building the family
-    family = _parse_ring_spec(args.ring) if args.ring else euler_family(args.n + args.m)
-    A = _load_matrix(args.matrix, args.n, args.m, family.nvars, args.seed)
+    nvars, preset = _parse_ring_spec(args.ring) if args.ring else (args.n + args.m, euler_family)
+    A = _load_matrix(args.matrix, args.n, args.m, nvars, args.seed)
+    family = _build_family(nvars, preset, args.n, args.m)
     report = check_criterion(A, family, budget=args.budget, threads=args.threads,
                              matrix_desc=args.matrix)
     payload = {**report.to_json_dict(), "timing": _phase_timing(report.phases)}
@@ -325,13 +331,8 @@ def _cmd_eigenvector(args):
 def _cmd_tensor(args):
     left = _load_algebra(args.left)
     right = _load_algebra(args.right)
-    if args.kind == "poisson-n":
-        result = tensor_poisson_n(left, right)
-    elif args.kind == "xu":
-        result = xu_tensor(left, right)
-    else:
-        raise UsageError(f"unknown tensor kind {args.kind!r}")
-    algebra = result.algebra
+    construct = tensor_poisson_n if args.kind == "poisson-n" else xu_tensor  # argparse's choices
+    algebra = construct(left, right).algebra
     payload = {
         "kind": args.kind,
         "dim": algebra.dim,
@@ -378,10 +379,8 @@ def _cmd_quotient_pipeline(args):
 def _cmd_fixtures(args):
     if args.name == "hypo":
         P = fixture_hypo(4 if args.n is None else args.n, 6 if args.m is None else args.m)
-    elif args.name == "torus":
+    else:  # argparse's choices leave "torus"
         P = fixture_torus(4 if args.n is None else args.n, 5 if args.k is None else args.k)
-    else:
-        raise UsageError(f"unknown fixture {args.name!r}")
     text = format_algebra(P)
     payload = {"name": args.name, "dim": P.dim, "arity": P.arity, "algebra_text": text}
     if args.out:

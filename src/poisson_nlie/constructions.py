@@ -39,7 +39,6 @@ from .finite_algebra import (
     quotient_algebra,
     QuotientAlgebra,
     Subspace,
-    sv_to_dense,
     verify_axioms,
 )
 from .subspaces import kernel
@@ -183,10 +182,10 @@ def iterated_bracket(P2: StructAlgebra, n: int) -> StructAlgebra:
     return result
 
 
-def skew_defect_spans(P: StructAlgebra) -> List[tuple]:
+def skew_defect_spans(P: StructAlgebra) -> List[SVec]:
     """The distinct nonzero skew defects [.., x_i, .., x_j, ..] +
-    [.., x_j, .., x_i, ..] over basis tuples and slot pairs, as dense
-    vectors in sorted order.
+    [.., x_j, .., x_i, ..] over basis tuples and slot pairs, as sparse
+    vectors sorted by their (index, coefficient) entries.
 
     A defect is nonzero only when its tuple or the swapped one is stored,
     and both give the same vector, so only the stored keys are visited."""
@@ -201,13 +200,13 @@ def skew_defect_spans(P: StructAlgebra) -> List[tuple]:
             _sv_accum(acc, P.bracket_basis(tuple(swapped)), Fraction(1))
             if acc:
                 defects.add(tuple(sorted(acc.items())))
-    return sorted(sv_to_dense(dict(items), P.dim) for items in defects)
+    return [dict(items) for items in sorted(defects)]
 
 
 def skew_defect_quotient(P: StructAlgebra) -> QuotientAlgebra:
     """Quotient by the two-operation ideal generated by all skew defects;
     the induced bracket is alternating and the result is verified."""
-    defects = Subspace.from_vectors(P.dim, skew_defect_spans(P))
+    defects = Subspace.zero(P.dim).adjoin(skew_defect_spans(P))
     ideal = ideal_closure(defects, P)
     quotient = quotient_algebra(P, ideal)
     _require_verified(quotient.algebra, "skew-defect quotient")
@@ -296,7 +295,7 @@ def kernel_of_adjoint(L: StructAlgebra) -> Subspace:
     n = L.arity
     d = L.dim
     dim = d ** (n - 1)
-    rows = [[Fraction(0)] * dim for _ in range(d * d)]
+    rows: List[SVec] = [{} for _ in range(d * d)]
     for a, row in enumerate(_adjoint_images(L)):
         for j, image in enumerate(row):
             for i, c in image.items():
@@ -309,7 +308,7 @@ def poisson_quotient_tilde(P: StructAlgebra) -> QuotientAlgebra:
     generated by the symmetrized brackets [x,y] + [y,x]; the generated
     ideal is asserted to lie inside Ker(ad)."""
     tilde = leibniz_tensor_functor(P, with_product=True)
-    defects = Subspace.from_vectors(tilde.dim, skew_defect_spans(tilde))
+    defects = Subspace.zero(tilde.dim).adjoin(skew_defect_spans(tilde))
     ker = kernel_of_adjoint(P)
     if not ker.contains_subspace(defects):
         raise InternalCheckError("symmetrized brackets must lie in Ker(ad)")

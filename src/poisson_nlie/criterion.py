@@ -605,10 +605,12 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
 
     if trials < 0:
         raise ValueError(f"trial count {trials} is negative")
+    if n >= 2 and m >= 0:  # the matrices refuse other shapes
+        check_group_budget(n, m, budget)  # before building the family
     nvars = n + m
-    family = euler_family(nvars)
     sampler = MonomialSampler(nvars, seed=seed)
     matrices = [sampler.scalar_matrix(n, m) for _ in range(trials)]
+    family = euler_family(nvars)
 
     start = time.perf_counter()
     verdicts = []

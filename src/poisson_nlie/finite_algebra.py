@@ -13,9 +13,10 @@ loop, and every basis adjoint comes from ``_adjoint_generators``.  Both
 operations are evaluated by ``_multilinear`` and spanned by ``_span``, which
 fills whole-space slots only from stored keys.
 
-Sparse vectors (``{index: Fraction}``) are used for structure constants so
-large tensor-power algebras stay cheap; dense tuples appear at the
-``Subspace`` boundary.
+Structure constants, evaluations and ``Subspace`` rows share the sparse
+vectors of ``subspaces`` (``{index: Fraction}``); dense tuples appear only in
+operator matrices and at the output edge (``Subspace.basis``,
+``CommonEigenvector.vector``, ``QuotientAlgebra.project``/``lift``).
 """
 
 from __future__ import annotations
@@ -29,19 +30,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .jacobian_bracket import perm_sign
 from .ring import ParseError
 from .subspaces import (
+    SVec,
     Subspace,
+    _sv,
+    _sv_accum,
     det_fraction,
     is_nilpotent_matrix,
     kernel,
     mat_pow,
     mat_sub,
-    mat_vec,
     rational_eigenvalues,
     scale_matrix,
-    unit_vector,
+    sv_to_dense,
 )
-
-SVec = Dict[int, Fraction]
 
 _F0 = Fraction(0)
 
@@ -50,28 +51,7 @@ class InternalCheckError(AssertionError):
     """A structural cross-check that should hold by theory failed."""
 
 
-def _sv(values) -> SVec:
-    """Normalize dense sequences / mappings to a sparse vector."""
-    if isinstance(values, dict):
-        return {i: Fraction(c) for i, c in values.items() if c}
-    return {i: Fraction(c) for i, c in enumerate(values) if c}
-
-
-def _sv_accum(acc: SVec, sv: SVec, scale: Fraction):
-    for i, c in sv.items():
-        value = acc.get(i, _F0) + scale * c
-        if value:
-            acc[i] = value
-        else:
-            acc.pop(i, None)
-
-
-def sv_to_dense(sv: SVec, dim: int) -> tuple:
-    return tuple(sv.get(i, _F0) for i in range(dim))
-
-
-def dense_to_sv(vec: Sequence) -> SVec:
-    return _sv(vec)
+dense_to_sv = _sv
 
 
 def _multilinear(value, vectors: Sequence[SVec]) -> SVec:
@@ -377,8 +357,7 @@ def _span(P: StructAlgebra, value, keys, unordered: bool,
     ``unordered``, where reordering changes at most the sign), so a slot
     holding the whole space takes only the entries keys carry there."""
     whole = [p for p, U in enumerate(slots) if U.dim == P.dim]
-    pools = [[] if p in whole else [dense_to_sv(row) for row in U.basis]
-             for p, U in enumerate(slots)]
+    pools = [[] if p in whole else U.rows for p, U in enumerate(slots)]
     if unordered:
         fills = {fill for key in keys for fill in itertools.combinations(key, len(whole))}
     else:
@@ -387,11 +366,9 @@ def _span(P: StructAlgebra, value, keys, unordered: bool,
     for fill in fills:
         for p, i in zip(whole, fill):
             pools[p] = [{i: Fraction(1)}]
-        for combo in itertools.product(*pools):
-            w = _multilinear(value, combo)
-            if w:
-                vectors.append(sv_to_dense(w, P.dim))
-    return Subspace.from_vectors(P.dim, vectors)
+        images = (_multilinear(value, combo) for combo in itertools.product(*pools))
+        vectors += [w for w in images if w]
+    return Subspace.zero(P.dim).adjoin(vectors)
 
 
 def subspace_product(U: Subspace, V: Subspace, P: StructAlgebra) -> Subspace:
@@ -591,24 +568,19 @@ def is_hypo_nilpotent(U: Subspace, P: StructAlgebra) -> bool:
     return not is_nilpotent_as_ideal(U, P)
 
 
-def _adapted_basis(P: StructAlgebra) -> List[tuple]:
+def _adapted_basis(P: StructAlgebra) -> List[SVec]:
     """Basis ordered from the deepest derived-series layer outward."""
-    collected: List[tuple] = []
+    collected: List[SVec] = []
     spanned = Subspace.zero(P.dim)
-    for term in reversed(_series_terms(full_space(P), P, "derived")):
-        for row in term.basis:
-            if not spanned.contains(row):
-                collected.append(row)
-                spanned = Subspace.from_vectors(P.dim, spanned.basis + (row,))
-    for j in range(P.dim):
-        row = unit_vector(P.dim, j)
+    layers = [term.rows for term in reversed(_series_terms(full_space(P), P, "derived"))]
+    for row in itertools.chain(*layers, ({j: Fraction(1)} for j in range(P.dim))):
         if not spanned.contains(row):
             collected.append(row)
-            spanned = Subspace.from_vectors(P.dim, spanned.basis + (row,))
+            spanned = spanned.adjoin([row])
     return collected
 
 
-def _greedy_ideal(start: Subspace, candidates: Sequence[tuple], closure,
+def _greedy_ideal(start: Subspace, candidates: Sequence[SVec], closure,
                   nilpotent) -> Subspace:
     """The one greedy search: adjoin each candidate whose ``closure`` with
     the current ideal stays ``nilpotent``, sweeping until a pass adds none."""
@@ -619,7 +591,7 @@ def _greedy_ideal(start: Subspace, candidates: Sequence[tuple], closure,
         for row in candidates:
             if current.contains(row):
                 continue
-            grown = closure(Subspace.from_vectors(current.ambient, current.basis + (row,)))
+            grown = closure(current.adjoin([row]))
             if nilpotent(grown):
                 current = grown
                 changed = True
@@ -649,7 +621,7 @@ def nilradical(P: StructAlgebra) -> Subspace:
     return current
 
 
-def bracket_nilradical(P: StructAlgebra, candidates: Sequence[tuple]) -> Subspace:
+def bracket_nilradical(P: StructAlgebra, candidates: Sequence[SVec]) -> Subspace:
     """Nilradical of the underlying n-Lie algebra, ignoring the product,
     searched over ``candidates`` (the adapted basis ``nilradical`` uses)."""
 
@@ -688,17 +660,8 @@ def _adjoint_generators(P: StructAlgebra):
         yield tup, P.adjoint_matrix(ys)
 
 
-def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:
-    """A vector killed by every product and scaled by every adjoint.
-
-    Searches the annihilator by iterated rational-eigenspace intersection
-    over the distinct adjoint operators of the increasing-tuple generators;
-    eigenvalue branches are explored with 0 first.  A repeated operator
-    would find the space inside one of its eigenspaces already, so each is
-    searched once and its eigenvalue given to every tuple carrying it.
-    Returns None when no simultaneous eigenvector exists over Q (the
-    rationals are not algebraically closed).
-    """
+def _common_eigenspace(P: StructAlgebra) -> Optional[Tuple[Subspace, Dict[tuple, Fraction]]]:
+    """``common_eigenvector``'s search: (eigenspace, eigenvalue by tuple)."""
     if not classify(P).solvable:
         raise ValueError("common eigenvector search expects a solvable algebra")
     generators = list(_adjoint_generators(P))
@@ -730,8 +693,25 @@ def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:
     if found is None:
         return None
     space, chosen = found
-    return CommonEigenvector(space.basis[0],
-                             {tup: chosen[matrix] for tup, matrix in generators})
+    return space, {tup: chosen[matrix] for tup, matrix in generators}
+
+
+def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:
+    """A vector killed by every product and scaled by every adjoint.
+
+    Searches the annihilator by iterated rational-eigenspace intersection
+    over the distinct adjoint operators of the increasing-tuple generators;
+    eigenvalue branches are explored with 0 first.  A repeated operator
+    would find the space inside one of its eigenspaces already, so each is
+    searched once and its eigenvalue given to every tuple carrying it.
+    Returns None when no simultaneous eigenvector exists over Q (the
+    rationals are not algebraically closed).  The vector is the first RREF
+    row of the subspace found.
+    """
+    found = _common_eigenspace(P)
+    if found is None:
+        return None
+    return CommonEigenvector(sv_to_dense(found[0].rows[0], P.dim), found[1])
 
 
 @dataclass(frozen=True)
@@ -743,13 +723,10 @@ class QuotientAlgebra:
 
     def project(self, vector: Sequence) -> tuple:
         residue = self.ideal.reduce(vector)
-        return tuple(residue[j] for j in self.kept)
+        return tuple(residue.get(j, _F0) for j in self.kept)
 
     def lift(self, vector: Sequence) -> tuple:
-        out = [Fraction(0)] * self.parent.dim
-        for coeff, j in zip(vector, self.kept):
-            out[j] = Fraction(coeff)
-        return tuple(out)
+        return sv_to_dense({j: Fraction(c) for c, j in zip(vector, self.kept)}, self.parent.dim)
 
 
 def quotient_algebra(P: StructAlgebra, I: Subspace) -> QuotientAlgebra:
@@ -766,10 +743,11 @@ def quotient_algebra(P: StructAlgebra, I: Subspace) -> QuotientAlgebra:
         table = {}
         for key in sorted(stored):
             if all(i in position for i in key):
-                residue = I.reduce(sv_to_dense(stored[key], P.dim))
-                projected = tuple(residue[j] for j in kept)
-                if any(projected):
-                    table[tuple(position[i] for i in key)] = projected
+                # the residue is zero at every pivot, so it lives on ``kept``
+                residue = I.reduce(stored[key])
+                if residue:
+                    table[tuple(position[i] for i in key)] = {
+                        position[j]: residue[j] for j in sorted(residue)}
         tables.append(table)
     brackets, products = tables
     algebra = StructAlgebra(len(kept), P.arity, brackets, products, skew=P.skew)
@@ -786,11 +764,10 @@ def solvable_flag(P: StructAlgebra) -> Optional[List[Subspace]]:
     current = flag[0]
     while current.dim < P.dim:
         quo = quotient_algebra(P, current)
-        found = common_eigenvector(quo.algebra)
+        found = _common_eigenspace(quo.algebra)
         if found is None:
             return None
-        lifted = quo.lift(found.vector)
-        current = Subspace.from_vectors(P.dim, current.basis + (lifted,))
+        current = current.adjoin([{quo.kept[a]: c for a, c in found[0].rows[0].items()}])
         flag.append(current)
     return flag
 
@@ -832,18 +809,19 @@ def idempotent_report(P: StructAlgebra, e: SVec) -> dict:
         "nonzero_idempotents_possible": not pa_nilpotent,
     }
     if is_idem:
-        report["central_in_bracket"] = center.contains(sv_to_dense(e, P.dim))
+        report["central_in_bracket"] = center.contains(e)
     return report
 
 
-def _restrict(matrix, U: Subspace):
-    """Matrix of an operator restricted to U, in U's RREF coordinates."""
+def _restrict(operator, U: Subspace):
+    """Matrix of the linear map ``operator`` (on SVecs) restricted to U, in
+    U's RREF coordinates."""
     cols = []
-    for row in U.basis:
-        image = mat_vec(matrix, row)
+    for row in U.rows:
+        image = operator(row)
         if not U.contains(image):
             raise ValueError("subspace is not invariant under the operator")
-        cols.append(tuple(image[p] for p in U.pivots))
+        cols.append(tuple(image.get(p, _F0) for p in U.pivots))
     return tuple(tuple(col[i] for col in cols) for i in range(U.dim))
 
 
@@ -860,14 +838,12 @@ def non_nilpotent_adjoint_search(P: StructAlgebra, H: Subspace,
     if not is_ideal(H, P):
         raise ValueError("the search needs an ideal")
     results = {}
-    h_basis = [dense_to_sv(row) for row in H.basis]
     for index, x in enumerate(complement):
-        x_sv = dense_to_sv(x)
+        x_sv = _sv(x)
         witness = None
-        for tup in itertools.combinations(range(len(h_basis)), P.arity - 2):
-            ys = [x_sv] + [h_basis[i] for i in tup]
-            matrix = P.adjoint_matrix(ys)
-            restricted = _restrict(matrix, H)
+        for tup in itertools.combinations(range(H.dim), P.arity - 2):
+            ys = [x_sv] + [H.rows[i] for i in tup]
+            restricted = _restrict(lambda v: P.bracket(ys + [v]), H)
             if not is_nilpotent_matrix(restricted):
                 witness = tup
                 break
@@ -887,8 +863,7 @@ def zero_product_criterion(P: StructAlgebra, x: SVec, ms: Sequence[SVec]) -> dic
     if len(ms) != P.arity - 2:
         raise ValueError("need n-2 companion elements")
     square = ideal_closure(algebra_square(P), P)
-    matrix = P.adjoint_matrix([x] + list(ms))
-    restricted = _restrict(matrix, square)
+    restricted = _restrict(lambda v: P.bracket([x, *ms, v]), square)
     invertible = square.dim == 0 or det_fraction(restricted) != 0
     product_zero = not any(True for _ in P.product_entries())
     report = {

@@ -327,11 +327,12 @@ class MonomialSampler:
         return Fraction(self._rng.randint(-9, 9), self._rng.randint(1, 4))
 
     def scalar_matrix(self, n: int, m: int) -> AdjoinedMatrix:
-        rows = [[self.scalar() for _ in range(m)] for _ in range(n + m)]
+        # m = 0 has no rows of entries, whatever n is
+        rows = [[self.scalar() for _ in range(m)] for _ in range(n + m)] if m else []
         return AdjoinedMatrix.from_scalars(n, m, rows, self.nvars)
 
     def monomial_matrix(self, n: int, m: int) -> AdjoinedMatrix:
-        rows = [[self.monomial() for _ in range(m)] for _ in range(n + m)]
+        rows = [[self.monomial() for _ in range(m)] for _ in range(n + m)] if m else []
         return AdjoinedMatrix.from_rows(n, m, rows, nvars=self.nvars)
 
 

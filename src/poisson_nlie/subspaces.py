@@ -1,9 +1,12 @@
 """Exact rational linear algebra: RREF subspaces, kernels, eigen tools.
 
-Subspaces are stored in reduced row-echelon form over ``Fraction``, so two
-subspaces are equal iff their basis matrices are equal.  A kernel or an
-intersection comes out of one elimination already in that form.  Everything
-is exact; nothing here ever rounds.
+This module owns the sparse vector format, ``SVec = {index: Fraction}``
+without zero entries, and its one axpy, ``_sv_accum``.  A ``Subspace``
+stores its RREF basis as sparse rows sorted by pivot, so two subspaces are
+equal iff their rows are; a sum, a kernel or an intersection comes out of
+one sparse ``rref`` in that form.  Dense tuples appear only at the output
+edge (``Subspace.basis``) and in operator matrices (``mat_*``,
+``det_fraction``, ``char_poly``).  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -11,65 +14,84 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
+SVec = Dict[int, Fraction]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _sv(values) -> SVec:
+    """A new sparse vector from a dense sequence or a mapping: zeros are
+    dropped, and entries that are not Fractions already are made so."""
+    items = values.items() if isinstance(values, dict) else enumerate(values)
+    return {i: c if type(c) is Fraction else Fraction(c) for i, c in items if c}
+
+
+def _sv_accum(acc: SVec, sv: SVec, scale: Fraction):
+    """acc += scale * sv, dropping the entries that cancel."""
+    for i, c in sv.items():
+        value = acc.get(i, _F0) + scale * c
+        if value:
+            acc[i] = value
+        else:
+            acc.pop(i, None)
+
+
+def sv_to_dense(sv: SVec, dim: int) -> tuple:
+    return tuple(sv.get(i, _F0) for i in range(dim))
 
 
 def unit_vector(dim: int, index: int) -> Vector:
     return tuple(_F1 if j == index else _F0 for j in range(dim))
 
 
-def rref(rows: Iterable[Sequence]) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(Fraction(v) for v in row) for row in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def rref(rows: Iterable) -> Tuple[Tuple[SVec, ...], Tuple[int, ...]]:
+    """Reduced row echelon form of rows given as SVecs or dense sequences:
+    (nonzero sparse rows sorted by pivot, pivot columns).  Each row is
+    reduced by the kept rows (zero at one another's pivots, so one pass
+    clears them), and a nonzero rest, scaled to a leading 1, is eliminated
+    from them; kept rows are replaced, never modified."""
+    echelon: Dict[int, SVec] = {}
+    for row in rows:
+        vec = _sv(row)
+        for p in [i for i in vec if i in echelon]:
+            _sv_accum(vec, echelon[p], -vec[p])
+        if not vec:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [inv * v for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
+        pivot = min(vec)
+        if vec[pivot] != 1:
+            inv = _F1 / vec[pivot]
+            vec = {i: inv * c for i, c in vec.items()}
+        for p, other in echelon.items():
+            if pivot in other:
+                other = dict(other)
+                _sv_accum(other, vec, -other[pivot])
+                echelon[p] = other
+        echelon[pivot] = vec
+    pivots = tuple(sorted(echelon))
+    return tuple(echelon[p] for p in pivots), pivots
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^ambient with a canonical RREF basis."""
+    """Subspace of Q^ambient with a canonical RREF basis, stored as sparse
+    rows sorted by pivot.  The rows are shared, never modified: read them."""
 
     ambient: int
-    basis: Matrix
+    rows: Tuple[SVec, ...]
     pivots: Tuple[int, ...]
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vectors = [tuple(Fraction(v) for v in vec) for vec in vectors]
-        for vec in vectors:
-            if len(vec) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-        basis, pivots = rref(vectors)
-        return cls(ambient, basis, pivots)
+        """The checked entry for dense input: lengths must match ``ambient``."""
+        vectors = list(vectors)
+        if any(len(vec) != ambient for vec in vectors):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient, *rref(vectors))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -77,70 +99,76 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, identity_matrix(ambient), tuple(range(ambient)))
+        return cls(ambient, tuple({j: _F1} for j in range(ambient)), tuple(range(ambient)))
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis as dense tuples, for output."""
+        return tuple(sv_to_dense(row, self.ambient) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
-    def reduce(self, vector: Sequence) -> Vector:
-        """Residue of a vector after eliminating all pivot coordinates."""
-        vec = list(Fraction(v) for v in vector)
-        for row, col in zip(self.basis, self.pivots):
-            factor = vec[col]
+    def adjoin(self, rows: Iterable[SVec]) -> "Subspace":
+        """The span of this subspace and the given sparse rows."""
+        return Subspace(self.ambient, *rref(self.rows + tuple(rows)))
+
+    def reduce(self, vector) -> SVec:
+        """Residue of a vector (an SVec or a dense sequence) after
+        eliminating all pivot coordinates, as an SVec."""
+        vec = _sv(vector)
+        for row, col in zip(self.rows, self.pivots):
+            factor = vec.get(col)
             if factor:
-                for j in range(self.ambient):
-                    vec[j] -= factor * row[j]
-        return tuple(vec)
+                _sv_accum(vec, row, -factor)
+        return vec
 
-    def contains(self, vector: Sequence) -> bool:
-        return all(v == 0 for v in self.reduce(vector))
+    def contains(self, vector) -> bool:
+        return not self.reduce(vector)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
+        return all(self.contains(row) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient, list(self.basis) + list(other.basis))
+        return self.adjoin(other.rows)
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: RREF of [U|U; V|0]; zero-left rows give U cap V."""
+        """Zassenhaus: RREF of [V|0; U|U]; zero-left rows give U cap V."""
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
         d = self.ambient
-        stacked = [list(row) + list(row) for row in self.basis]
-        stacked += [list(row) + [_F0] * d for row in other.basis]
+        stacked = other.rows + tuple({**row, **{i + d: c for i, c in row.items()}}
+                                     for row in self.rows)
         reduced, pivots = rref(stacked)
         k = sum(1 for p in pivots if p < d)  # zero-left rows come last, already in RREF
-        return Subspace(d, tuple(row[d:] for row in reduced[k:]), tuple(p - d for p in pivots[k:]))
+        return Subspace(d, tuple({i - d: c for i, c in row.items()} for row in reduced[k:]),
+                        tuple(p - d for p in pivots[k:]))
 
 
-def kernel(matrix: Sequence[Sequence], ncols: int) -> Subspace:
-    """{x in Q^ncols : Mx = 0} for M given as rows, as its canonical RREF
-    subspace; a matrix with no rows has the whole space as kernel.
+def kernel(matrix: Iterable, ncols: int) -> Subspace:
+    """{x in Q^ncols : Mx = 0} for M given as rows (SVecs or dense
+    sequences), as its canonical RREF subspace; a matrix with no rows has
+    the whole space as kernel.
 
     M's columns are eliminated from last to first, so the null vector of a
     free column f has its leading 1 at f, zeros at every other free column
     and entries only at later pivot columns: these vectors are the RREF
     basis as they stand, and the free columns are its pivots."""
-    last = ncols - 1
-    reduced, pivots = rref(row[::-1] for row in matrix)  # pivots counted from the end
-    free = tuple(c for c in range(ncols) if last - c not in pivots)
-    basis = []
-    for f in free:
-        vec = [_F0] * ncols
-        vec[f] = _F1
-        for row, p in zip(reduced, pivots):
-            vec[last - p] = -row[last - f]
-        basis.append(tuple(vec))
-    return Subspace(ncols, tuple(basis), free)
+    last = ncols - 1  # columns and pivots below are counted from the end
+    reduced, pivots = rref({last - i: c for i, c in _sv(row).items()} for row in matrix)
+    bound = {last - p for p in pivots}
+    null = {f: {f: _F1} for f in range(ncols) if f not in bound}
+    for row, p in zip(reduced, pivots):
+        for i, c in row.items():
+            if i != p:  # a free column
+                null[last - i][last - p] = -c
+    return Subspace(ncols, tuple(null.values()), tuple(null))
 
 
 def mat_vec(matrix: Sequence[Sequence], vector: Sequence) -> Vector:
@@ -159,10 +187,6 @@ def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
                  for ra, rb in zip(a, b))
 
 
-def identity_matrix(dim: int) -> Matrix:
-    return tuple(unit_vector(dim, j) for j in range(dim))
-
-
 def scale_matrix(c, dim: int) -> Matrix:
     c = Fraction(c)
     return tuple(tuple(c if i == j else _F0 for j in range(dim)) for i in range(dim))
@@ -170,7 +194,7 @@ def scale_matrix(c, dim: int) -> Matrix:
 
 def mat_pow(matrix: Sequence[Sequence], power: int) -> Matrix:
     dim = len(matrix)
-    result = identity_matrix(dim)
+    result = scale_matrix(1, dim)
     base = tuple(tuple(Fraction(v) for v in row) for row in matrix)
     while power:
         if power & 1:

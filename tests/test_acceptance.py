@@ -430,7 +430,7 @@ def test_11_constructions_round_trip(hypo):
     small = StructAlgebra(3, 3, {(0, 1, 2): e(0)})
     quotient_small = poisson_quotient_tilde(small)
     assert verify_axioms(quotient_small.algebra).all_pass
-    defects = Subspace.from_vectors(9, skew_defect_spans(
+    defects = Subspace.zero(9).adjoin(skew_defect_spans(
         leibniz_tensor_functor(small, with_product=True)))
     assert kernel_of_adjoint(small).contains_subspace(defects)
     elapsed = time.perf_counter() - started

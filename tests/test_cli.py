@@ -233,6 +233,46 @@ class TestCriterionCommands:
         assert code == 0
         assert report["all_pass"] and report["verdicts"] == ["pass"] * 3
 
+    @pytest.mark.parametrize("argv, field, value", [
+        (("criterion-check", "--matrix", "scalar:random", "--seed", "0"), "verdict", "pass"),
+        (("criterion-check", "--matrix", "monomial:random", "--seed", "0"), "verdict", "pass"),
+        (("criterion-probe", "--trials", "2", "--seed", "0"), "verdicts", ["pass", "pass"]),
+    ])
+    def test_random_matrices_with_no_adjoined_columns(self, capsys, argv, field, value):
+        """m = 0 draws no entries, as a file whose header is "3 0" reads none."""
+        code, report, _ = invoke(capsys, argv[0], "--n", "3", "--m", "0", *argv[1:])
+        assert code == 0 and "error" not in report
+        assert report[field] == value
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("criterion-probe", "--n", "800", "--m", "0", "--trials", "1", "--seed", "0"),
+         3, "102399840800 residual groups exceed budget"),
+        (("criterion-probe", "--n", "800", "--m", "0", "--trials", "0", "--seed", "0"),
+         3, "102399840800 residual groups exceed budget"),
+        (("criterion-check", "--n", "3", "--m", "2", "--ring", "laurent:v=800:euler",
+          "--matrix", "scalar:random", "--seed", "0"),
+         2, "ring preset must provide exactly n + m derivations"),
+        (("criterion-check", "--n", "30", "--m", "5", "--ring", "laurent:v=35:euler",
+          "--matrix", "scalar:random", "--seed", "0"),
+         3, "residual groups exceed budget"),
+        (("construct-jacobian", "--n", "3", "--m", "2", "--ring", "laurent:v=800:euler",
+          "--samples", "1"),
+         2, "ring preset must provide exactly n + m derivations"),
+    ])
+    def test_cheap_checks_come_before_any_family_is_built(
+            self, capsys, monkeypatch, argv, code, message):
+        from poisson_nlie import ring
+        built = []
+        certify = ring.certify_family
+        monkeypatch.setattr(ring, "certify_family",
+                            lambda *a, **k: built.append(1) or certify(*a, **k))
+        got, report, _ = invoke(capsys, *argv)
+        assert got == code and message in report["error"]
+        assert built == []
+        invoke(capsys, "criterion-check", "--n", "2", "--m", "1",
+               "--matrix", "scalar:random", "--seed", "0")
+        assert built == [1]  # the counter sees the families that are built
+
     def test_probe_refuses_a_negative_trial_count(self, capsys):
         code, report, _ = invoke(capsys, "criterion-probe", "--n", "2", "--m", "1",
                                  "--trials", "-1", "--seed", "0")

@@ -291,7 +291,10 @@ class TestSkewDefectQuotient:
         found = 0
         for P in cases:
             spans = skew_defect_spans(P)
-            assert spans == sorted(_skew_defects_by_full_scan(P))
+            dense = [sv_to_dense(v, P.dim) for v in spans]
+            assert sorted(dense) == sorted(_skew_defects_by_full_scan(P))
+            assert len(set(dense)) == len(dense)
+            assert spans == sorted(spans, key=lambda v: sorted(v.items()))
             found += len(spans)
         assert found >= 50
 
@@ -490,7 +493,7 @@ class TestPoissonQuotientTilde:
         assert report.all_pass
         # the symmetrized-bracket generators sit inside Ker(ad)
         ker = kernel_of_adjoint(P)
-        defects = Subspace.from_vectors(9, skew_defect_spans(
+        defects = Subspace.zero(9).adjoin(skew_defect_spans(
             leibniz_tensor_functor(P, with_product=True)))
         assert ker.contains_subspace(defects)
 

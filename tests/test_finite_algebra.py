@@ -802,7 +802,7 @@ def _quotient_by_dense_scan(P, I):
     kept = tuple(j for j in range(P.dim) if j not in I.pivots)
 
     def project(value):
-        residue = I.reduce(sv_to_dense(value, P.dim))
+        residue = sv_to_dense(I.reduce(sv_to_dense(value, P.dim)), P.dim)
         return tuple(residue[j] for j in kept)
 
     if P.skew:
@@ -855,7 +855,7 @@ def _quotient_cases():
     for base in (lie, xu_tensor(StructAlgebra(2, 2, {(0, 1): e(1)}), two).algebra):
         for n in (3, 4):
             nested = iterated_bracket(base, n)
-            defects = Subspace.from_vectors(nested.dim, skew_defect_spans(nested))
+            defects = Subspace.zero(nested.dim).adjoin(skew_defect_spans(nested))
             cases.append((nested, ideal_closure(defects, nested)))
     return [(P, I) for P, I in cases if not I.is_zero()]
 

@@ -269,6 +269,13 @@ class TestMatrixBlockFormat:
         again = parse_adjoined_matrix(A.serialize(), 3)
         assert again == A
 
+    def test_sampled_matrices_without_columns_match_the_file_form(self):
+        """m = 0: the sampler draws no rows, as a "3 0" block reads none."""
+        empty = parse_adjoined_matrix("3 0\n", 3)
+        assert empty == AdjoinedMatrix.empty(3, 3)
+        assert MonomialSampler(3, seed=0).scalar_matrix(3, 0) == empty
+        assert MonomialSampler(3, seed=0).monomial_matrix(3, 0) == empty
+
     def test_comments_and_blank_lines(self):
         text = "# header\n2 1\n\nt1  # entry\n0\n1/3\n"
         A = parse_adjoined_matrix(text, 3)

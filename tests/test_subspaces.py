@@ -18,6 +18,7 @@ from poisson_nlie.subspaces import (
     rational_roots,
     rref,
     scale_matrix,
+    sv_to_dense,
     unit_vector,
 )
 
@@ -25,10 +26,39 @@ small = st.integers(-4, 4).map(Fraction)
 vectors4 = st.tuples(small, small, small, small)
 
 
+def _dense_rref(rows):
+    """The former dense elimination, kept as the reference for ``rref``."""
+    work = [list(Fraction(v) for v in row) for row in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    rank = 0
+    for col in range(len(work[0])):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [inv * v for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
+
+
+def _dense(rows, ncols):
+    return tuple(sv_to_dense(row, ncols) for row in rows)
+
+
 def _kernel_two_step(matrix):
     """The former kernel, kept as the reference: null vectors from a
-    first-to-last elimination, then reduced a second time."""
-    reduced, pivots = rref(matrix)
+    first-to-last dense elimination, then reduced a second time."""
+    reduced, pivots = _dense_rref(matrix)
     ncols = len(matrix[0])
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -42,12 +72,55 @@ def _kernel_two_step(matrix):
 
 def _intersection_two_step(U, V):
     """The former intersection: the right halves of the zero-left Zassenhaus
-    rows, reduced a second time."""
+    rows of a dense elimination, reduced a second time."""
     d = U.ambient
     stacked = [list(row) + list(row) for row in U.basis]
     stacked += [list(row) + [Fraction(0)] * d for row in V.basis]
-    reduced, _ = rref(stacked)
+    reduced, _ = _dense_rref(stacked)
     return Subspace.from_vectors(d, [row[d:] for row in reduced if not any(row[:d])])
+
+
+def _row_lists(ncols):
+    """Rows of width ``ncols``, with zero rows and repeats mixed in."""
+    row = st.lists(st.integers(-3, 3).map(Fraction), min_size=ncols, max_size=ncols)
+    rows = st.lists(st.one_of(row, st.just([Fraction(0)] * ncols)), max_size=6)
+    return rows.flatmap(lambda rs: st.permutations(rs + rs[:2]))
+
+
+class TestSparseRref:
+    @given(st.integers(1, 6).flatmap(lambda c: st.tuples(st.just(c), _row_lists(c))),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_reference(self, case, as_dicts):
+        ncols, rows = case
+        given_rows = [{i: v for i, v in enumerate(row) if v} if as_dicts else row
+                      for row in rows]
+        reduced, pivots = rref(given_rows)
+        assert (_dense(reduced, ncols), pivots) == _dense_rref(rows)
+        assert all(all(c for c in row.values()) for row in reduced)
+        assert all(min(row) == p and row[p] == 1 for row, p in zip(reduced, pivots))
+
+    def test_input_rows_are_only_read(self):
+        rows = [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 2: Fraction(1)}]
+        copies = [dict(row) for row in rows]
+        U = Subspace.zero(3).adjoin(rows)
+        U.sum(Subspace.from_vectors(3, [(0, 1, 1)]))
+        U.intersection(Subspace.full(3))
+        U.reduce(rows[0])
+        assert rows == copies
+        assert _dense(U.rows, 3) == U.basis == ((1, 0, 1), (0, 1, -2))
+
+    def test_sequences_and_dicts_give_equal_subspaces(self):
+        dense = [(0, 2, 4), (1, 0, 0), (1, 2, 4)]
+        sparse = [{i: Fraction(v) for i, v in enumerate(row) if v} for row in dense]
+        assert Subspace.from_vectors(3, dense) == Subspace.zero(3).adjoin(sparse)
+        assert Subspace.from_vectors(3, dense).rows == ({0: 1}, {1: 1, 2: 2})
+
+    def test_reduce_returns_the_sparse_residue(self):
+        U = Subspace.from_vectors(3, [(1, 0, 1)])
+        assert U.reduce((2, 3, 2)) == {1: 3}
+        assert U.reduce({0: Fraction(1)}) == {2: -1}
+        assert U.reduce((1, 0, 1)) == {}
 
 
 class TestSubspace:
@@ -73,7 +146,7 @@ class TestSubspace:
         U = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 0)])
         assert U.contains((2, 3, 2))
         assert not U.contains((0, 0, 1))
-        assert all(v == 0 for v in U.reduce((1, 1, 1)))
+        assert not U.reduce((1, 1, 1))
 
     def test_zero_and_full(self):
         assert Subspace.zero(3).dim == 0
@@ -94,6 +167,7 @@ class TestKernels:
     def test_eigenspace(self):
         m = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(3)))
         assert kernel(mat_sub(m, scale_matrix(2, 2)), 2).basis == (unit_vector(2, 0),)
+        assert kernel(mat_sub(m, scale_matrix(2, 2)), 2).rows == ({0: 1},)
         assert kernel(mat_sub(m, scale_matrix(5, 2)), 2).dim == 0
 
     def test_kernel_without_rows_is_the_whole_space(self):
@@ -170,7 +244,9 @@ class TestAgainstSympy:
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_rref(self, sp, name):
-        assert rref(MATRICES[name]) == self.sympy_rref(sp, MATRICES[name])
+        rows = MATRICES[name]
+        reduced, pivots = rref(rows)
+        assert (_dense(reduced, len(rows[0])), pivots) == self.sympy_rref(sp, rows)
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_kernel(self, sp, name):
@@ -180,7 +256,8 @@ class TestAgainstSympy:
             basis, pivots = self.sympy_rref(sp, sp.Matrix.hstack(*null).T.tolist())
         else:
             basis, pivots = (), ()
-        assert kernel(rows, len(rows[0])) == Subspace(len(rows[0]), basis, pivots)
+        null = kernel(rows, len(rows[0]))
+        assert (null.basis, null.pivots) == (basis, pivots)
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_intersection(self, sp, name):
@@ -198,7 +275,8 @@ class TestAgainstSympy:
         meet = [self.from_sympy(c[:U.dim, :].T * self.to_sympy(sp, U.basis))[0]
                 for c in coeffs] if U.dim else []
         expected = self.sympy_rref(sp, meet) if meet else ((), ())
-        assert U.intersection(V) == Subspace(ncols, *expected)
+        meet = U.intersection(V)
+        assert (meet.basis, meet.pivots) == expected
 
     @staticmethod
     def square(rows):
@@ -269,3 +347,23 @@ class TestMatrixTools:
         m = tuple(tuple(row) for row in rows)
         for lam in rational_eigenvalues(m):
             assert det_fraction(mat_sub(m, scale_matrix(lam, 3))) == 0
+
+
+class TestNoDenseRoundTrip:
+    def test_structure_results_never_read_the_dense_basis(self, monkeypatch):
+        """The analyses and the tensor-power quotient stay on sparse rows:
+        the dense ``basis`` view is read nowhere inside them."""
+        from poisson_nlie.constructions import poisson_quotient_tilde
+        from poisson_nlie.finite_algebra import (
+            classify, fixture_hypo, fixture_torus, nilradical)
+
+        reads = []
+        dense = Subspace.basis.fget
+        monkeypatch.setattr(Subspace, "basis",
+                            property(lambda self: reads.append(1) or dense(self)))
+        nil = nilradical(fixture_hypo())
+        classify(fixture_torus())
+        poisson_quotient_tilde(fixture_hypo())
+        assert reads == []
+        assert nil.basis == tuple(unit_vector(7, i) for i in (0, 1, 2, 6))
+        assert len(reads) == 1
