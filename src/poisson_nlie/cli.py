@@ -7,12 +7,13 @@ human summary on standard error unless ``--quiet``.
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the report
 carries the counterexample); 2 usage or parse error; 3 budget exceeded;
 4 an arithmetic error (such as an exponent leaving the fixed-width range
-during evaluation) or a failed internal cross-check.
+during evaluation), a failed internal cross-check, or running out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -405,7 +406,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use (about 1 ms), not
+    at import; parsing leaves it unchanged, so every ``run`` shares it."""
     parser = argparse.ArgumentParser(
         prog="poisson-nlie",
         description="Determinant brackets, the Poisson n-Lie criterion, and "
@@ -533,6 +537,9 @@ def run(argv=None) -> int:
     except (ArithmeticError, InternalCheckError) as exc:
         report["error"] = str(exc)
         code, summary = EXIT_INTERNAL, f"arithmetic or internal check error: {exc}"
+    except MemoryError as exc:
+        report["error"] = f"out of memory: {exc}" if str(exc) else "out of memory"
+        code, summary = EXIT_INTERNAL, report["error"]
     report["exit_code"] = code
     report["timing"] = {**report.get("timing", {}),
                         "wall_s": round(time.perf_counter() - started, 6)}

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,9 @@ from poisson_nlie.finite_algebra import (
     format_algebra,
     parse_algebra,
 )
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -126,6 +133,53 @@ class TestBasics:
         assert report["exit_code"] == 4 and report["error"] == "cross-check failed"
         assert "cross-check failed" in err
 
+    def test_memory_error_exits_four_with_a_report(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError()
+        monkeypatch.setitem(cli._HANDLERS, "classify", exhausted)
+        code, report, err = invoke(capsys, "classify", "fixture:hypo")
+        assert code == 4
+        assert report["exit_code"] == 4 and report["error"] == "out of memory"
+        assert "out of memory" in err
+
+    def test_one_parser_serves_consecutive_runs(self, capsys, tmp_path):
+        """The parser is built once, on first use, and a run leaves it as it
+        was: a usage error, --version and valid commands in a row report
+        what each reports with a parser of its own."""
+        path = tmp_path / "col.mat"
+        path.write_text("2 1\nt2\nt3\nt1\n")
+        sequence = [["criterion-check", "--n", "2"], ["--version"],
+                    ["criterion-check", "--n", "2", "--m", "1", "--matrix", f"file:{path}"],
+                    ["classify", "fixture:hypo", "--quiet"], ["verify", "/nonexistent.alg"],
+                    ["criterion-check", "--n", "3", "--m", "2", "--matrix", "scalar:random",
+                     "--seed", "7", "--quiet"]]
+
+        def outputs(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            out = captured.out
+            if out.startswith("{"):
+                out = json.dumps(strip_timing(json.loads(out)), sort_keys=True)
+            return code, out, captured.err
+
+        cli.build_parser.cache_clear()
+        shared = [outputs(argv) for argv in sequence]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(outputs(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 1, 0, 2, 0]
+        assert shared[1][1] == cli.__version__ + "\n"
+
+    def test_parser_is_not_built_at_import(self):
+        probe = ("import poisson_nlie.cli as cli; "
+                 "print(cli.build_parser.cache_info().currsize)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert result.stdout == "0\n"
+
 
 class TestCriterionCommands:
     def test_check_scalar_random(self, capsys):
@@ -227,6 +281,35 @@ class TestCriterionCommands:
         assert report["verdict"] == "pass" and report["counterexample"] is None
         assert "error" not in report
 
+    @pytest.mark.parametrize("n, m, entries", [
+        (2, 1, ["-1073741824*t1^1073741824*t2*t3 - 2147483648*t1^-1073741824*t2^-1073741824",
+                "-t1^1073741824*t2*t3 - 2147483648*t1^-1073741824*t2^-1073741824",
+                "-t1^1073741824*t2*t3"]),
+        (3, 1, ["2147483645*t1^2147483645*t2*t4^-1 - t1*t3^-1", "t1^2147483645*t2*t4^-1",
+                "t1*t3^-1", "-t1^2147483645*t2*t4^-1"]),
+        (3, 2, ["1073741828*t1^536870914*t3^536870914*t4 + 2*t1*t2^536870914*t3^-536870914",
+                "2*t1*t3^536870914*t5^536870914",
+                "1073741828*t1*t2^536870914*t3^-536870914", "0",
+                "1073741828*t1^536870914*t3^536870914*t4"
+                " - 1073741828*t1*t2^536870914*t3^-536870914",
+                "1073741828*t1*t3^536870914*t5^536870914",
+                "2*t1^536870914*t3^536870914*t4", "0",
+                "0", "1073741828*t1*t3^536870914*t5^536870914 + 1073741828*t5^536870914"]),
+    ])
+    def test_gradient_columns_pass_by_frobenius_without_first_family_products(
+            self, capsys, tmp_path, n, m, entries):
+        """Gradient columns (Euler family) with exponents near the range
+        limit: their curls are zero, so the Frobenius test passes them
+        (exit 0) with no product, where a first-family product of the scan
+        leaves the exponent range (it exited 4 when the scan decided)."""
+        path = tmp_path / "gradient.mat"
+        path.write_text(f"{n} {m}\n" + "\n".join(entries) + "\n")
+        code, report, _ = invoke(capsys, "criterion-check", "--n", str(n), "--m", str(m),
+                                 "--matrix", f"file:{path}")
+        assert code == 0
+        assert report["verdict"] == "pass" and "error" not in report
+        assert report["timing"]["compile_s"] == 0.0
+
     def test_probe(self, capsys):
         code, report, _ = invoke(capsys, "criterion-probe", "--n", "3", "--m", "1",
                                  "--trials", "3", "--seed", "1")
@@ -286,8 +369,10 @@ class TestCriterionCommands:
                      ("criterion-probe", "--n", "3", "--m", "1", "--trials", "2", "--seed", "1")):
             _, report, _ = invoke(capsys, *argv)
             timing = report["timing"]
-            assert set(timing) == {"wall_s", "pi_table_s", "compile_s", "evaluate_s"}
-            phases = timing["pi_table_s"] + timing["compile_s"] + timing["evaluate_s"]
+            assert set(timing) == {"wall_s", "pi_table_s", "frobenius_s", "compile_s",
+                                   "evaluate_s"}
+            phases = (timing["pi_table_s"] + timing["frobenius_s"] + timing["compile_s"]
+                      + timing["evaluate_s"])
             assert 0 <= phases <= timing["wall_s"] + 1e-5
 
     def test_construct_jacobian_single(self, capsys, tmp_path):

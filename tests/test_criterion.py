@@ -13,6 +13,8 @@ from poisson_nlie.criterion import (
     BudgetExceededError,
     _SignedPi,
     _compiled_forms,
+    _frobenius_terms,
+    _integrable,
     _scan,
     _tuple_counts,
     check_criterion,
@@ -37,11 +39,13 @@ from poisson_nlie.ring import (
     LaurentPolynomial,
     certify_family,
     check_product_range,
+    det_ring,
     euler_family,
     format_polynomial,
     parse_polynomial,
     partial_family,
 )
+from poisson_nlie.subspaces import Subspace, rref
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +546,38 @@ class TestCompiledForms:
         assert counts == {(5, 2): 350, (4, 3): 665}
 
     def test_each_shape_compiles_once(self):
-        """A scalar table compiles nothing, and a second check of a shape
-        compiles nothing."""
+        """A scalar table compiles nothing, nor does a passing polynomial
+        check, which the Frobenius test decides; a second failing check of
+        a shape compiles nothing."""
         _compiled_forms.cache_clear()
         family = euler_family(7)
         for seed in (3, 4):
             report = check_criterion(MonomialSampler(7, seed=seed).scalar_matrix(5, 2), family)
             assert report.passed()
             assert report.phases["compile_s"] == 0.0
+            assert report.phases["frobenius_s"] == 0.0
             assert _compiled_forms.cache_info().misses == 0
+        sampler = MonomialSampler(7, seed=5)
+        A = gradient_matrix(5, 2, [sampler.binomial() for _ in range(2)], family)
+        report = check_criterion(A, family)
+        assert report.passed()
+        assert report.phases["compile_s"] == 0.0 and report.phases["frobenius_s"] > 0.0
+        assert _compiled_forms.cache_info().misses == 0
         t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
         A = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
         for _ in range(2):
             report = check_criterion(A, euler_family(3))
             assert report.counterexample["residual_family"] == "first"
             assert _compiled_forms.cache_info().misses == 1
-        assert set(report.phases) == {"pi_table_s", "compile_s", "evaluate_s"}
+        assert set(report.phases) == {"pi_table_s", "frobenius_s", "compile_s", "evaluate_s"}
 
 
-def generic_matrix(n, m):
-    """The adjoined matrix whose (n + m) * m entries are distinct variables;
-    every adjoined matrix of shape (n, m) is a ring specialisation of it."""
-    nv = (n + m) * m
+def generic_matrix(n, m, nv=None):
+    """The adjoined matrix whose (n + m) * m entries are the distinct
+    variables t_1, t_2, ... of a ring of ``nv`` variables, (n + m) * m by
+    default; every adjoined matrix of shape (n, m) is a ring specialisation
+    of it."""
+    nv = (n + m) * m if nv is None else nv
     return AdjoinedMatrix.from_rows(n, m, [
         [LaurentPolynomial.variable(nv, r * m + s + 1) for s in range(m)]
         for r in range(n + m)])
@@ -590,6 +604,159 @@ class TestSecondFamilyCertificate:
                 (alpha, pair, rest)
             groups += 1
         assert groups == _tuple_counts(n, m)["groups_second_family"]
+
+
+def _frobenius_matrix(kind, n, m, family, seed):
+    """One of six kinds of matrix: ``monomial``; ``combination``, gradient
+    columns times an upper triangular m x m matrix of monomials (the same
+    distribution, so it passes; its minors are those of the gradient
+    columns times a monomial); ``nudged``, that with one entry moved by a
+    monomial; ``scaled``, the columns f_j * grad y_j; ``sparse``, a monomial
+    matrix with about two entries in three zero; ``binomial``, binomials in
+    t1 and t2 only."""
+    nv = n + m
+    sampler = MonomialSampler(nv, seed=seed)
+    rng = random.Random(seed)
+    zero = LaurentPolynomial.zero(nv)
+    if kind == "monomial":
+        return sampler.monomial_matrix(n, m)
+    if kind == "sparse":
+        return AdjoinedMatrix.from_rows(n, m, [
+            [sampler.monomial() if rng.random() < 0.35 else zero for _ in range(m)]
+            for _ in range(nv)], nvars=nv)
+    if kind == "binomial":
+        def few():
+            exps = [[rng.randint(-2, 2) if i < 2 else 0 for i in range(nv)] for _ in range(2)]
+            return (LaurentPolynomial.monomial(nv, exps[0])
+                    + LaurentPolynomial.monomial(nv, exps[1], rng.choice((-2, -1, 1, 3))))
+        return AdjoinedMatrix.from_rows(n, m, [[few() for _ in range(m)] for _ in range(nv)])
+    G = gradient_matrix(n, m, [sampler.binomial() for _ in range(m)], family).entries
+    if kind == "scaled":
+        f = sampler.monomials(m)
+        return AdjoinedMatrix.from_rows(n, m, [[row[j] * f[j] for j in range(m)] for row in G])
+    C = [[sampler.monomial() if k <= j else zero for j in range(m)] for k in range(m)]
+    rows = [[sum((row[k] * C[k][j] for k in range(m)), zero) for j in range(m)] for row in G]
+    if kind == "nudged":
+        r = seed % nv
+        rows[r][0] = rows[r][0] + sampler.monomial()
+    return AdjoinedMatrix.from_rows(n, m, rows)
+
+
+def _frobenius_components(A, family):
+    """Every component of d(alpha_j) ^ omega, j by j and K by K, from the
+    definition: signed curls times minors of A taken by ``det_ring``."""
+    n, m = A.n, A.m
+    zero = LaurentPolynomial.zero(family.nvars)
+    components = []
+    for j in range(m):
+        for K in itertools.combinations(range(1, n + m + 1), m + 2):
+            total = zero
+            for r, s in itertools.combinations(K, 2):
+                L = tuple(k for k in K if k not in (r, s))
+                curl = (family[r - 1].apply(A.entries[s - 1][j])
+                        - family[s - 1].apply(A.entries[r - 1][j]))
+                term = curl * det_ring([A.entries[k - 1] for k in L])
+                total = total + term if perm_sign((r, s) + L) > 0 else total - term
+            components.append(total)
+    return components
+
+
+class TestFrobenius:
+    """A matrix passes when every component of d(alpha_j) ^ omega
+    vanishes; the scan runs only when one does not."""
+
+    KINDS = ("monomial", "combination", "nudged", "scaled", "sparse", "binomial")
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2),
+                                      (5, 2), (2, 3), (3, 3), (4, 3)])
+    def test_verdict_matches_the_scan(self, n, m):
+        """At every shape the tests or the benchmark check, under the Euler,
+        partial and halved-partial (``DerivationSpec.general``) families,
+        the Frobenius verdict equals the scan's on all six kinds."""
+        for derivations in ("euler", "partial", "halved"):
+            family = _derivations(derivations, n + m)
+            verdicts = {}
+            for i, kind in enumerate(self.KINDS):
+                A = _frobenius_matrix(kind, n, m, family, seed=10 * n + m + i)
+                pi = pi_table(A)
+                pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
+                verdict = _integrable(A, pis, family)
+                assert verdict == (_scan(pi, n, m, family)[0] is None), (derivations, kind)
+                verdicts[kind] = verdict
+            assert verdicts["combination"] and verdicts["scaled"], derivations
+            assert not verdicts["nudged"] and not verdicts["monomial"], derivations
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2),
+                                      (5, 2), (2, 3), (3, 3)])
+    def test_generic_certificate(self, n, m):
+        """On the generic matrix, with entries a_{sj} and derivatives
+        d_r a_{sj} = b_{rsj} all distinct variables (d_r = sum b_{rsj}
+        d/da_{sj}, which commute), every first-family group lies in the
+        Q[a]-span of the components: a group is a sum of components times
+        polynomials in the entries of degree m - 1.  Every matrix and every
+        family specialise it, so at these shapes a matrix whose components
+        vanish passes, whatever the derivations.  These are the shapes the
+        tests or the benchmark check but (4, 3), whose span has 14,553
+        generators.  The components are also those the package's sign table
+        gives."""
+        size = n + m
+        na = size * m
+        nv = na + size * size * m
+        zero = LaurentPolynomial.zero(nv)
+
+        A = generic_matrix(n, m, nv)
+        specs = []
+        for r in range(size):
+            coeffs = [zero] * nv
+            for s, j in itertools.product(range(size), range(m)):
+                coeffs[s * m + j] = LaurentPolynomial.variable(nv, na + (r * size + s) * m + j + 1)
+            specs.append(DerivationSpec.general(coeffs))
+        family = certify_family(specs, assumptions_12=True)
+        pi = pi_table(A)
+        pis = [pi[S] for S in itertools.combinations(range(1, size + 1), n)]
+        components = _frobenius_components(A, family)
+        packaged = []
+        for j in range(m):
+            for terms in _frobenius_terms(n, m):
+                total = zero
+                for r, s, sign, i in terms:
+                    curl = (family[r - 1].apply(A.entries[s - 1][j])
+                            - family[s - 1].apply(A.entries[r - 1][j]))
+                    total = total + sign * curl * pis[i]
+                packaged.append(total)
+        assert packaged == components
+        multipliers = [LaurentPolynomial.monomial(nv, [mu.count(i) for i in range(nv)])
+                       for mu in itertools.combinations_with_replacement(range(na), m - 1)]
+        keys = {}
+
+        def vector(p):
+            return {keys.setdefault(e, len(keys)): c for e, c in p.terms()}
+
+        span = Subspace(0, *rref(vector(c * u) for c in components for u in multipliers))
+        signed = _SignedPi(pi, family)
+        idx = range(1, size + 1)
+        nonzero = 0
+        for alpha, beta in itertools.product(itertools.combinations(idx, n),
+                                             itertools.combinations(idx, n - 1)):
+            group = group_residual_a(alpha, beta, A, family, _dpi=signed)
+            assert not span.reduce(vector(group)), (alpha, beta)
+            nonzero += not group.is_zero()
+        assert nonzero  # the generic matrix fails, so the span is not trivially met
+
+    def test_overflow_in_the_pass_leaves_the_decision_to_the_scan(self, monkeypatch):
+        """An ExponentOverflowError inside the Frobenius pass is not an
+        error of the check: the scan decides, as if the pass had failed."""
+        def overflowing(A, pis, family):
+            raise ExponentOverflowError("exponent 2147483648 out of range")
+
+        t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
+        failing = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
+        passing = gradient_matrix(2, 1, [parse_polynomial("t1^2*t2 + t3", 3)], euler_family(3))
+        expected = [check_criterion(A, euler_family(3)).to_json_dict() for A in (failing, passing)]
+        monkeypatch.setattr("poisson_nlie.criterion._integrable", overflowing)
+        got = [check_criterion(A, euler_family(3)).to_json_dict() for A in (failing, passing)]
+        assert got == expected
+        assert [report["verdict"] for report in got] == ["fail", "pass"]
 
 
 class TestPackedEvaluation:
@@ -650,10 +817,13 @@ class TestPackedEvaluation:
     def test_scan_does_no_ring_arithmetic(self, monkeypatch):
         """A passing gradient check at (3, 3) multiplies and adds no
         LaurentPolynomial inside the scan (the ring product made 2,720
-        calls there)."""
+        calls there), nor inside the Frobenius pass, which passes it with
+        every curl [d_r, d_s] y_j zero."""
         family = euler_family(6)
         sampler = MonomialSampler(6, seed=1)
-        pi = pi_table(gradient_matrix(3, 3, [sampler.binomial() for _ in range(3)], family))
+        A = gradient_matrix(3, 3, [sampler.binomial() for _ in range(3)], family)
+        pi = pi_table(A)
+        pis = [pi[S] for S in itertools.combinations(range(1, 7), 3)]
         calls = []
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
             original = getattr(LaurentPolynomial, name)
@@ -665,6 +835,7 @@ class TestPackedEvaluation:
             monkeypatch.setattr(LaurentPolynomial, name, counting)
         counterexample, _ = _scan(pi, 3, 3, family)
         assert counterexample is None
+        assert _integrable(A, pis, family)
         assert calls == []
 
 
