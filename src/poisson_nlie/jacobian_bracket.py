@@ -4,9 +4,13 @@ Given a certified family of n+m commuting derivations and a fixed
 (n+m) x m matrix A of ring elements, the bracket of x_1..x_n is the
 determinant of the (n+m) x (n+m) matrix whose first n columns are
 d_r(x_q) and whose last m columns are A.  The same bracket expands as
-sum_{|I|=n} pi^I Jac_I with signed complementary minors pi^I; the two
-routes are kept independent so their agreement certifies the sign
-conventions.
+sum_{|I|=n} pi^I Jac_I with signed complementary minors pi^I.  Every
+minor on both routes comes from ``ring.maximal_minors``: the full route
+takes the one maximal minor of [D | A], the expanded route the maximal
+minors of A and of the derivative matrix D.  Their agreement therefore
+certifies the sign ``complement_sign`` and the generalized Laplace
+expansion, not the minor routine itself, which the tests check against
+an independent permutation-sum oracle and sympy.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .ring import (
     ParseError,
     det_ring,
     format_polynomial,
+    maximal_minors,
     parse_polynomial,
 )
 
@@ -106,9 +111,6 @@ class AdjoinedMatrix:
     def empty(cls, n: int, nvars: int) -> "AdjoinedMatrix":
         return cls(n, 0, nvars, ())
 
-    def submatrix_rows(self, rows: Sequence[int]) -> tuple:
-        return tuple(self.entries[r - 1] for r in rows)
-
     def serialize(self) -> str:
         lines = [f"{self.n} {self.m}"]
         for row in self.entries:
@@ -151,56 +153,19 @@ def parse_adjoined_matrix(text: str, nvars: int) -> AdjoinedMatrix:
 # Expansion coefficients and minors
 # ---------------------------------------------------------------------------
 
-def pi_coefficient(index_set: Sequence[int], A: AdjoinedMatrix) -> LaurentPolynomial:
-    """pi^I = (-1)^{eps(I)} det(A_{I^c}); zero for short or repeated tuples."""
-    S = tuple(index_set)
-    if len(S) != A.n or len(set(S)) != len(S):
-        return LaurentPolynomial.zero(A.nvars)
-    if any(not 1 <= i <= A.n + A.m for i in S):
-        raise ValueError("index out of range")
-    I = tuple(sorted(S))
-    if A.m == 0:
-        return LaurentPolynomial.one(A.nvars)
-    minor = det_ring(A.submatrix_rows(complement(I, A.n + A.m)))
-    sign = complement_sign(I, A.n, A.m)
-    return minor if sign > 0 else -minor
-
-
 def pi_table(A: AdjoinedMatrix) -> dict:
-    """All pi^I keyed by sorted index tuple."""
-    return {I: pi_coefficient(I, A)
-            for I in itertools.combinations(range(1, A.n + A.m + 1), A.n)}
-
-
-def jac_minor(index_set: Sequence[int], xs: Sequence[LaurentPolynomial],
-              family: CertifiedDerivationFamily, method: str = "det") -> LaurentPolynomial:
-    """Jac_I(x_1..x_n) = det(d_{i_p}(x_q)).
-
-    ``method="sum"`` evaluates the equivalent signed sum over permutations
-    of the index set, which the tests cross-check against the determinant.
-    """
-    I = tuple(index_set)
-    n = len(xs)
-    if len(I) != n:
-        raise ValueError("index tuple length must equal the argument count")
-    if method == "det":
-        rows = [[family[i - 1].apply(x) for x in xs] for i in I]
-        return det_ring(rows)
-    if method == "sum":
-        nv = family.nvars
-        total = LaurentPolynomial.zero(nv)
-        for images in itertools.permutations(I):
-            sign = perm_sign(images)
-            term = LaurentPolynomial.one(nv)
-            for image, x in zip(images, xs):
-                term = term * family[image - 1].apply(x)
-                if term.is_zero():
-                    break
-            if term.is_zero():
-                continue
-            total = total + (term if sign > 0 else -term)
-        return total
-    raise ValueError(f"unknown jac_minor method {method!r}")
+    """All pi^I = (-1)^{eps(I)} det(A_{I^c}), keyed by sorted index tuple;
+    all ones when m = 0."""
+    size = A.n + A.m
+    subsets = itertools.combinations(range(1, size + 1), A.n)
+    if A.m == 0:
+        return {I: LaurentPolynomial.one(A.nvars) for I in subsets}
+    minors = maximal_minors(A.entries)
+    table = {}
+    for I in subsets:
+        minor = minors[tuple(r - 1 for r in complement(I, size))]
+        table[I] = minor if complement_sign(I, A.n, A.m) > 0 else -minor
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +202,12 @@ def bracket(xs: Sequence[LaurentPolynomial], A: AdjoinedMatrix,
     if method == "expanded":
         if pi is None:
             pi = pi_table(A)
+        jac = maximal_minors([[d.apply(x) for x in xs] for d in family])
         total = LaurentPolynomial.zero(family.nvars)
         for I, coeff in pi.items():
             if coeff.is_zero():
                 continue
-            minor = jac_minor(I, xs, family)
+            minor = jac[tuple(i - 1 for i in I)]
             if minor.is_zero():
                 continue
             total = total + coeff * minor

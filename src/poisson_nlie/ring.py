@@ -4,8 +4,9 @@ The ring substrate: polynomials are finite maps from signed exponent
 vectors to nonzero ``Fraction`` coefficients, so equality of term maps is
 equality of ring elements and no rounding can ever occur.  On top of the
 ring live commuting derivations (with pairwise-commutation certification)
-and exact ring-valued determinants (cofactor expansion and fraction-free
-elimination, cross-checkable against each other).
+and exact ring-valued determinants: one division-free routine,
+``maximal_minors``, gives every maximal minor of a matrix, and ``det_ring``
+is the square case.
 
 This module alone encodes exponent vectors: each term is keyed by one
 packed integer (Monagan and Pearce, CASC 2007) whose integer order is the
@@ -19,6 +20,7 @@ Everything is immutable; all operations are pure.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -481,75 +483,57 @@ def partial_family(nvars: int) -> CertifiedDerivationFamily:
 # Determinants
 # ---------------------------------------------------------------------------
 
-def _det_cofactor(rows, cols, entries):
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    first = rows[0]
-    rest = rows[1:]
-    total = None
-    for pos, col in enumerate(cols):
-        pivot = entries[first][col]
-        if pivot.is_zero():
-            continue
-        minor = _det_cofactor(rest, cols[:pos] + cols[pos + 1:], entries)
-        if minor.is_zero():
-            continue
-        term = pivot * minor
-        if pos % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return LaurentPolynomial.zero(entries[rows[0]][cols[0]].nvars)
-    return total
+def maximal_minors(rows) -> dict:
+    """Every maximal minor of an N x k matrix of ring elements, N >= k >= 1.
 
-
-def _det_bareiss(entries):
-    n = len(entries)
-    nv = entries[0][0].nvars
-    m = [list(row) for row in entries]
-    sign = 1
-    prev = LaurentPolynomial.one(nv)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPolynomial.zero(nv)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_divide(pivot * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = LaurentPolynomial.zero(nv)
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def det_ring(matrix, method: str = "auto") -> LaurentPolynomial:
-    """Exact determinant of a square matrix of ring elements.
-
-    ``method`` is ``auto`` (cofactor up to 4x4, fraction-free elimination
-    above), ``cofactor`` or ``bareiss``; the two algorithms agree and are
-    cross-checked in the test suite.
+    Returns {row subset: minor} over the k-subsets of ``range(N)`` as
+    sorted tuples, in ``itertools.combinations`` order; a vanishing minor
+    is the zero polynomial.  Laplace expansion along the columns, one
+    level at a time: level j holds the minors of the first j columns on
+    every j-subset of rows, and each is extended by the rows outside it,
+    skipping zero entries and zero sub-minors.  That is at most
+    sum_{j <= k} C(N, j) * j products and no division.
     """
+    entries = tuple(tuple(r) for r in rows)
+    k = len(entries[0]) if entries else 0
+    if not 0 < k <= len(entries) or any(len(r) != k for r in entries):
+        raise ValueError("maximal minors need an N x k matrix with N >= k >= 1")
+    if k > DET_SIZE_CAP:
+        raise DeterminantSizeError(f"matrix size {k} exceeds cap {DET_SIZE_CAP}")
+    level = {(r,): row[0] for r, row in enumerate(entries) if row[0]}
+    for col in range(1, k):
+        grown = {}
+        for subset, minor in level.items():
+            for r, row in enumerate(entries):
+                entry = row[col]
+                if not entry or r in subset:
+                    continue
+                # r sits at position p of the grown subset, so its cofactor
+                # sign in column ``col`` is (-1)^(p + col)
+                p = bisect.bisect_left(subset, r)
+                term = entry * minor
+                key = subset[:p] + (r,) + subset[p:]
+                cur = grown.get(key)
+                if (p + col) % 2:
+                    grown[key] = -term if cur is None else cur - term
+                else:
+                    grown[key] = term if cur is None else cur + term
+        level = {key: minor for key, minor in grown.items() if minor}
+    zero = LaurentPolynomial.zero(entries[0][0].nvars)
+    return {subset: level.get(subset, zero)
+            for subset in itertools.combinations(range(len(entries)), k)}
+
+
+def det_ring(matrix) -> LaurentPolynomial:
+    """Exact determinant of a square matrix of ring elements: its one
+    maximal minor, by ``maximal_minors``."""
     entries = tuple(tuple(r) for r in matrix)
     n = len(entries)
     if n == 0:
         raise ValueError("determinant of an empty matrix needs a variable count; use pi conventions")
     if any(len(r) != n for r in entries):
         raise ValueError("determinant of a non-square matrix")
-    if n > DET_SIZE_CAP:
-        raise DeterminantSizeError(f"matrix size {n} exceeds cap {DET_SIZE_CAP}")
-    if method == "auto":
-        method = "cofactor" if n <= 4 else "bareiss"
-    if method == "cofactor":
-        return _det_cofactor(tuple(range(n)), tuple(range(n)), entries)
-    if method == "bareiss":
-        return _det_bareiss(entries)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return maximal_minors(entries)[tuple(range(n))]
 
 
 # ---------------------------------------------------------------------------

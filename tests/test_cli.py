@@ -238,6 +238,16 @@ class TestCriterionCommands:
         code, report, _ = invoke(capsys, *argv, "849")
         assert code == 3 and "850 residual groups" in report["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("criterion-check", "--n", "2", "--m", "13", "--matrix", "scalar:random", "--seed", "0"),
+        ("construct-jacobian", "--ring", "laurent:v=13:euler", "--n", "13", "--m", "0",
+         "--seed", "0", "--args", ";".join(f"t{i}" for i in range(1, 14))),
+    ])
+    def test_minors_past_the_size_cap_exit_two(self, capsys, argv):
+        code, report, _ = invoke(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "matrix size 13 exceeds cap 12"
+
     def test_exponent_overflow_exits_four(self, capsys, tmp_path):
         """A product whose exponent leaves the fixed-width range ends in the
         ring's error, as a report body with exit code 4."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,22 +11,25 @@ from poisson_nlie.jacobian_bracket import (
     AdjoinedMatrix,
     MonomialSampler,
     bracket,
+    complement,
     complement_sign,
     expansion_equivalence_check,
     fundamental_defect,
-    jac_minor,
     leibniz_defect,
     parse_adjoined_matrix,
-    pi_coefficient,
     pi_table,
 )
+from poisson_nlie import jacobian_bracket, ring
 from poisson_nlie.ring import (
     LaurentPolynomial,
     ParseError,
     det_ring,
     euler_family,
+    maximal_minors,
     parse_polynomial,
 )
+
+from oracles import leibniz_det, leibniz_minors
 
 
 def generic_entry_matrix(size):
@@ -33,6 +37,11 @@ def generic_entry_matrix(size):
     nv = size * size
     return [[LaurentPolynomial.variable(nv, r * size + c + 1) for c in range(size)]
             for r in range(size)]
+
+
+def derivative_matrix(xs, family):
+    """Rows d_r(x_1..x_n); its minor on rows I is Jac_I."""
+    return [[d.apply(x) for x in xs] for d in family]
 
 
 class TestComplementSign:
@@ -74,7 +83,7 @@ class TestComplementSign:
 class TestPiCoefficient:
     def test_empty_matrix_gives_unit(self):
         A = AdjoinedMatrix.empty(3, 3)
-        assert pi_coefficient((1, 2, 3), A) == LaurentPolynomial.one(3)
+        assert pi_table(A) == {(1, 2, 3): LaurentPolynomial.one(3)}
 
     def test_identity_block_pattern(self):
         # A = f * B, B = identity block in the first m rows, zeros below:
@@ -87,37 +96,64 @@ class TestPiCoefficient:
         rows += [[zero] * m for _ in range(n)]
         A = AdjoinedMatrix.from_rows(n, m, rows)
         special = tuple(range(m + 1, m + n + 1))
+        pi = pi_table(A)
         for I in itertools.combinations(range(1, nv + 1), n):
-            value = pi_coefficient(I, A)
+            value = pi[I]
             if I == special:
                 assert value == f * f or value == -(f * f)
             else:
                 assert value.is_zero()
 
     def test_repeats_and_short_tuples_give_zero(self):
-        A = AdjoinedMatrix.empty(3, 3)
-        assert pi_coefficient((1, 1, 2), A).is_zero()
-        assert pi_coefficient((1, 2), A).is_zero()
+        """The table holds sorted n-subsets only, so a repeated or short
+        tuple reads as zero."""
+        pi = pi_table(AdjoinedMatrix.empty(3, 3))
+        assert pi.get((1, 1, 2), LaurentPolynomial.zero(3)).is_zero()
+        assert pi.get((1, 2), LaurentPolynomial.zero(3)).is_zero()
+
+    def test_monomial_table_makes_only_the_laplace_products(self, monkeypatch):
+        """At (2, 5) the table is every 5 x 5 minor of a 7 x 5 matrix: at
+        most sum_{j=2..5} C(7, j) * j products, no determinant and no
+        division."""
+        n, m = 2, 5
+        A = MonomialSampler(n + m, seed=0).monomial_matrix(n, m)
+        products = []
+        multiply = LaurentPolynomial.__mul__
+        monkeypatch.setattr(LaurentPolynomial, "__mul__",
+                            lambda a, b: products.append(1) or multiply(a, b))
+
+        def refused(*args):
+            raise AssertionError("pi_table called a determinant or a division")
+
+        for module, name in ((ring, "det_ring"), (jacobian_bracket, "det_ring"),
+                             (ring, "exact_divide")):
+            monkeypatch.setattr(module, name, refused)
+        pi = pi_table(A)
+        assert 0 < len(products) <= sum(math.comb(n + m, j) * j for j in range(2, m + 1))
+        monkeypatch.undo()
+        for I, value in pi.items():
+            minor = leibniz_det([A.entries[r - 1] for r in complement(I, n + m)])
+            assert value == (minor if complement_sign(I, n, m) > 0 else -minor)
 
 
 class TestJacMinor:
     def test_alternating(self, euler3):
         x = parse_polynomial("t1*t2", 3)
         xs = [x, x, LaurentPolynomial.variable(3, 3)]
-        assert jac_minor((1, 2, 3), xs, euler3).is_zero()
+        assert maximal_minors(derivative_matrix(xs, euler3))[(0, 1, 2)].is_zero()
 
     def test_euler_two_by_two(self):
         fam = euler_family(2)
         t1 = LaurentPolynomial.variable(2, 1)
         t2 = LaurentPolynomial.variable(2, 2)
-        assert jac_minor((1, 2), [t1, t2], fam) == t1 * t2
+        assert maximal_minors(derivative_matrix([t1, t2], fam))[(0, 1)] == t1 * t2
 
     def test_determinant_form_equals_permutation_sum(self, euler5):
+        """Every Jac_I of each sample, not one sampled I."""
         sampler = MonomialSampler(5, seed=4)
         for _ in range(25):
-            xs = sampler.monomials(3)
-            I = tuple(sorted(random.Random(len(str(xs))).sample(range(1, 6), 3)))
-            assert jac_minor(I, xs, euler5, "det") == jac_minor(I, xs, euler5, "sum")
+            rows = derivative_matrix(sampler.monomials(3), euler5)
+            assert maximal_minors(rows) == leibniz_minors(rows)
 
 
 class TestBracket:

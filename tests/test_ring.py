@@ -22,10 +22,13 @@ from poisson_nlie.ring import (
     euler_family,
     exact_divide,
     format_polynomial,
+    maximal_minors,
     parse_polynomial,
     partial_family,
 )
 from poisson_nlie.ring import _pack, _unpack
+
+from oracles import leibniz_det, leibniz_minors
 
 coeffs = st.integers(-9, 9).map(Fraction) | st.fractions(
     min_value=-5, max_value=5, max_denominator=6)
@@ -286,7 +289,7 @@ class TestDeterminants:
             entries = [[LaurentPolynomial.monomial(
                 2, (rng.randint(-2, 2), rng.randint(-2, 2)), rng.randint(-3, 3))
                 for _ in range(k)] for _ in range(k)]
-            assert det_ring(entries, "cofactor") == det_ring(entries, "bareiss")
+            assert det_ring(entries) == leibniz_det(entries)
 
     def test_methods_agree_on_polynomial_entries(self):
         rng = random.Random(3)
@@ -298,15 +301,41 @@ class TestDeterminants:
 
         for _ in range(10):
             entries = [[poly() for _ in range(5)] for _ in range(5)]
-            assert det_ring(entries, "cofactor") == det_ring(entries, "bareiss")
+            assert det_ring(entries) == leibniz_det(entries)
 
     def test_non_square_and_cap(self):
         one = LaurentPolynomial.one(1)
         with pytest.raises(ValueError):
             det_ring([[one, one]])
+        with pytest.raises(ValueError):
+            maximal_minors([[one, one]])
         big = [[one] * 13 for _ in range(13)]
-        with pytest.raises(DeterminantSizeError):
+        with pytest.raises(DeterminantSizeError, match="matrix size 13 exceeds cap 12"):
             det_ring(big)
+        with pytest.raises(DeterminantSizeError, match="matrix size 13 exceeds cap 12"):
+            maximal_minors(big + [[one] * 13])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_maximal_minors_equal_the_permutation_sum(self, data):
+        """Every k-subset of rows, 1 <= k <= N <= 6, with zero entries and
+        repeated rows, over scalar and over monomial entries."""
+        N = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, N))
+        if data.draw(st.booleans()):
+            entry = st.integers(-2, 2).map(lambda c: LaurentPolynomial.constant(2, c))
+        else:
+            entry = st.tuples(exponents, st.integers(-2, 2)).map(
+                lambda ec: LaurentPolynomial.monomial(2, ec[0], ec[1]))
+        rows = []
+        for _ in range(N):
+            if rows and data.draw(st.integers(0, 3)) == 0:
+                rows.append(list(rows[data.draw(st.integers(0, len(rows) - 1))]))
+            else:
+                rows.append(data.draw(st.lists(entry, min_size=k, max_size=k)))
+        minors = maximal_minors(rows)
+        assert list(minors) == list(itertools.combinations(range(N), k))
+        assert minors == leibniz_minors(rows)
 
 
 class TestExactDivision:
@@ -371,8 +400,24 @@ class TestAgainstSympy:
         entries = [[self.seeded_poly(rng) for _ in range(k)] for _ in range(k)]
         expected = sp.Matrix([[self.to_sympy(sp, p) for p in row] for row in entries]).det(
             method="berkowitz")
-        for method in ("cofactor", "bareiss"):
-            assert sp.expand(self.to_sympy(sp, det_ring(entries, method)) - expected) == 0
+        assert sp.expand(self.to_sympy(sp, det_ring(entries)) - expected) == 0
+        # the same columns under one or two more rows: every maximal minor,
+        # over Q[t1, t2] after multiplying each entry by t1*t2 (exponents
+        # are at least -1), so each minor gains the factor (t1*t2)^k
+        from sympy.polys.matrices import DomainMatrix
+        domain = sp.QQ[sp.symbols("t1:3")]
+
+        def shifted(p, shift):
+            return domain.ring.from_dict({
+                tuple(e + shift for e in exps): sp.QQ(c.numerator, c.denominator)
+                for exps, c in p.terms()})
+
+        rows = entries + [[self.seeded_poly(rng) for _ in range(k)]
+                          for _ in range(rng.randint(1, 2))]
+        for subset, minor in maximal_minors(rows).items():
+            matrix = DomainMatrix([[shifted(p, 1) for p in rows[r]] for r in subset],
+                                  (k, k), domain)
+            assert shifted(minor, k) == matrix.det()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_divide(self, sp, seed):
