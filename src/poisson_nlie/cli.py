@@ -5,7 +5,8 @@ fixed seed and thread count once the timing block is stripped); a short
 human summary on standard error unless ``--quiet``.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the report
-carries the counterexample); 2 usage or parse error; 3 budget exceeded;
+carries the counterexample); 2 usage or parse error, or a file that cannot
+be read or written (a directory, a missing folder); 3 budget exceeded;
 4 an arithmetic error (such as an exponent leaving the fixed-width range
 during evaluation), a failed internal cross-check, or running out of memory.
 """
@@ -526,9 +527,9 @@ def run(argv=None) -> int:
     try:
         code, payload, summary = _HANDLERS[args.command](args)
         report.update(payload)
-    except (UsageError, ParseError, AssumptionsError, ValueError) as exc:
+    except (UsageError, ParseError, AssumptionsError, ValueError, OSError) as exc:
         # precondition violations (non-ideal inputs, non-solvable algebras,
-        # uncertified presets) are usage errors, not crashes
+        # uncertified presets) and unusable paths are usage errors, not crashes
         report["error"] = str(exc)
         code, summary = EXIT_USAGE, f"error: {exc}"
     except (BudgetExceededError, DimensionBudgetError) as exc:

@@ -39,37 +39,35 @@ first-family group is that identity at coordinate functions t_s with
 d_r t_s = delta_rs, adjoined to the ring, so every group vanishes.  The
 proof needs only commuting derivations, which ``certify_family`` certifies
 for every kind (partial, euler and general), so no kind keeps the scan.
-When every component vanishes the check passes with nothing compiled;
+When every component vanishes the check passes with no group evaluated;
 otherwise the scan below names the first nonzero group, and if it finds
 none its verdict stands.  The pass uses ring arithmetic, and an exponent
 leaving the range in it leaves the decision to the scan.
 
 Signed coefficients are written pi^tau = sgn(tau) * pi^{set(tau)} for an
 index tuple tau, zero when an index repeats; that convention silently
-removes every degenerate substitution.  ``signed_pi`` defines it, and
-``group_residual_a`` / ``group_residual_b`` evaluate one group literally
-through one cache per check (``_SignedPi``) of pi^tau and its derivatives.
+removes every degenerate substitution.  ``signed_pi`` defines it.
 
-``check_criterion`` does not call them: which products a first-family group
-sums, with which signs, depends only on the shape (n, m).  The family is
-compiled once per shape into sparse forms (pi^S * d_r pi^T over sorted index
-sets S, T), equal terms summed, formally zero groups dropped, and each form
-equal up to sign kept once, in the order of its first group label, with its
-sign there.  The first nonzero group is the first label of the first
-nonzero form, so a scan evaluates each distinct form once, in that order.
-The compiled state is shape data only (no pi value), kept in the process,
-and O(distinct forms): (5, 2) has 735 groups and 350 forms.
+``group_residual_a`` is the one evaluator of a first-family group, and
+``group_residual_b`` of a second-family group.  Each first lists the
+group's terms pi^S * d_r pi^T (pi^S * pi^T for the second family) over
+sorted index sets S, T, summing the signed coefficients of equal terms, so
+a formally zero group makes no product.  It then evaluates the nonzero
+terms in sorted (S, r, T) order on integers, over the ring's packed
+exponent keys (the encoding is ``ring``'s alone), through one cache per
+check (``_SignedPi``): every pi^S has its coefficients scaled by ``den``,
+the lcm of the table's coefficient denominators, and d_r pi^T is taken by
+the family's own ``apply`` on first use and scaled the same way.  The
+products accumulate into one dict through the ring's ``multiply_into``,
+each after the ring's ``check_product_range``, so an exponent leaving
+``EXPONENT_LIMIT`` raises the ring product's ``ExponentOverflowError``.
+Only a nonzero group becomes a polynomial again, with coefficients divided
+exactly by den^2, so residuals are those of the ring.
 
-A form is evaluated on integers, over the ring's packed exponent keys (the
-encoding is ``ring``'s alone).  Once per check every pi^S has its
-coefficients scaled by ``den``, the lcm of the table's coefficient
-denominators; d_r pi^T is taken by the family's own ``apply`` on first use
-and scaled the same way.  Each form accumulates its products into one dict
-through the ring's ``multiply_into``, each after the ring's
-``check_product_range``, so an exponent leaving ``EXPONENT_LIMIT`` raises
-the ring product's ``ExponentOverflowError``.  Only a nonzero form becomes
-a polynomial again, with coefficients divided exactly by den^2, and is
-formatted, so residuals are those of the ring.  When every pi^S is
+When the Frobenius pass fails, ``check_criterion`` calls
+``group_residual_a`` label by label, (alpha, beta) in lexicographic order,
+and stops at the first nonzero group, so a failing check costs only its
+prefix of groups and keeps no state between checks.  When every pi^S is
 constant, every d_r pi^T is zero (d(1) = d(1 * 1) = 2 d(1)), so the check
 passes at once, before the Frobenius pass.
 """
@@ -146,50 +144,87 @@ def signed_pi(tup: Sequence[int], pi: dict) -> Optional[LaurentPolynomial]:
 _MISSING = object()
 
 
-class _SignedPi:
-    """The signed coefficients one check reads, keyed by ordered tuple.
+def _scaled(p: LaurentPolynomial, den: int) -> Optional[tuple]:
+    """None for zero, else (p, its packed terms times den): ints unless a
+    derivation brought in another denominator."""
+    if p.is_zero():
+        return None
+    terms = {}
+    for key, c in p._terms.items():
+        scaled = c * den
+        terms[key] = scaled.numerator if scaled.denominator == 1 else scaled
+    return p, terms
 
-    ``value(tau)`` is sgn(tau) * pi^{set tau}, computed by ``signed_pi``,
-    and ``get(r, tau)`` is d_r of it; both are None when that is zero.
-    Entries are filled on first use, never precomputed: the ordered tuples
-    number (n+m)!/m!, far more than a check reads at large n.
+
+class _SignedPi:
+    """The factors one check multiplies, keyed by sorted index set.
+
+    ``value(S)`` is pi^S and ``derivative((r, T))`` is d_r pi^T, each as
+    ``_scaled`` gives it with the table's common denominator ``den``: None
+    for zero.  Entries are filled on first use, so a check that stops early
+    scales and differentiates only what its prefix of groups reads.
     """
 
     def __init__(self, pi: dict, family: Optional[CertifiedDerivationFamily]):
         self.pi = pi
         self.family = family
+        self.den = math.lcm(*(c.denominator for p in pi.values() for c in p._terms.values()))
         self._values = {}
         self._derivatives = {}
 
-    def value(self, tau: Tuple[int, ...]) -> Optional[LaurentPolynomial]:
-        entry = self._values.get(tau, _MISSING)
+    def value(self, S: Tuple[int, ...]) -> Optional[tuple]:
+        entry = self._values.get(S, _MISSING)
         if entry is _MISSING:
-            entry = signed_pi(tau, self.pi)
-            if entry is not None and entry.is_zero():
-                entry = None
-            self._values[tau] = entry
+            entry = self._values[S] = _scaled(self.pi[S], self.den)
         return entry
 
-    def get(self, r: int, tau: Tuple[int, ...]) -> Optional[LaurentPolynomial]:
-        key = (r, tau)
+    def derivative(self, key: Tuple[int, Tuple[int, ...]]) -> Optional[tuple]:
         entry = self._derivatives.get(key, _MISSING)
         if entry is _MISSING:
-            entry = self.value(tau)
-            if entry is not None:
-                entry = self.family[r - 1].apply(entry)
-                if entry.is_zero():
-                    entry = None
-            self._derivatives[key] = entry
+            r, T = key
+            entry = self._derivatives[key] = _scaled(self.family[r - 1].apply(self.pi[T]),
+                                                     self.den)
         return entry
-
-
-def _prepare(A, family, pi) -> _SignedPi:
-    return _SignedPi(pi_table(A) if pi is None else pi, family)
 
 
 # ---------------------------------------------------------------------------
 # Grouped conditions, one group at a time
 # ---------------------------------------------------------------------------
+
+def _add_term(terms: dict, coeff: int, left: Tuple[int, ...], right: Tuple[int, ...],
+              r: Optional[int] = None) -> None:
+    """Add coeff * pi^left * pi^right, or coeff * pi^left * d_r pi^right,
+    for ordered tuples to ``terms``, keyed by their sorted index sets; a
+    repeated index adds nothing."""
+    coeff *= perm_sign(left) * perm_sign(right)
+    if coeff:
+        T = tuple(sorted(right))
+        key = (tuple(sorted(left)), T if r is None else (r, T))
+        terms[key] = terms.get(key, 0) + coeff
+
+
+def _group_value(terms: dict, nvars: int, dpi: _SignedPi, right) -> LaurentPolynomial:
+    """The sum of coeff * pi^S * right(key) over ``terms`` {(S, key): coeff},
+    products taken in sorted (S, key) order on den-scaled packed terms."""
+    total = {}
+    for (S, key), coeff in sorted(terms.items()):
+        if not coeff:
+            continue
+        factor = dpi.value(S)
+        if factor is None:
+            continue
+        other = right(key)
+        if other is None:
+            continue
+        check_product_range(factor[0], other[0])
+        multiply_into(total, factor[1], other[1], nvars, coeff)
+    if not any(total.values()):
+        return LaurentPolynomial.zero(nvars)
+    scale = dpi.den ** 2
+    # every key is in range: each product passed check_product_range
+    return _from_keys(nvars, {k: Fraction(v, scale) for k, v in total.items() if v},
+                      EXPONENT_LIMIT)
+
 
 def group_residual_a(alpha: Tuple[int, ...], beta: Tuple[int, ...],
                      A: AdjoinedMatrix, family: CertifiedDerivationFamily,
@@ -199,24 +234,13 @@ def group_residual_a(alpha: Tuple[int, ...], beta: Tuple[int, ...],
     in the first block of the expanded identity; the substituted row index
     runs over every row, so collision terms are included."""
     if _dpi is None:
-        _dpi = _prepare(A, family, pi)
-    total = LaurentPolynomial.zero(A.nvars)
-    lead_live = _dpi.value(alpha) is not None
+        _dpi = _SignedPi(pi_table(A) if pi is None else pi, family)
+    terms = {}
     for r in range(1, A.n + A.m + 1):
-        if lead_live:
-            pu = _dpi.value((r,) + beta)
-            if pu is not None:
-                d = _dpi.get(r, alpha)
-                if d is not None:
-                    total = total + pu * d
-        for k in range(1, len(alpha) + 1):
-            pw = _dpi.value(replace_position(alpha, k, r))
-            if pw is None:
-                continue
-            d = _dpi.get(r, (alpha[k - 1],) + beta)
-            if d is not None:
-                total = total - pw * d
-    return total
+        _add_term(terms, 1, (r,) + beta, alpha, r)
+        for k, x in enumerate(alpha, 1):
+            _add_term(terms, -1, replace_position(alpha, k, r), (x,) + beta, r)
+    return _group_value(terms, A.nvars, _dpi, _dpi.derivative)
 
 
 def group_residual_b(alpha: Tuple[int, ...], pair: Tuple[int, int],
@@ -228,92 +252,13 @@ def group_residual_b(alpha: Tuple[int, ...], pair: Tuple[int, int],
     beta_rest.  Both orderings of the pair are summed (they are the plain
     and t-swapped substitution families of the per-tuple form)."""
     if _dpi is None:
-        _dpi = _prepare(A, None, pi)
-    total = LaurentPolynomial.zero(A.nvars)
-    orderings = [pair] if pair[0] == pair[1] else [pair, (pair[1], pair[0])]
-    for k in range(1, len(alpha) + 1):
-        for r1, r2 in orderings:
-            pw = _dpi.value(replace_position(alpha, k, r1))
-            if pw is None:
-                continue
-            pu = _dpi.value((alpha[k - 1], r2) + beta_rest)
-            if pu is not None:
-                total = total + pw * pu
-    return total
-
-
-# ---------------------------------------------------------------------------
-# The grouped conditions, compiled once per shape
-# ---------------------------------------------------------------------------
-
-def _first_family_terms(n, idx, alpha, signed):
-    """(beta, key, coeff) for the formally nonzero terms of the groups
-    (alpha, beta): key (S, r, T) for coeff * pi^S * d_r pi^T."""
-    swaps = [(x, [(r, *signed(replace_position(alpha, k, r)))
-                  for r in idx if r == x or r not in alpha])
-             for k, x in enumerate(alpha, 1)]
-    lead = signed(alpha)[1]
-    for beta in itertools.combinations(idx, n - 1):
-        for r in idx:
-            if r not in beta:
-                sign, S = signed((r,) + beta)
-                yield beta, (S, r, lead), sign
-        for x, swapped in swaps:
-            if x not in beta:
-                down_sign, T = signed((x,) + beta)
-                for r, sign, S in swapped:
-                    yield beta, (S, r, T), -sign * down_sign
-
-
-@functools.lru_cache(maxsize=16)
-def _compiled_forms(n: int, m: int) -> tuple:
-    """The distinct forms of the first residual family at shape (n, m), in
-    the order of the first group label that carries each.
-
-    Entries are (label, sign, terms): ``label`` is that first group,
-    (alpha, beta), and its residual is ``sign`` times the form.  ``terms``
-    flattens sorted (coeff, S, r, T) int terms, S and T indexing
-    ``combinations(1..n+m, n)``; the first coeff is positive.  Formally zero
-    groups carry no form.  No entry depends on a matrix; 16 are cached.
-    """
-    idx = range(1, n + m + 1)
-    alphas = list(itertools.combinations(idx, n))
-    subset = {S: i for i, S in enumerate(alphas)}
-    signs = {}
-
-    def signed(tau):
-        """(sgn tau, index of set tau) for tau without a repeated index."""
-        if tau not in signs:
-            signs[tau] = perm_sign(tau), subset[tuple(sorted(tau))]
-        return signs[tau]
-
-    forms, seen = [], set()
-    for alpha in alphas:
-        groups = {}
-        for beta, key, c in _first_family_terms(n, idx, alpha, signed):
-            terms = groups.setdefault(beta, {})
-            terms[key] = terms.get(key, 0) + c
-        for beta in sorted(groups):
-            terms = sorted((key, c) for key, c in groups[beta].items() if c)
-            if terms:
-                sign = 1 if terms[0][1] > 0 else -1
-                flat = tuple(v for key, c in terms for v in (sign * c, *key))
-                if flat not in seen:
-                    seen.add(flat)
-                    forms.append(((alpha, beta), sign, flat))
-    return tuple(forms)
-
-
-def _scaled(p: LaurentPolynomial, den: int) -> Optional[tuple]:
-    """None for zero, else (p, its packed terms times den): ints unless a
-    derivation brought in another denominator."""
-    if p.is_zero():
-        return None
+        _dpi = _SignedPi(pi_table(A) if pi is None else pi, None)
     terms = {}
-    for key, c in p._terms.items():
-        scaled = c * den
-        terms[key] = scaled.numerator if scaled.denominator == 1 else scaled
-    return p, terms
+    orderings = [pair] if pair[0] == pair[1] else [pair, (pair[1], pair[0])]
+    for k, x in enumerate(alpha, 1):
+        for r1, r2 in orderings:
+            _add_term(terms, 1, replace_position(alpha, k, r1), (x, r2) + beta_rest)
+    return _group_value(terms, A.nvars, _dpi, _dpi.value)
 
 
 # ---------------------------------------------------------------------------
@@ -373,46 +318,24 @@ def _integrable(A: AdjoinedMatrix, pis: list,
     return True
 
 
-def _scan(pi: dict, n: int, m: int,
-          family: CertifiedDerivationFamily) -> Tuple[Optional[dict], float]:
-    """For the table ``pi`` (keyed by sorted index set): the counterexample
-    at the first label of the first form, in order, whose value is nonzero,
-    or None; and the seconds spent compiling."""
-    pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
-    nvars = family.nvars
-    den = math.lcm(*(c.denominator for p in pis for c in p._terms.values()))
-    scaled = [_scaled(p, den) for p in pis]
-    derivatives = {}
-    started = time.perf_counter()
-    forms = _compiled_forms(n, m)
-    compile_s = time.perf_counter() - started
-    for (alpha, beta), sign, terms in forms:
-        total = {}
-        for i in range(0, len(terms), 4):
-            left = scaled[terms[i + 1]]
-            if left is None:
-                continue
-            r, T = terms[i + 2], terms[i + 3]
-            right = derivatives.get((r, T), _MISSING)
-            if right is _MISSING:
-                right = derivatives[r, T] = _scaled(family[r - 1].apply(pis[T]), den)
-            if right is None:
-                continue
-            (left_poly, left_terms), (right_poly, right_terms) = left, right
-            check_product_range(left_poly, right_poly)
-            multiply_into(total, left_terms, right_terms, nvars, terms[i])
-        if any(total.values()):
-            scale = sign * den * den
-            # every key is in range: each product passed check_product_range
-            residual = _from_keys(nvars, {
-                k: Fraction(v, scale) for k, v in total.items() if v}, EXPONENT_LIMIT)
+def _scan(A: AdjoinedMatrix, family: CertifiedDerivationFamily, pi: dict) -> Optional[dict]:
+    """For the table ``pi`` (keyed by sorted index set) at A's shape: the
+    counterexample at the first first-family group, in label order, whose
+    value is nonzero, or None.  Each group is evaluated by the module's
+    ``group_residual_a``, all through one cache."""
+    dpi = _SignedPi(pi, family)
+    idx = range(1, A.n + A.m + 1)
+    for alpha, beta in itertools.product(itertools.combinations(idx, A.n),
+                                         itertools.combinations(idx, A.n - 1)):
+        residual = group_residual_a(alpha, beta, A, family, _dpi=dpi)
+        if not residual.is_zero():
             return {
                 "residual_family": "first",
                 "x_pattern": list(alpha),
                 "y_tail": list(beta),
                 "residual": format_polynomial(residual),
-            }, compile_s
-    return None, compile_s
+            }
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +353,7 @@ class CriterionReport:
     counts: Dict[str, int]
     counterexample: Optional[dict]
     wall_time: float
-    # pi_table_s, frobenius_s, compile_s, evaluate_s; outside the body,
-    # like wall_time
+    # pi_table_s, frobenius_s, evaluate_s; outside the body, like wall_time
     phases: Dict[str, float] = field(default_factory=dict)
 
     def passed(self) -> bool:
@@ -508,7 +430,7 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
     pi = pi_table(A)
     pi_s = time.perf_counter() - start
     pis = [pi[S] for S in itertools.combinations(range(1, A.n + A.m + 1), A.n)]
-    counterexample, frobenius_s, compile_s = None, 0.0, 0.0
+    counterexample, frobenius_s = None, 0.0
     if any(key != _origin(family.nvars) for p in pis for key in p._terms):
         try:
             integrable = _integrable(A, pis, family)
@@ -516,7 +438,7 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
             integrable = False  # the scan meets the overflow or avoids it
         frobenius_s = time.perf_counter() - start - pi_s
         if not integrable:
-            counterexample, compile_s = _scan(pi, A.n, A.m, family)
+            counterexample = _scan(A, family, pi)
     wall = time.perf_counter() - start
     entries = [[format_polynomial(e) for e in row] for row in A.entries]
     return CriterionReport(
@@ -524,8 +446,8 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
         matrix_entries=entries,
         verdict="pass" if counterexample is None else "fail",
         counts=counts, counterexample=counterexample, wall_time=wall,
-        phases={"pi_table_s": pi_s, "frobenius_s": frobenius_s, "compile_s": compile_s,
-                "evaluate_s": wall - pi_s - frobenius_s - compile_s})
+        phases={"pi_table_s": pi_s, "frobenius_s": frobenius_s,
+                "evaluate_s": wall - pi_s - frobenius_s})
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +635,7 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
     start = time.perf_counter()
     verdicts = []
     failures = []
-    phases = dict.fromkeys(("pi_table_s", "frobenius_s", "compile_s", "evaluate_s"), 0.0)
+    phases = dict.fromkeys(("pi_table_s", "frobenius_s", "evaluate_s"), 0.0)
     for trial, A in enumerate(matrices):
         report = check_criterion(A, family, budget=budget,
                                  matrix_desc=f"scalar:random seed={seed} trial={trial}")

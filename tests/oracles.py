@@ -2,6 +2,7 @@
 
 import itertools
 
+from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import LaurentPolynomial
 
@@ -29,3 +30,70 @@ def leibniz_minors(rows):
     k = len(rows[0])
     return {subset: leibniz_det([rows[r] for r in subset])
             for subset in itertools.combinations(range(len(rows)), k)}
+
+
+class OrderedPiReads:
+    """The signed coefficients a literal evaluation reads, keyed by ordered
+    tuple: ``value(tau)`` is sgn(tau) * pi^{set tau} (``signed_pi``) and
+    ``get(r, tau)`` is d_r of it, both None when that is zero.  Entries are
+    filled on first use."""
+
+    def __init__(self, pi, family):
+        self.pi = pi
+        self.family = family
+        self._values = {}
+        self._derivatives = {}
+
+    def value(self, tau):
+        if tau not in self._values:
+            entry = signed_pi(tau, self.pi)
+            self._values[tau] = None if entry is None or entry.is_zero() else entry
+        return self._values[tau]
+
+    def get(self, r, tau):
+        if (r, tau) not in self._derivatives:
+            entry = self.value(tau)
+            if entry is not None:
+                entry = self.family[r - 1].apply(entry)
+                if entry.is_zero():
+                    entry = None
+            self._derivatives[r, tau] = entry
+        return self._derivatives[r, tau]
+
+
+def literal_group_a(alpha, beta, A, reads):
+    """The first-family group (alpha, beta), summed literally in ring
+    arithmetic over ordered tuples; the substituted row runs over every row."""
+    total = LaurentPolynomial.zero(A.nvars)
+    lead_live = reads.value(alpha) is not None
+    for r in range(1, A.n + A.m + 1):
+        if lead_live:
+            pu = reads.value((r,) + beta)
+            if pu is not None:
+                d = reads.get(r, alpha)
+                if d is not None:
+                    total = total + pu * d
+        for k in range(1, len(alpha) + 1):
+            pw = reads.value(replace_position(alpha, k, r))
+            if pw is None:
+                continue
+            d = reads.get(r, (alpha[k - 1],) + beta)
+            if d is not None:
+                total = total - pw * d
+    return total
+
+
+def literal_group_b(alpha, pair, beta_rest, A, reads):
+    """The second-family group (alpha, pair, beta_rest), summed literally over
+    both orderings of the pair."""
+    total = LaurentPolynomial.zero(A.nvars)
+    orderings = [pair] if pair[0] == pair[1] else [pair, (pair[1], pair[0])]
+    for k in range(1, len(alpha) + 1):
+        for r1, r2 in orderings:
+            pw = reads.value(replace_position(alpha, k, r1))
+            if pw is None:
+                continue
+            pu = reads.value((alpha[k - 1], r2) + beta_rest)
+            if pu is not None:
+                total = total + pw * pu
+    return total

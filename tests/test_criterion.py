@@ -7,12 +7,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import pytest
+from poisson_nlie import cli, criterion
 from poisson_nlie.criterion import (
     AssumptionsError,
     DEFAULT_GROUP_BUDGET,
     BudgetExceededError,
     _SignedPi,
-    _compiled_forms,
     _frobenius_terms,
     _integrable,
     _scan,
@@ -46,6 +46,8 @@ from poisson_nlie.ring import (
     partial_family,
 )
 from poisson_nlie.subspaces import Subspace, rref
+
+from oracles import OrderedPiReads, literal_group_a, literal_group_b
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ def residual_a(ctx: CriterionTuple, A: AdjoinedMatrix, family,
     sigma(I_k) replaces the first image of sigma(I) by the k-th image of
     sigma(J).
     """
-    signed = _SignedPi(pi_table(A) if pi is None else pi, family)
+    signed = OrderedPiReads(pi_table(A) if pi is None else pi, family)
     u, w = ctx.sigma_i, ctx.sigma_j
     r = u[0]
     total = LaurentPolynomial.zero(A.nvars)
@@ -139,7 +141,7 @@ def residual_b(ctx: CriterionTuple, A: AdjoinedMatrix, family,
     which the plain and t-swapped substitutions cancel in pairs."""
     if ctx.t is None:
         raise ValueError("residual_b needs the slot index t")
-    signed = _SignedPi(pi_table(A) if pi is None else pi, family)
+    signed = OrderedPiReads(pi_table(A) if pi is None else pi, family)
     u, w = ctx.sigma_i, ctx.sigma_j
     t = ctx.t
     total = LaurentPolynomial.zero(A.nvars)
@@ -158,15 +160,16 @@ def residual_b(ctx: CriterionTuple, A: AdjoinedMatrix, family,
     return total
 
 
-def reference_first_nonzero_group(A, family, signed):
+def reference_first_nonzero_group(A, family, pi):
     """The first grouped residual that does not vanish, as a counterexample;
     None when all vanish.  Every group is evaluated literally, the first
     family before the second, each in lexicographic order of its labels."""
+    reads = OrderedPiReads(pi, family)
     n = A.n
     idx = range(1, n + A.m + 1)
     alphas = list(itertools.combinations(idx, n))
     for alpha, beta in itertools.product(alphas, itertools.combinations(idx, n - 1)):
-        value = group_residual_a(alpha, beta, A, family, _dpi=signed)
+        value = literal_group_a(alpha, beta, A, reads)
         if not value.is_zero():
             return {
                 "residual_family": "first",
@@ -177,7 +180,7 @@ def reference_first_nonzero_group(A, family, signed):
     for alpha, pair, rest in itertools.product(
             alphas, itertools.combinations_with_replacement(idx, 2),
             itertools.combinations(idx, n - 2)):
-        value = group_residual_b(alpha, pair, rest, A, _dpi=signed)
+        value = literal_group_b(alpha, pair, rest, A, reads)
         if not value.is_zero():
             return {
                 "residual_family": "second",
@@ -490,9 +493,10 @@ def _perturbed_table(kind, n, m, rng, family):
     return pi
 
 
-class TestCompiledForms:
-    """check_criterion evaluates each distinct form once, in first-label
-    order; the literal group-by-group scan is the reference."""
+class TestStreamedScan:
+    """check_criterion evaluates the first-family groups one by one, in label
+    order, through group_residual_a, and stops at the first nonzero one; the
+    literal group-by-group scan is the reference."""
 
     @pytest.mark.parametrize("kind", ["scalar", "monomial", "gradient", "block",
                                       "rational", "negative", "partial"])
@@ -505,7 +509,7 @@ class TestCompiledForms:
         for seed in range(3):
             A = _seeded_matrix(kind, n, m, family, seed)
             report = check_criterion(A, family, matrix_desc=f"{kind} seed={seed}")
-            expected = reference_first_nonzero_group(A, family, _SignedPi(pi_table(A), family))
+            expected = reference_first_nonzero_group(A, family, pi_table(A))
             reference = {**report.to_json_dict(), "counterexample": expected,
                          "verdict": "pass" if expected is None else "fail"}
             assert json.dumps(report.to_json_dict()) == json.dumps(reference), seed
@@ -513,7 +517,7 @@ class TestCompiledForms:
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
     def test_tables_that_are_not_minor_tables(self, n, m):
         """Minor tables pass the second family by the Grassmann-Pluecker
-        identity, so _scan matches the first-family half of the literal
+        identity, so the scan matches the first-family half of the literal
         scan.  These tables are not minor tables: the literal scan reaches
         second-family counterexamples on them, so it is the identity, not
         the code, that makes the family vanish.  They also reach
@@ -528,12 +532,12 @@ class TestCompiledForms:
             for trial in range(40):
                 kind = kinds[trial % len(kinds)]
                 pi = _perturbed_table(kind, n, m, rng, family)
-                expected = reference_first_nonzero_group(A, family, _SignedPi(pi, family))
-                got, _ = _scan(pi, n, m, family)
+                expected = reference_first_nonzero_group(A, family, pi)
+                got = _scan(A, family, pi)
                 if expected is not None:
                     failed.add(expected["residual_family"])
                     if expected["residual_family"] == "second":
-                        expected = None  # _scan evaluates the first family only
+                        expected = None  # the scan evaluates the first family only
                 assert got == expected, (derivations, trial, kind)
             assert "first" in failed
             if n > 2:
@@ -541,35 +545,58 @@ class TestCompiledForms:
             else:
                 assert "second" not in failed  # the family is formally zero at n = 2
 
-    def test_form_counts(self):
-        counts = {shape: len(_compiled_forms(*shape)) for shape in ((5, 2), (4, 3))}
-        assert counts == {(5, 2): 350, (4, 3): 665}
-
-    def test_each_shape_compiles_once(self):
-        """A scalar table compiles nothing, nor does a passing polynomial
-        check, which the Frobenius test decides; a second failing check of
-        a shape compiles nothing."""
-        _compiled_forms.cache_clear()
+    def test_only_a_failing_check_evaluates_groups(self, monkeypatch):
+        """A scalar table evaluates no group, nor does a passing polynomial
+        check, which the Frobenius test decides; a failing check evaluates
+        the same prefix of groups each time it runs."""
+        calls = []
+        evaluate = criterion.group_residual_a
+        monkeypatch.setattr(criterion, "group_residual_a",
+                            lambda *a, **k: calls.append(a[:2]) or evaluate(*a, **k))
         family = euler_family(7)
         for seed in (3, 4):
             report = check_criterion(MonomialSampler(7, seed=seed).scalar_matrix(5, 2), family)
             assert report.passed()
-            assert report.phases["compile_s"] == 0.0
             assert report.phases["frobenius_s"] == 0.0
-            assert _compiled_forms.cache_info().misses == 0
         sampler = MonomialSampler(7, seed=5)
         A = gradient_matrix(5, 2, [sampler.binomial() for _ in range(2)], family)
         report = check_criterion(A, family)
-        assert report.passed()
-        assert report.phases["compile_s"] == 0.0 and report.phases["frobenius_s"] > 0.0
-        assert _compiled_forms.cache_info().misses == 0
+        assert report.passed() and report.phases["frobenius_s"] > 0.0
+        assert calls == []
         t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
         A = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
+        prefixes = []
         for _ in range(2):
             report = check_criterion(A, euler_family(3))
-            assert report.counterexample["residual_family"] == "first"
-            assert _compiled_forms.cache_info().misses == 1
-        assert set(report.phases) == {"pi_table_s", "frobenius_s", "compile_s", "evaluate_s"}
+            cx = report.counterexample
+            assert cx["residual_family"] == "first"
+            assert calls[-1] == (tuple(cx["x_pattern"]), tuple(cx["y_tail"]))
+            prefixes.append(calls[:])
+            calls.clear()
+        assert prefixes[0] == prefixes[1] and prefixes[0]
+        assert set(report.phases) == {"pi_table_s", "frobenius_s", "evaluate_s"}
+
+    def test_a_failing_cli_check_evaluates_its_prefix(self, capsys, monkeypatch):
+        """criterion-check at (9, 3) on a random monomial matrix fails at the
+        third of its 108,900 first-family groups and evaluates only those
+        three, the second time as the first: no scan state is kept."""
+        calls = []
+        evaluate = criterion.group_residual_a
+        monkeypatch.setattr(criterion, "group_residual_a",
+                            lambda *a, **k: calls.append(a[:2]) or evaluate(*a, **k))
+        cached = {name for name, value in vars(criterion).items()
+                  if hasattr(value, "cache_info") and value.__module__ == criterion.__name__}
+        assert cached == {"_frobenius_terms"}  # shape data of the Frobenius pass only
+        for _ in range(2):
+            code = cli.run(["criterion-check", "--n", "9", "--m", "3", "--matrix",
+                            "monomial:random", "--seed", "0", "--quiet"])
+            report = json.loads(capsys.readouterr().out)
+            assert code == 1 and report["verdict"] == "fail"
+            assert report["counts"]["groups_first_family"] == 108_900
+            cx = report["counterexample"]
+            assert len(calls) == 3
+            assert calls[-1] == (tuple(cx["x_pattern"]), tuple(cx["y_tail"]))
+            calls.clear()
 
 
 def generic_matrix(n, m, nv=None):
@@ -681,7 +708,7 @@ class TestFrobenius:
                 pi = pi_table(A)
                 pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
                 verdict = _integrable(A, pis, family)
-                assert verdict == (_scan(pi, n, m, family)[0] is None), (derivations, kind)
+                assert verdict == (_scan(A, family, pi) is None), (derivations, kind)
                 verdicts[kind] = verdict
             assert verdicts["combination"] and verdicts["scaled"], derivations
             assert not verdicts["nudged"] and not verdicts["monomial"], derivations
@@ -760,8 +787,8 @@ class TestFrobenius:
 
 
 class TestPackedEvaluation:
-    """The compiled forms are evaluated on packed integer monomials; the
-    ring's exponent range and its error are kept."""
+    """Groups are evaluated on packed integer monomials; the ring's exponent
+    range and its error are kept."""
 
     BIG = 2**30 + 5
 
@@ -833,7 +860,7 @@ class TestPackedEvaluation:
                 return _original(self, other)
 
             monkeypatch.setattr(LaurentPolynomial, name, counting)
-        counterexample, _ = _scan(pi, 3, 3, family)
+        counterexample = _scan(A, family, pi)
         assert counterexample is None
         assert _integrable(A, pis, family)
         assert calls == []
