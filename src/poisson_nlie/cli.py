@@ -541,6 +541,10 @@ def run(argv=None) -> int:
     except MemoryError as exc:
         report["error"] = f"out of memory: {exc}" if str(exc) else "out of memory"
         code, summary = EXIT_INTERNAL, report["error"]
+    except Exception as exc:
+        # any other exception is a fault in the program: report it, never a traceback
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        code, summary = EXIT_INTERNAL, f"internal error: {report['error']}"
     report["exit_code"] = code
     report["timing"] = {**report.get("timing", {}),
                         "wall_s": round(time.perf_counter() - started, 6)}

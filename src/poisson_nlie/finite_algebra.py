@@ -38,9 +38,8 @@ from .subspaces import (
     is_nilpotent_matrix,
     kernel,
     mat_pow,
-    mat_sub,
     rational_eigenvalues,
-    scale_matrix,
+    shift_diagonal,
     sv_to_dense,
 )
 
@@ -678,8 +677,7 @@ def _common_eigenspace(P: StructAlgebra) -> Optional[Tuple[Subspace, Dict[tuple,
             spectra[position] = sorted(rational_eigenvalues(matrix),
                                        key=lambda lam: (lam != 0, lam))
         for lam in spectra[position]:
-            shifted = mat_sub(matrix, scale_matrix(lam, P.dim))
-            cut = space.intersection(kernel(shifted, P.dim))
+            cut = space.intersection(kernel(shift_diagonal(matrix, lam), P.dim))
             if cut.is_zero():
                 continue
             chosen[matrix] = lam
@@ -779,8 +777,7 @@ def solvable_flag(P: StructAlgebra) -> Optional[List[Subspace]]:
 def generalized_eigenspace(P: StructAlgebra, a: SVec, eigenvalue) -> Subspace:
     """ker (L_a - lambda)^dim; always an ideal, asserted as a postcondition."""
     matrix = P.left_mult_matrix(a)
-    shifted = mat_sub(matrix, scale_matrix(eigenvalue, P.dim))
-    space = kernel(mat_pow(shifted, P.dim), P.dim)
+    space = kernel(mat_pow(shift_diagonal(matrix, eigenvalue), P.dim), P.dim)
     if not is_ideal(space, P):
         raise InternalCheckError("generalized eigenspaces must be ideals")
     return space

@@ -7,11 +7,19 @@ equal iff their rows are; a sum, a kernel or an intersection comes out of
 one sparse ``rref`` in that form.  Dense tuples appear only at the output
 edge (``Subspace.basis``) and in operator matrices (``mat_*``,
 ``det_fraction``, ``char_poly``).  Nothing here ever rounds.
+
+Operator matrices have one integer-scaling step, ``_integer_scaled``: M
+with entries in Q becomes B = D M, with D the lcm of the entry
+denominators.  ``char_poly`` runs Berkowitz's division-free method on B
+(about n^4/4 integer multiply-adds) and returns c_k = b_k / D^k;
+``mat_pow`` multiplies B and returns B^p / D^p.  Both work on plain ints
+and make Fractions only of their results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -176,33 +184,41 @@ def mat_vec(matrix: Sequence[Sequence], vector: Sequence) -> Vector:
                  for row in matrix)
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), _F0) for col in bt)
-                 for row in a)
-
-
-def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) - Fraction(y) for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def scale_matrix(c, dim: int) -> Matrix:
+def shift_diagonal(matrix: Sequence[Sequence], c) -> Matrix:
+    """M - c I, with only the diagonal entries rebuilt."""
     c = Fraction(c)
-    return tuple(tuple(c if i == j else _F0 for j in range(dim)) for i in range(dim))
+    return tuple(tuple(row[:i]) + (row[i] - c,) + tuple(row[i + 1:])
+                 for i, row in enumerate(matrix))
+
+
+def _integer_scaled(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """(B, D) with D the lcm of the entry denominators of M and B = D M,
+    an integer matrix given as lists of plain ints."""
+    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (denom // v.denominator) for v in row] for row in rows], denom
+
+
+def _int_mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    bt = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_pow(matrix: Sequence[Sequence], power: int) -> Matrix:
-    dim = len(matrix)
-    result = scale_matrix(1, dim)
-    base = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    """M^p, computed as B^p / D^p on the integer matrix B = D M of
+    ``_integer_scaled``: the products run on plain ints and only the
+    result is converted back to Fractions."""
+    b, denom = _integer_scaled(matrix)
+    dim = len(b)
+    result = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    scale = denom ** power
     while power:
         if power & 1:
-            result = mat_mul(result, base)
+            result = _int_mat_mul(result, b)
         power >>= 1
         if power:
-            base = mat_mul(base, base)
-    return result
+            b = _int_mat_mul(b, b)
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in result)
 
 
 def is_nilpotent_matrix(matrix: Sequence[Sequence]) -> bool:
@@ -242,27 +258,33 @@ def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
     return det
 
 
-def trace(matrix: Sequence[Sequence]) -> Fraction:
-    return sum((Fraction(matrix[i][i]) for i in range(len(matrix))), _F0)
-
-
 def char_poly(matrix: Sequence[Sequence]) -> List[Fraction]:
-    """Monic characteristic polynomial by Faddeev-LeVerrier.
+    """Monic characteristic polynomial det(xI - M) by Berkowitz's
+    division-free method (Inf. Process. Lett. 18, 1984).
 
     Returns coefficients [1, c1, ..., cn] of x^n + c1 x^{n-1} + ... + cn.
+    Berkowitz runs on the integer matrix B = D M of ``_integer_scaled``,
+    whose coefficients are b_k = D^k c_k, so c_k = b_k / D^k.  Adding row
+    and column r to the leading r x r block A multiplies the coefficient
+    vector so far by the lower triangular Toeplitz matrix with first column
+    (1, -a_rr, -R C, -R A C, ..., -R A^{r-1} C), where R and C are the new
+    row and column: about n^4/4 integer multiply-adds in all, and no
+    division until the last step.
     """
-    n = len(matrix)
-    m = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-    coeffs = [_F1]
-    aux = m
-    for k in range(1, n + 1):
-        ck = -trace(aux) / k
-        coeffs.append(ck)
-        if k < n:
-            shifted = tuple(tuple(aux[i][j] + (ck if i == j else _F0)
-                                  for j in range(n)) for i in range(n))
-            aux = mat_mul(m, shifted)
-    return coeffs
+    b, denom = _integer_scaled(matrix)
+    poly = [1]
+    for r in range(len(b)):
+        block = [row[:r] for row in b[:r]]
+        new_row = b[r][:r]
+        toeplitz = [1, -b[r][r]]
+        vec = [row[r] for row in b[:r]]
+        for k in range(r):
+            if k:
+                vec = [sum(map(operator.mul, row, vec)) for row in block]
+            toeplitz.append(-sum(map(operator.mul, new_row, vec)))
+        poly = [sum(toeplitz[j] * poly[k - j] for j in range(max(0, k - r), k + 1))
+                for k in range(r + 2)]
+    return [Fraction(c, denom ** k) for k, c in enumerate(poly)]
 
 
 def _divisors(value: int) -> List[int]:
@@ -286,9 +308,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
         coeffs = coeffs[1:]
     if not coeffs or len(coeffs) == 1:
         return []
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
     roots = []
     trailing = 0
@@ -299,19 +319,19 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
         roots.append(_F0)
     if len(ints) <= 1:
         return roots
-    lead, tail = ints[0], ints[-1]
-    seen = set(roots)
-    for p in _divisors(tail):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                value = Fraction(0)
-                for c in ints:
-                    value = value * cand + c
-                if value == 0:
-                    seen.add(cand)
-                    roots.append(cand)
+    tails = _divisors(ints[-1])
+    for q in _divisors(ints[0]):
+        # p/q in lowest terms is a root iff sum_i c_i p^(d-i) q^i = 0
+        weights = [c * q ** i for i, c in enumerate(ints)]
+        for p in tails:
+            if math.gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                value = 0
+                for w in weights:
+                    value = value * num + w
+                if not value:
+                    roots.append(Fraction(num, q))
     return sorted(roots)
 
 

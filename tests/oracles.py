@@ -1,6 +1,7 @@
 """Independent reference implementations that the tests compare against."""
 
 import itertools
+from fractions import Fraction
 
 from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign
@@ -30,6 +31,18 @@ def leibniz_minors(rows):
     k = len(rows[0])
     return {subset: leibniz_det([rows[r] for r in subset])
             for subset in itertools.combinations(range(len(rows)), k)}
+
+
+def mat_sub(a, b):
+    """Entrywise difference of two dense matrices, as Fractions."""
+    return tuple(tuple(Fraction(x) - Fraction(y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def scale_matrix(c, dim):
+    """c times the dim x dim identity, as Fractions."""
+    c = Fraction(c)
+    return tuple(tuple(c if i == j else Fraction(0) for j in range(dim)) for i in range(dim))
 
 
 class OrderedPiReads:

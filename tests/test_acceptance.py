@@ -61,11 +61,11 @@ from poisson_nlie.ring import (
 from poisson_nlie.subspaces import (
     Subspace,
     mat_pow,
-    mat_sub,
     mat_vec,
-    scale_matrix,
     unit_vector,
 )
+
+from oracles import mat_sub, scale_matrix
 
 F1 = Fraction(1)
 

@@ -153,6 +153,18 @@ class TestBasics:
         assert report["exit_code"] == 4 and report["error"] == "out of memory"
         assert "out of memory" in err
 
+    @pytest.mark.parametrize("error", [TypeError("unsupported operand"), KeyError(3)])
+    def test_any_other_exception_exits_four_with_a_report(self, capsys, monkeypatch, error):
+        def broken(args):
+            raise error
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        code, report, err = invoke(capsys, "classify", "fixture:hypo")
+        expected = f"{type(error).__name__}: {error}"
+        assert code == cli.EXIT_INTERNAL == 4
+        assert report["exit_code"] == 4 and report["error"] == expected
+        assert report["command"] == "classify" and "Traceback" not in err
+        assert err.strip() == f"internal error: {expected}"
+
     def test_one_parser_serves_consecutive_runs(self, capsys, tmp_path):
         """The parser is built once, on first use, and a run leaves it as it
         was: a usage error, --version and valid commands in a row report

@@ -44,8 +44,9 @@ from poisson_nlie.finite_algebra import (
 from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import ParseError
 from poisson_nlie.subspaces import (
-    Subspace, is_nilpotent_matrix, kernel, mat_pow, mat_sub, mat_vec, rational_eigenvalues,
-    scale_matrix, unit_vector)
+    Subspace, is_nilpotent_matrix, kernel, mat_pow, mat_vec, rational_eigenvalues, unit_vector)
+
+from oracles import mat_sub, scale_matrix
 
 F1 = Fraction(1)
 

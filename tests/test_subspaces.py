@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,15 +13,16 @@ from poisson_nlie.subspaces import (
     is_nilpotent_matrix,
     kernel,
     mat_pow,
-    mat_sub,
     mat_vec,
     rational_eigenvalues,
     rational_roots,
     rref,
-    scale_matrix,
+    shift_diagonal,
     sv_to_dense,
     unit_vector,
 )
+
+from oracles import mat_sub, scale_matrix
 
 small = st.integers(-4, 4).map(Fraction)
 vectors4 = st.tuples(small, small, small, small)
@@ -166,9 +168,9 @@ class TestKernels:
 
     def test_eigenspace(self):
         m = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(3)))
-        assert kernel(mat_sub(m, scale_matrix(2, 2)), 2).basis == (unit_vector(2, 0),)
-        assert kernel(mat_sub(m, scale_matrix(2, 2)), 2).rows == ({0: 1},)
-        assert kernel(mat_sub(m, scale_matrix(5, 2)), 2).dim == 0
+        assert kernel(shift_diagonal(m, 2), 2).basis == (unit_vector(2, 0),)
+        assert kernel(shift_diagonal(m, 2), 2).rows == ({0: 1},)
+        assert kernel(shift_diagonal(m, 5), 2).dim == 0
 
     def test_kernel_without_rows_is_the_whole_space(self):
         for ncols in range(4):
@@ -346,7 +348,85 @@ class TestMatrixTools:
     def test_char_poly_root_kills_matrix(self, rows):
         m = tuple(tuple(row) for row in rows)
         for lam in rational_eigenvalues(m):
-            assert det_fraction(mat_sub(m, scale_matrix(lam, 3))) == 0
+            assert det_fraction(shift_diagonal(m, lam)) == 0
+
+    @given(st.lists(st.tuples(small, small, small), min_size=3, max_size=3), small)
+    @settings(max_examples=40, deadline=None)
+    def test_shift_diagonal_is_subtracting_a_scalar_matrix(self, rows, lam):
+        assert shift_diagonal(rows, lam) == mat_sub(rows, scale_matrix(lam, 3))
+
+
+def _operator_matrices():
+    """Square matrices for the integer kernels: seeded ones of size 0-10
+    with mixed denominators, zero rows and columns and plain int entries,
+    then every distinct adjoint and left multiplication operator of the two
+    fixtures, named by where each first occurs."""
+    from poisson_nlie.finite_algebra import fixture_hypo, fixture_torus
+
+    rng = random.Random(25)
+    cases = {}
+    for n in range(11):
+        for variant in range(2):
+            zero_row, zero_col = rng.randrange(n + 1), rng.randrange(n + 1)
+
+            def entry(i, j):
+                if i == zero_row or j == zero_col or rng.random() < 0.3:
+                    return 0 if variant else Fraction(0)
+                if variant and rng.random() < 0.5:
+                    return rng.randint(-7, 7)  # a plain int
+                return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 35)))
+
+            cases[f"random_{n}_{variant}"] = tuple(
+                tuple(entry(i, j) for j in range(n)) for i in range(n))
+    seen = set()
+    for name, P in (("hypo", fixture_hypo()), ("torus", fixture_torus())):
+        operators = [(f"{name}.ad{tup}",
+                      P.adjoint_matrix([{i: Fraction(1)} for i in tup]))
+                     for tup in itertools.combinations(range(P.dim), P.arity - 1)]
+        operators += [(f"{name}.L{i}", P.left_mult_matrix({i: Fraction(1)}))
+                      for i in range(P.dim)]
+        for label, matrix in operators:
+            if matrix not in seen:
+                seen.add(matrix)
+                cases[label] = matrix
+    return cases
+
+
+OPERATORS = _operator_matrices()
+
+
+class TestIntegerKernels:
+    """``char_poly`` and ``mat_pow`` run on the denominator-cleared integer
+    matrix; sympy is the test-only oracle, and Cayley-Hamilton ties the two
+    kernels together."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_against_sympy(self, sp, name):
+        m = OPERATORS[name]
+        n = len(m)
+        expected = TestAgainstSympy.to_sympy(sp, m) if n else sp.zeros(0, 0)
+        coeffs = char_poly(m)
+        assert all(type(c) is Fraction for c in coeffs)
+        assert coeffs == [Fraction(int(c.p), int(c.q))
+                          for c in expected.charpoly(sp.Symbol("x")).all_coeffs()]
+        for k in range(n + 1):
+            power = mat_pow(m, k)
+            assert all(type(v) is Fraction for row in power for v in row)
+            assert power == (TestAgainstSympy.from_sympy(expected ** k) if n else ())
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_cayley_hamilton(self, name):
+        m = OPERATORS[name]
+        n = len(m)
+        total = [[Fraction(0)] * n for _ in range(n)]
+        for k, c in enumerate(char_poly(m)):
+            for row, power_row in zip(total, mat_pow(m, n - k)):
+                row[:] = [a + c * b for a, b in zip(row, power_row)]
+        assert all(v == 0 for row in total for v in row)
 
 
 class TestNoDenseRoundTrip:
