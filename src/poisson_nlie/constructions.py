@@ -251,7 +251,12 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
             for place in places:
                 y = b // place % d
                 for l, c in images[a][y].items():
-                    _sv_accum(acc, {b + (l - y) * place: c}, Fraction(1))
+                    k = b + (l - y) * place
+                    value = acc[k] + c if k in acc else c
+                    if value:
+                        acc[k] = value
+                    else:
+                        del acc[k]
             if acc:
                 brackets[(a, b)] = acc
     products: Dict[Tuple[int, int], SVec] = {}

@@ -10,8 +10,11 @@ idempotent bookkeeping.  The series, the classification and both
 nilradical searches (two-operation and bracket-only) share one descent
 loop, ``_series_terms``; both searches share one greedy adjoin-and-close
 loop, and every basis adjoint comes from ``_adjoint_generators``.  Both
-operations are evaluated by ``_multilinear`` and spanned by ``_span``, which
-fills whole-space slots only from stored keys.
+operations are evaluated by ``_multilinear`` and spanned by ``_span``: each
+slot that is not the whole space has its rows indexed by entry, and the
+algebra's table of stored-key arrangements (built once per operation and
+whole-slot pattern, and kept on the algebra) is met against that index, so
+only images that can be nonzero are formed.
 
 Structure constants, evaluations and ``Subspace`` rows share the sparse
 vectors of ``subspaces`` (``{index: Fraction}``); dense tuples appear only in
@@ -85,6 +88,8 @@ class StructAlgebra:
         self.skew = skew
         self._bracket: Dict[tuple, SVec] = {}
         self._product: Dict[Tuple[int, int], SVec] = {}
+        # (operation, whole-slot positions) -> _arrangement_table's entries
+        self._arrangements: Dict[Tuple[str, tuple], list] = {}
         for key, value in (brackets or {}).items():
             key = tuple(key)
             if len(key) != arity or any(not 0 <= i < dim for i in key):
@@ -146,6 +151,43 @@ class StructAlgebra:
         if len(ys) != self.arity - 1:
             raise ValueError("adjoint needs n-1 leading arguments")
         return self._operator_matrix(lambda v: self.bracket(list(ys) + [v]))
+
+    def _arrangement_table(self, op: str, whole: Tuple[int, ...]) -> list:
+        """(fill, rest, sign, value) per arrangement t of a stored key of
+        ``op`` (``"bracket"`` or ``"product"``) whose entries at the
+        positions ``whole`` are sorted; fill and rest are t at and off those
+        positions, t evaluates to sign * value, and value is the stored
+        vector itself.  Unordered storage (the product, alternating
+        brackets) gives a key of distinct entries n!/w! arrangements, and
+        raw storage only the key as stored.  Built once per operation and
+        pattern: the stored entries never change."""
+        table = self._arrangements.get((op, whole))
+        if table is not None:
+            return table
+        stored, n = (self._product, 2) if op == "product" else (self._bracket, self.arity)
+        partial = tuple(p for p in range(n) if p not in whole)
+        signed = op == "bracket" and self.skew
+        # fill + rest lists t with the whole slots first: reordering t that
+        # way changes its sign by the sign of that order of the positions
+        order_sign = perm_sign(whole + partial)
+        table = []
+        for key, value in stored.items():
+            if op == "bracket" and not self.skew:
+                splits = [(tuple(key[p] for p in whole), tuple(key[p] for p in partial))]
+            else:
+                # the key is sorted, so each choice of entries for the whole
+                # slots is in order already; a square product key repeats
+                # its splits, which count once
+                splits = dict.fromkeys(
+                    (tuple(key[i] for i in chosen), rest)
+                    for chosen in itertools.combinations(range(n), len(whole))
+                    for rest in itertools.permutations(
+                        [key[i] for i in range(n) if i not in chosen]))
+            for fill, rest in splits:
+                sign = perm_sign(fill + rest) * order_sign if signed else 1
+                table.append((fill, rest, sign, value))
+        self._arrangements[(op, whole)] = table
+        return table
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -348,38 +390,53 @@ def _require_verified(P: StructAlgebra, label: str) -> None:
 # Subspace arithmetic driven by the algebra
 # ---------------------------------------------------------------------------
 
-def _span(P: StructAlgebra, value, keys, unordered: bool,
-          slots: Sequence[Subspace]) -> Subspace:
-    """Span of the multilinear ``value`` with slot p drawn from slots[p].
+def _row_index(U: Subspace) -> Dict[int, List[Tuple[int, Fraction]]]:
+    """{entry: [(row number, coefficient), ...]} over U's RREF rows."""
+    index: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for r, row in enumerate(U.rows):
+        for i, c in row.items():
+            index.setdefault(i, []).append((r, c))
+    return index
 
-    ``value`` is zero off the stored ``keys`` (off every order of them when
-    ``unordered``, where reordering changes at most the sign), so a slot
-    holding the whole space takes only the entries keys carry there."""
-    whole = [p for p, U in enumerate(slots) if U.dim == P.dim]
-    pools = [[] if p in whole else U.rows for p, U in enumerate(slots)]
-    if unordered:
-        fills = {fill for key in keys for fill in itertools.combinations(key, len(whole))}
-    else:
-        fills = {tuple(key[p] for p in whole) for key in keys}
-    vectors = []
-    for fill in fills:
-        for p, i in zip(whole, fill):
-            pools[p] = [{i: Fraction(1)}]
-        images = (_multilinear(value, combo) for combo in itertools.product(*pools))
-        vectors += [w for w in images if w]
-    return Subspace.zero(P.dim).adjoin(vectors)
+
+def _span(P: StructAlgebra, op: str, slots: Sequence[Subspace]) -> Subspace:
+    """Span of the operation ``op`` with slot p drawn from slots[p].
+
+    A slot holding the whole space takes unit vectors; the image of one
+    fill of those slots with one row per other slot is the sum, over the
+    arrangements t of stored keys that carry the fill (see
+    ``_arrangement_table``), of the rows' coefficients at t times t's
+    value.  Each other slot's rows are indexed by entry, so only the row
+    tuples whose entries hit t are visited (Gustavson's row-indexed sparse
+    product, ACM TOMS 4(3), 1978), and no image that must be zero is formed."""
+    if any(U.ambient != P.dim for U in slots):
+        raise ValueError("ambient dimension mismatch")
+    whole = tuple(p for p, U in enumerate(slots) if U.dim == P.dim)
+    index = [_row_index(U) for U in slots if U.dim != P.dim]
+    images: Dict[tuple, SVec] = {}
+    for fill, rest, sign, value in P._arrangement_table(op, whole):
+        hits = [idx.get(i) for idx, i in zip(index, rest)]
+        if not all(hits):
+            continue
+        for combo in itertools.product(*hits):
+            coeff = sign
+            for _, c in combo:
+                coeff *= c
+            rows = tuple(r for r, _ in combo)
+            _sv_accum(images.setdefault((fill, rows), {}), value, coeff)
+    return Subspace.zero(P.dim).adjoin(w for w in images.values() if w)
 
 
 def subspace_product(U: Subspace, V: Subspace, P: StructAlgebra) -> Subspace:
     """Span of u . v over basis vectors."""
-    return _span(P, lambda key: P.product_basis(*key), P._product, True, [U, V])
+    return _span(P, "product", [U, V])
 
 
 def bracket_span(subspaces: Sequence[Subspace], P: StructAlgebra) -> Subspace:
     """Span of [u_1, ..., u_n] with slot p drawn from subspaces[p]."""
     if len(subspaces) != P.arity:
         raise ValueError("bracket_span needs one subspace per slot")
-    return _span(P, P.bracket_basis, P._bracket, P.skew, subspaces)
+    return _span(P, "bracket", subspaces)
 
 
 def full_space(P: StructAlgebra) -> Subspace:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -310,6 +311,21 @@ class TestSubspaceOps:
         assert is_subalgebra(span(7, 0, 1, 2, 6), hypo)
         assert not is_subalgebra(span(7, 3, 4), hypo)  # e4.e5 leaves the span
 
+    def test_slots_must_live_in_the_algebra(self, hypo):
+        """A subspace of another ambient space is refused, not spanned into
+        a wrong answer."""
+        whole = full_space(hypo)
+        calls = [
+            lambda: bracket_span([Subspace.full(9)] + [whole] * 3, hypo),
+            lambda: bracket_span([whole] * 3 + [Subspace.zero(6)], hypo),
+            lambda: subspace_product(whole, Subspace.full(3), hypo),
+            lambda: is_ideal(Subspace.full(3), hypo),
+            lambda: ideal_closure(Subspace.zero(8), hypo),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                call()
+
 
 def _bracket_span_by_scan(subspaces, P):
     """The former bracket_span, kept as the reference: every combination of
@@ -364,11 +380,26 @@ def _slot_patterns(P, rng):
                                 for _ in range(2)}, d) for _ in range(rng.randint(1, 3))]
         return Subspace.from_vectors(d, vectors)
 
+    def dense_subspace(k):
+        """k random vectors with every entry nonzero and most not +-1: the
+        RREF rows are dense off the pivots and share those entries."""
+        entries = [Fraction(a, b) for a in (-3, -2, -1, 1, 2, 5) for b in (1, 2, 3)]
+        return Subspace.from_vectors(d, [[rng.choice(entries) for _ in range(d)]
+                                         for _ in range(min(k, d))])
+
     U, V = random_subspace() if d else zero, ideal_closure(random_subspace(), P) if d else zero
+    line, plane, hyperplane = dense_subspace(1), dense_subspace(2), dense_subspace(d - 1)
+    # spans of independent dense lines are at most a few images, each a sum
+    # over many arrangements weighted by the rows' coefficients
+    lines = [dense_subspace(1) for _ in range(n)]
     return [[whole] * n, [U] + [whole] * (n - 1), [whole, U] + [whole] * (n - 2),
             [whole] * (n - 1) + [V], [U, V] + [whole] * (n - 2), [whole, V] + [U] * (n - 2),
             [U] * n, [V] * n, [proper] * n, [zero] + [whole] * (n - 1),
-            [whole] * (n - 1) + [zero]]
+            [whole] * (n - 1) + [zero],
+            [line] + [whole] * (n - 1), [whole] * (n - 1) + [plane],
+            [plane, hyperplane] + [whole] * (n - 2), [hyperplane] * n,
+            [line, U] + [plane] * (n - 2), [whole, hyperplane] + [line] * (n - 2),
+            lines, [plane] + lines[1:], [hyperplane] + lines[1:]]
 
 
 class TestSpansFollowStoredEntries:
@@ -408,6 +439,60 @@ class TestSpansFollowStoredEntries:
         monkeypatch.setattr(finite_algebra, "bracket_span", _bracket_span_by_scan)
         monkeypatch.setattr(finite_algebra, "subspace_product", _subspace_product_by_scan)
         assert results() == fast
+
+    def test_arrangement_tables_list_each_sorted_arrangement_once(self):
+        """n!/w! arrangements per key of distinct entries, with sorted
+        whole-slot part, each carrying its bracket; a square product key
+        has one arrangement, and raw storage keeps the key as stored."""
+        P = fixture_hypo()
+        for whole in [(), (0,), (1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]:
+            partial = [p for p in range(4) if p not in whole]
+            table = P._arrangement_table("bracket", whole)
+            assert len(table) == len(P._bracket) * math.factorial(4) // math.factorial(len(whole))
+            assert len({(fill, rest) for fill, rest, _, _ in table}) == len(table)
+            for fill, rest, sign, value in table:
+                assert list(fill) == sorted(fill)
+                t = dict(zip(whole, fill))
+                t.update(zip(partial, rest))
+                key = tuple(t[p] for p in range(4))
+                assert P.bracket_basis(key) == {i: sign * c for i, c in value.items()}
+        Q = StructAlgebra(3, 2, {}, {(1, 1): e(0), (0, 2): e(1)})
+        assert [len(Q._arrangement_table("product", whole)) for whole in [(), (0,), (1,), (0, 1)]] \
+            == [3, 3, 3, 2]
+        raw = _raw_algebras()[0]
+        assert [(fill, rest) for fill, rest, _, _ in raw._arrangement_table("bracket", (1,))] \
+            == [((key[1],), (key[0], key[2])) for key in raw._bracket]
+
+    def test_a_warm_memo_changes_nothing_seen(self, span_algebras):
+        """The arrangement memo is a cache of the stored entries: spans on an
+        algebra whose memo is warm equal those on a fresh copy, the memo
+        points at the stored vectors, and neither equality nor the
+        serialized form sees it."""
+        def fresh(P):
+            return StructAlgebra(P.dim, P.arity, dict(P.bracket_entries()),
+                                 dict(P.product_entries()), skew=P.skew)
+
+        rng = random.Random(5)
+        warmed = 0
+        for P in span_algebras:
+            warm = fresh(P)
+            text = format_algebra(warm) if warm.skew else None
+            patterns = _slot_patterns(warm, rng)
+            spans = [(bracket_span(slots, warm), subspace_product(slots[0], slots[-1], warm))
+                     for slots in patterns]
+            warmed += bool(warm._arrangements)
+            stored = {id(v) for v in itertools.chain(warm._bracket.values(),
+                                                     warm._product.values())}
+            assert all(id(value) in stored for table in warm._arrangements.values()
+                       for _, _, _, value in table)
+            assert warm == fresh(P) == P and repr(warm) == repr(fresh(P))
+            if warm.skew:
+                assert format_algebra(warm) == text
+            for slots, (br, pr) in zip(patterns, spans):
+                assert bracket_span(slots, warm) == br == bracket_span(slots, fresh(P))
+                assert subspace_product(slots[0], slots[-1], warm) == pr \
+                    == subspace_product(slots[0], slots[-1], fresh(P))
+        assert warmed >= len(span_algebras) - 1  # all but the empty algebra
 
     def test_classification_brackets_only_stored_combinations(self, monkeypatch):
         """A return to bracketing every combination of basis vectors would
