@@ -639,18 +639,22 @@ def _adapted_basis(P: StructAlgebra) -> List[SVec]:
 def _greedy_ideal(start: Subspace, candidates: Sequence[SVec], closure,
                   nilpotent) -> Subspace:
     """The one greedy search: adjoin each candidate whose ``closure`` with
-    the current ideal stays ``nilpotent``, sweeping until a pass adds none."""
+    the current ideal stays ``nilpotent``, in one sweep.
+
+    A second sweep could add nothing.  The current ideal only grows, and
+    closures are monotone, so a candidate rejected against U would later
+    be tried as closure(V + row), which contains closure(U + row), for
+    some V containing U.  An ideal inside a nilpotent ideal is nilpotent,
+    because each lower-central or bracket-power term of the smaller lies
+    in the matching term of the larger; so closure(V + row) is not
+    nilpotent either, and a rejected candidate stays rejected."""
     current = start
-    changed = True
-    while changed:
-        changed = False
-        for row in candidates:
-            if current.contains(row):
-                continue
-            grown = closure(current.adjoin([row]))
-            if nilpotent(grown):
-                current = grown
-                changed = True
+    for row in candidates:
+        if current.contains(row):
+            continue
+        grown = closure(current.adjoin([row]))
+        if nilpotent(grown):
+            current = grown
     return current
 
 

@@ -6,7 +6,9 @@ equality of ring elements and no rounding can ever occur.  On top of the
 ring live commuting derivations (with pairwise-commutation certification)
 and exact ring-valued determinants: one division-free routine,
 ``maximal_minors``, gives every maximal minor of a matrix, and ``det_ring``
-is the square case.
+is the square case.  It expands on packed terms with ``int`` coefficients,
+each column scaled by the lcm of its denominators, and builds one
+``Fraction`` per term of each minor at the end.
 
 This module alone encodes exponent vectors: each term is keyed by one
 packed integer (Monagan and Pearce, CASC 2007) whose integer order is the
@@ -493,6 +495,18 @@ def maximal_minors(rows) -> dict:
     every j-subset of rows, and each is extended by the rows outside it,
     skipping zero entries and zero sub-minors.  That is at most
     sum_{j <= k} C(N, j) * j products and no division.
+
+    The expansion runs on packed terms with ``int`` coefficients: column j
+    is scaled by the lcm D_j of its coefficient denominators, and as every
+    maximal minor takes one entry from each column, every minor comes out
+    scaled by D = D_0 * ... * D_{k-1}, divided out once per term at the end.
+    Each sub-minor carries the exponent bound and term order that ring
+    arithmetic would give it (a product's bound is the sum of its factors',
+    capped at EXPONENT_LIMIT, a sum's the larger of its operands'; each
+    product's nonzero terms are merged into the sum in order, a cancelled
+    term dropped), and a product is range-checked by
+    ``check_product_range`` when its factors' bounds sum past the limit, so
+    an overflowing input raises the same error as ``entry * minor`` would.
     """
     entries = tuple(tuple(r) for r in rows)
     k = len(entries[0]) if entries else 0
@@ -500,27 +514,47 @@ def maximal_minors(rows) -> dict:
         raise ValueError("maximal minors need an N x k matrix with N >= k >= 1")
     if k > DET_SIZE_CAP:
         raise DeterminantSizeError(f"matrix size {k} exceeds cap {DET_SIZE_CAP}")
-    level = {(r,): row[0] for r, row in enumerate(entries) if row[0]}
+    nvars = entries[0][0].nvars
+    if any(entry.nvars != nvars for row in entries for entry in row):
+        raise ValueError("variable count mismatch")
+    dens = [math.lcm(*(c.denominator for row in entries for c in row[col]._terms.values()))
+            for col in range(k)]
+    # scaled[r][col]: the int terms of dens[col] * entries[r][col]
+    scaled = [[{key: c.numerator * (d // c.denominator) for key, c in entry._terms.items()}
+               for entry, d in zip(row, dens)] for row in entries]
+    # level: {row subset: [int terms, exponent bound]} of the nonzero minors
+    level = {(r,): [scaled[r][0], row[0]._reach] for r, row in enumerate(entries) if row[0]}
     for col in range(1, k):
         grown = {}
-        for subset, minor in level.items():
+        for subset, (minor, reach) in level.items():
             for r, row in enumerate(entries):
                 entry = row[col]
                 if not entry or r in subset:
                     continue
+                if entry._reach + reach > EXPONENT_LIMIT:
+                    check_product_range(entry, _from_keys(nvars, minor, reach))
                 # r sits at position p of the grown subset, so its cofactor
                 # sign in column ``col`` is (-1)^(p + col)
                 p = bisect.bisect_left(subset, r)
-                term = entry * minor
-                key = subset[:p] + (r,) + subset[p:]
-                cur = grown.get(key)
-                if (p + col) % 2:
-                    grown[key] = -term if cur is None else cur - term
-                else:
-                    grown[key] = term if cur is None else cur + term
-        level = {key: minor for key, minor in grown.items() if minor}
-    zero = LaurentPolynomial.zero(entries[0][0].nvars)
-    return {subset: level.get(subset, zero)
+                product = {}
+                multiply_into(product, scaled[r][col], minor, nvars, -1 if (p + col) % 2 else 1)
+                product_reach = min(entry._reach + reach, EXPONENT_LIMIT)
+                cur = grown.setdefault(subset[:p] + (r,) + subset[p:], [{}, 0])
+                total = cur[0]
+                for t, c in product.items():
+                    if c:
+                        c += total.get(t, 0)
+                        if c:
+                            total[t] = c
+                        else:
+                            del total[t]
+                cur[1] = max(cur[1], product_reach)
+        level = {key: minor for key, minor in grown.items() if minor[0]}
+    zero = LaurentPolynomial.zero(nvars)
+    scale = math.prod(dens)
+    minors = {subset: _from_keys(nvars, {t: Fraction(c, scale) for t, c in terms.items()}, reach)
+              for subset, (terms, reach) in level.items()}
+    return {subset: minors.get(subset, zero)
             for subset in itertools.combinations(range(len(entries)), k)}
 
 

@@ -179,11 +179,6 @@ def kernel(matrix: Iterable, ncols: int) -> Subspace:
     return Subspace(ncols, tuple(null.values()), tuple(null))
 
 
-def mat_vec(matrix: Sequence[Sequence], vector: Sequence) -> Vector:
-    return tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, vector)), _F0)
-                 for row in matrix)
-
-
 def shift_diagonal(matrix: Sequence[Sequence], c) -> Matrix:
     """M - c I, with only the diagonal entries rebuilt."""
     c = Fraction(c)

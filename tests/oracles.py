@@ -1,11 +1,12 @@
 """Independent reference implementations that the tests compare against."""
 
+import bisect
 import itertools
 from fractions import Fraction
 
 from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign
-from poisson_nlie.ring import LaurentPolynomial
+from poisson_nlie.ring import DET_SIZE_CAP, DeterminantSizeError, LaurentPolynomial
 
 
 def leibniz_det(rows):
@@ -33,10 +34,69 @@ def leibniz_minors(rows):
             for subset in itertools.combinations(range(len(rows)), k)}
 
 
+def laplace_minors(rows) -> dict:
+    """Every maximal minor of an N x k matrix by the column-by-column
+    Laplace expansion of ``ring.maximal_minors``, in ``LaurentPolynomial``
+    arithmetic with ``Fraction`` coefficients (the expansion before it moved
+    to int terms): the reference for each minor's value, exponent bound,
+    term order and overflow error."""
+    entries = tuple(tuple(r) for r in rows)
+    k = len(entries[0]) if entries else 0
+    if not 0 < k <= len(entries) or any(len(r) != k for r in entries):
+        raise ValueError("maximal minors need an N x k matrix with N >= k >= 1")
+    if k > DET_SIZE_CAP:
+        raise DeterminantSizeError(f"matrix size {k} exceeds cap {DET_SIZE_CAP}")
+    level = {(r,): row[0] for r, row in enumerate(entries) if row[0]}
+    for col in range(1, k):
+        grown = {}
+        for subset, minor in level.items():
+            for r, row in enumerate(entries):
+                entry = row[col]
+                if not entry or r in subset:
+                    continue
+                # r sits at position p of the grown subset, so its cofactor
+                # sign in column ``col`` is (-1)^(p + col)
+                p = bisect.bisect_left(subset, r)
+                term = entry * minor
+                key = subset[:p] + (r,) + subset[p:]
+                cur = grown.get(key)
+                if (p + col) % 2:
+                    grown[key] = -term if cur is None else cur - term
+                else:
+                    grown[key] = term if cur is None else cur + term
+        level = {key: minor for key, minor in grown.items() if minor}
+    zero = LaurentPolynomial.zero(entries[0][0].nvars)
+    return {subset: level.get(subset, zero)
+            for subset in itertools.combinations(range(len(entries)), k)}
+
+
 def mat_sub(a, b):
     """Entrywise difference of two dense matrices, as Fractions."""
     return tuple(tuple(Fraction(x) - Fraction(y) for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
+
+
+def greedy_ideal_resweep(start, candidates, closure, nilpotent):
+    """The greedy ideal search of ``finite_algebra._greedy_ideal``, sweeping
+    the candidates again until a pass adds none."""
+    current = start
+    changed = True
+    while changed:
+        changed = False
+        for row in candidates:
+            if current.contains(row):
+                continue
+            grown = closure(current.adjoin([row]))
+            if nilpotent(grown):
+                current = grown
+                changed = True
+    return current
+
+
+def mat_vec(matrix, vector):
+    """Matrix times column vector, as Fractions."""
+    return tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, vector)), Fraction(0))
+                 for row in matrix)
 
 
 def scale_matrix(c, dim):

@@ -61,11 +61,10 @@ from poisson_nlie.ring import (
 from poisson_nlie.subspaces import (
     Subspace,
     mat_pow,
-    mat_vec,
     unit_vector,
 )
 
-from oracles import mat_sub, scale_matrix
+from oracles import mat_sub, mat_vec, scale_matrix
 
 F1 = Fraction(1)
 

@@ -451,6 +451,34 @@ class TestCriterionCommands:
         assert code == 4
         assert report["error"] == "exponent 2147483648 out of range"
 
+    @pytest.mark.parametrize("matrix, args, messages", [
+        # A = (a, 0, 0)^T: Jac_(1,2) leaves the range although pi^(1,2) = 0
+        ("2 1\n2\n0\n0\n", "t1^1073741824; t1^1073741824*t2",
+         {"construct-jacobian": "exponent 2147483648 out of range"}),
+        # the error names the first exponent out of range in term order
+        ("2 2\n0\nt1^-1073741823*t3^-1 - 1*t1^-1073741824*t2^-1*t3^2\n-1*t1^-1073741822\n"
+         "0\nt1^-1073741825 + 2*t1^-1073741822\nt1^-1073741821*t2^-1*t4^-2\n0\n"
+         "-3*t2^-1073741822*t3^2*t4^-2\n",
+         "t1^-1073741822*t2^2*t4^-2; -1*t1^-1073741825*t2^-1073741825*t3^-1073741826",
+         {"construct-jacobian": "exponent -3221225472 out of range",
+          "criterion-check": "exponent -2147483648 out of range"}),
+    ])
+    def test_minors_near_the_exponent_limit_exit_four(self, capsys, tmp_path,
+                                                      matrix, args, messages):
+        """Seeded near-limit inputs whose minors overflow, pinned with the
+        errors of the Fraction Laplace expansion."""
+        path = tmp_path / "near.mat"
+        path.write_text(matrix)
+        n, m = matrix.split("\n", 1)[0].split()
+        argv = {"construct-jacobian": ["--ring", f"laurent:v={int(n) + int(m)}:euler",
+                                       "--args", args],
+                "criterion-check": []}
+        for command, message in messages.items():
+            code, report, _ = invoke(capsys, command, "--n", n, "--m", m,
+                                     "--matrix", f"file:{path}", *argv[command])
+            assert code == 4
+            assert report["error"] == message
+
     def test_construct_jacobian_samples(self, capsys):
         code, report, _ = invoke(capsys, "construct-jacobian",
                                  "--ring", "laurent:v=3:euler",

@@ -45,9 +45,9 @@ from poisson_nlie.finite_algebra import (
 from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import ParseError
 from poisson_nlie.subspaces import (
-    Subspace, is_nilpotent_matrix, kernel, mat_pow, mat_vec, rational_eigenvalues, unit_vector)
+    Subspace, is_nilpotent_matrix, kernel, mat_pow, rational_eigenvalues, unit_vector)
 
-from oracles import mat_sub, scale_matrix
+from oracles import greedy_ideal_resweep, mat_sub, mat_vec, scale_matrix
 
 F1 = Fraction(1)
 
@@ -653,6 +653,29 @@ class TestNilradical:
         monkeypatch.setattr(finite_algebra, "_adapted_basis", counted)
         assert nilradical(hypo) == span(7, 0, 1, 2, 6)
         assert len(calls) == 1
+
+    def test_one_sweep_equals_the_resweeping_search(self, hypo, torus, monkeypatch):
+        """Both greedy searches of ``nilradical`` (with and without the
+        product) give what sweeping until a pass adds nothing gives, on the
+        fixtures and on every solvable ``random_poisson_n_lie(0..83)``."""
+        from poisson_nlie.constructions import random_poisson_n_lie
+
+        one_sweep = finite_algebra._greedy_ideal
+        searches = []
+
+        def compared(start, candidates, closure, nilpotent):
+            found = one_sweep(start, candidates, closure, nilpotent)
+            assert found == greedy_ideal_resweep(start, candidates, closure, nilpotent)
+            searches.append(found)
+            return found
+
+        monkeypatch.setattr(finite_algebra, "_greedy_ideal", compared)
+        algebras = [hypo, torus] + [P for P in (random_poisson_n_lie(seed)[0]
+                                                for seed in range(84))
+                                    if classify(P).solvable]
+        for P in algebras:
+            nilradical(P)
+        assert len(searches) == 2 * len(algebras)
 
     def test_requires_solvable(self, torus, hypo):
         epsilon = StructAlgebra(4, 3, {

@@ -114,13 +114,14 @@ class TestPiCoefficient:
     def test_monomial_table_makes_only_the_laplace_products(self, monkeypatch):
         """At (2, 5) the table is every 5 x 5 minor of a 7 x 5 matrix: at
         most sum_{j=2..5} C(7, j) * j products, no determinant and no
-        division."""
+        division.  The minors are expanded on packed int terms, so each
+        Laplace product is one ``ring.multiply_into`` call."""
         n, m = 2, 5
         A = MonomialSampler(n + m, seed=0).monomial_matrix(n, m)
         products = []
-        multiply = LaurentPolynomial.__mul__
-        monkeypatch.setattr(LaurentPolynomial, "__mul__",
-                            lambda a, b: products.append(1) or multiply(a, b))
+        multiply = ring.multiply_into
+        monkeypatch.setattr(ring, "multiply_into",
+                            lambda *args: products.append(1) or multiply(*args))
 
         def refused(*args):
             raise AssertionError("pi_table called a determinant or a division")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_nlie import criterion
+from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.ring import (
     DerivationSpec,
     EXPONENT_LIMIT,
@@ -28,7 +30,7 @@ from poisson_nlie.ring import (
 )
 from poisson_nlie.ring import _pack, _unpack
 
-from oracles import leibniz_det, leibniz_minors
+from oracles import laplace_minors, leibniz_det, leibniz_minors
 
 coeffs = st.integers(-9, 9).map(Fraction) | st.fractions(
     min_value=-5, max_value=5, max_denominator=6)
@@ -336,6 +338,163 @@ class TestDeterminants:
         minors = maximal_minors(rows)
         assert list(minors) == list(itertools.combinations(range(N), k))
         assert minors == leibniz_minors(rows)
+
+
+def kernel_matrix(seed):
+    """A seeded N x k matrix for the integer minor kernel, k = 1 + seed % 8
+    and N = k + (seed // 8) % 4, over two variables with exponents -1..1.
+    Each column draws its denominators from 1..D for its own D in 1..12, or
+    is all-integer, or (now and then) all zero; entries are zero about a
+    quarter of the time and otherwise have one to three terms, and some
+    rows are a multiple of an earlier row by a constant or a binomial, so
+    sums of cofactor products cancel."""
+    rng = random.Random(seed)
+    k = 1 + seed % 8
+    N = k + (seed // 8) % 4
+    kinds = [rng.choice(["rational", "rational", "integer", "zero"]) if k > 1 else "rational"
+             for _ in range(k)]
+    dens = [rng.randint(1, 12) if kind == "rational" else 1 for kind in kinds]
+
+    def entry(col):
+        if kinds[col] == "zero" or rng.random() < 0.25:
+            return LaurentPolynomial.zero(2)
+        return LaurentPolynomial(2, {
+            (rng.randint(-1, 1), rng.randint(-1, 1)):
+                Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, dens[col]))
+            for _ in range(rng.randint(1, 3))})
+
+    rows = []
+    for _ in range(N):
+        if rows and rng.random() < 0.2:
+            factor = rng.choice([
+                LaurentPolynomial.constant(2, Fraction(rng.randint(-3, 3), rng.randint(1, 4))),
+                parse_polynomial(rng.choice(["t1 - t2", "t1^-1 + 1/2", "t2 + 3*t1^-1"]), 2)])
+            rows.append([factor * e for e in rng.choice(rows)])
+        else:
+            rows.append([entry(col) for col in range(k)])
+    return rows
+
+
+def near_limit_matrix(seed):
+    """A seeded N x k monomial-and-binomial matrix, 1 <= k <= 3 and
+    N = k + 1, whose exponents lie near +-EXPONENT_LIMIT / d for d in 1..3,
+    so some products leave the exponent range and some do not."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+
+    def exponent():
+        return rng.choice([-1, 1]) * (EXPONENT_LIMIT // rng.randint(1, 3) - rng.randint(0, 2))
+
+    def entry():
+        if rng.random() < 0.3:
+            return LaurentPolynomial.zero(2)
+        return LaurentPolynomial(2, {(exponent(), rng.randint(-1, 1)): rng.randint(1, 3)
+                                     for _ in range(rng.randint(1, 2))})
+
+    return [[entry() for _ in range(k)] for _ in range(k + 1)]
+
+
+class TestIntegerKernel:
+    """``maximal_minors`` runs on int terms; the reference is the same
+    Laplace expansion in ``LaurentPolynomial`` arithmetic."""
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_minors_match_the_fraction_expansion(self, seed):
+        """Value, exponent bound and term order of every minor, for each
+        k = 1..8 and N = k..k+3 (twice)."""
+        rows = kernel_matrix(seed)
+        minors = maximal_minors(rows)
+        expected = laplace_minors(rows)
+        assert list(minors) == list(expected)
+        for subset, minor in minors.items():
+            assert minor == expected[subset], subset
+            assert minor._reach == expected[subset]._reach, subset
+            assert list(minor._terms) == list(expected[subset]._terms), subset
+
+    def test_inputs_cover_the_cases(self):
+        """The seeded inputs above have rational, integer and zero columns,
+        zero entries, negative exponents, and minors that vanish on rows
+        with no zero row or column."""
+        kinds = set()
+        for seed in range(64):
+            rows = kernel_matrix(seed)
+            for col in range(len(rows[0])):
+                coeffs = [c for row in rows for _, c in row[col].terms()]
+                kinds.add("zero column" if not coeffs else
+                          "integer" if all(c.denominator == 1 for c in coeffs) else "rational")
+            cells = [p for row in rows for p in row]
+            if any(p.is_zero() for p in cells):
+                kinds.add("zero entry")
+            if any(e < 0 for p in cells for exps, _ in p.terms() for e in exps):
+                kinds.add("negative exponent")
+            for subset, minor in maximal_minors(rows).items():
+                block = [rows[r] for r in subset]
+                if (minor.is_zero() and all(any(row) for row in block)
+                        and all(any(column) for column in zip(*block))):
+                    kinds.add("cancelled minor")
+        assert kinds == {"zero column", "integer", "rational", "zero entry",
+                         "negative exponent", "cancelled minor"}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_overflow_matches_the_fraction_expansion(self, seed):
+        """Near the exponent limit the same inputs raise the same error, and
+        the others give the same minors, bounds and term order."""
+
+        def outcome(minors_of, rows):
+            try:
+                return [(m, m._reach, list(m._terms)) for m in minors_of(rows).values()]
+            except ExponentOverflowError as exc:
+                return str(exc)
+
+        rows = near_limit_matrix(seed)
+        assert outcome(maximal_minors, rows) == outcome(laplace_minors, rows)
+
+    def test_mixed_variable_counts_are_refused(self):
+        rows = [[LaurentPolynomial.one(2), LaurentPolynomial.zero(2)],
+                [LaurentPolynomial.zero(3), LaurentPolynomial.one(2)]]
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            maximal_minors(rows)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_constant_determinants_against_sympy(self, size):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(500 + size)
+        dens = [rng.randint(1, 12) for _ in range(size)]
+        values = [[Fraction(rng.choice([-9, -7, -4, -2, -1, 1, 3, 5, 8]), rng.randint(1, dens[col]))
+                   for col in range(size)] for _ in range(size)]
+        det = det_ring([[LaurentPolynomial.constant(1, v) for v in row] for row in values])
+        expected = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in row]
+                              for row in values]).det()
+        assert expected != 0
+        assert det == LaurentPolynomial.constant(1, Fraction(int(expected.p), int(expected.q)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grassmann_plucker_on_the_minors(self, seed, monkeypatch):
+        """Every relation of four rows against two of a seeded rational 6 x 3
+        matrix, with each determinant read from its ``maximal_minors``."""
+        rng = random.Random(900 + seed)
+        values = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(3))
+                  for _ in range(6)]
+        assert len(set(values)) == 6
+        index = {row: r for r, row in enumerate(values)}
+        minors = maximal_minors([[LaurentPolynomial.constant(1, v) for v in row]
+                                 for row in values])
+        reads = []
+
+        def minor_of(rows):
+            chosen = [index[tuple(row)] for row in rows]
+            sign = perm_sign(chosen)
+            if not sign:
+                return Fraction(0)
+            minor = minors[tuple(sorted(chosen))]
+            reads.append(minor)
+            return sign * sum((c for _, c in minor.terms()), Fraction(0))
+
+        monkeypatch.setattr(criterion, "det_fraction", minor_of)
+        for es in itertools.combinations(values, 4):
+            for fs in itertools.combinations(values, 2):
+                assert criterion.grassmann_plucker_defect(es, fs) == 0
+        assert sum(1 for minor in reads if minor) > 100
 
 
 class TestExactDivision:

@@ -1,5 +1,7 @@
 """The scripts under ``scripts/`` run to completion on small inputs."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +27,62 @@ def test_script_exits_zero(argv):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(seed, side, **values):
+    return {"seed": seed, "side": side, "line": json.dumps({
+        "correct": True, "attempted": 3, "failed": 0,
+        "metrics": {name: {"value": value, "unit": "s"} for name, value in values.items()}})}
+
+
+class TestBenchPairs:
+    """``scripts/bench_pairs.py`` summaries on synthetic records; the
+    benchmark itself is not run."""
+
+    def test_medians_quartiles_and_pair_count(self):
+        bench = _bench_pairs()
+        parent = [10.0, 12.0, 11.0, 13.0, 9.0]
+        change = [14.0, 12.0, 15.0, 10.0, 16.0]  # better, tied, better, worse, better
+        raw = [_record(seed, side, rate=value)
+               for seed, (p, c) in enumerate(zip(parent, change), start=1)
+               for side, value in (("parent", p), ("change", c))]
+        summary = bench.summarize_metric(raw, {"name": "rate", "unit": "1/s",
+                                               "better": "higher", "bound": 0.25})
+        assert summary == {
+            "unit": "1/s", "better": "higher", "bound": 0.25,
+            "parent_median": 11.0, "parent_quartiles": [9.5, 12.5],
+            "change_median": 14.0, "change_quartiles": [11.0, 15.5],
+            "change_over_parent": round(14 / 11 - 1, 4),
+            "change_better": "3/5",
+        }
+
+    def test_lower_is_better_and_ties_count_for_neither(self):
+        bench = _bench_pairs()
+        raw = [_record(1, "parent", t=2.0), _record(1, "change", t=1.0),
+               _record(2, "change", t=3.0), _record(2, "parent", t=3.0),
+               _record(3, "parent", t=1.0), _record(3, "change", t=2.0)]
+        summary = bench.summarize_metric(raw, {"name": "t", "unit": "s",
+                                               "better": "lower", "bound": 0.25})
+        assert summary["change_better"] == "1/3"
+        assert summary["parent_median"] == summary["change_median"] == 2.0
+
+    def test_pairs_alternate_which_side_runs_first(self, monkeypatch):
+        bench = _bench_pairs()
+        order = []
+
+        def fake_run(checkout, workload, seed, seconds, trace=0):
+            order.append((seed, checkout))
+            return json.dumps({"correct": True, "metrics": {}})
+
+        monkeypatch.setattr(bench, "run_once", fake_run)
+        raw = bench.run_pairs("P", "C", "criterion-poly", bench.parse_seeds("1-3,6"), 20)
+        assert order == [(1, "P"), (1, "C"), (2, "C"), (2, "P"),
+                         (3, "P"), (3, "C"), (6, "C"), (6, "P")]
+        assert [r["side"] for r in raw[:2]] == ["parent", "change"]

@@ -13,7 +13,6 @@ from poisson_nlie.subspaces import (
     is_nilpotent_matrix,
     kernel,
     mat_pow,
-    mat_vec,
     rational_eigenvalues,
     rational_roots,
     rref,
@@ -22,7 +21,7 @@ from poisson_nlie.subspaces import (
     unit_vector,
 )
 
-from oracles import mat_sub, scale_matrix
+from oracles import mat_sub, mat_vec, scale_matrix
 
 small = st.integers(-4, 4).map(Fraction)
 vectors4 = st.tuples(small, small, small, small)
