@@ -3,12 +3,13 @@
 
 Runs ``python3 perfbench/run.py --workload W --seed N --seconds S`` in the
 parent checkout and in the change checkout, one pair per seed: odd seeds
-run the parent first, even seeds the change first.  For every end-to-end
-metric that ``BENCHMARK.json`` (read from the change checkout) declares,
-the BENCH file gives each side's median and quartiles over its runs, the
-relative change of the medians, and in how many pairs the change read
-better (ties count for neither side).  A traced run per side
-(``--trace 1``) adds the per-layer counts, which repeat exactly.
+run the parent first, even seeds the change first.  S is the
+``run_seconds`` of the checkout's ``BENCHMARK.json``, as in the benchmark.
+For every end-to-end metric that ``BENCHMARK.json`` (read from the change
+checkout) declares, the BENCH file gives each side's median and quartiles
+over its runs, the relative change of the medians, and in how many pairs
+the change read better (ties count for neither side).  A traced run per side
+(``--trace 1``, seed 0) adds the per-layer counts, which repeat exactly.
 
 Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -27,10 +28,17 @@ METHOD = ("paired runs, each side from its own checkout of the committed files; 
           "odd seeds ran the parent first, even seeds the change first; medians and "
           "quartiles over the runs of one side; 'change_better' counts pairs where the "
           "change read better, ties counting for neither")
+TRACE_SEED = 0  # the seed of the one traced run per side
 
 
-def run_once(checkout, workload, seed, seconds, trace=0):
-    """The JSON result line of one ``perfbench/run.py`` run in ``checkout``."""
+def load_benchmark(checkout):
+    return json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+
+
+def run_once(checkout, workload, seed, trace=0):
+    """The JSON result line of one ``perfbench/run.py`` run in ``checkout``,
+    for the ``run_seconds`` its ``BENCHMARK.json`` sets."""
+    seconds = load_benchmark(checkout)["run_seconds"]
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -41,7 +49,7 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     return lines[-1]
 
 
-def run_pairs(parent, change, workload, seeds, seconds):
+def run_pairs(parent, change, workload, seeds):
     """The raw records {seed, side, line}, alternating which side runs first."""
     raw = []
     for seed in seeds:
@@ -50,7 +58,7 @@ def run_pairs(parent, change, workload, seeds, seconds):
             sides.reverse()
         for side, checkout in sides:
             raw.append({"seed": seed, "side": side,
-                        "line": run_once(checkout, workload, seed, seconds)})
+                        "line": run_once(checkout, workload, seed)})
     return raw
 
 
@@ -127,18 +135,16 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--claim", required=True, help="workload:metric the change claims")
     parser.add_argument("--change-desc", required=True)
     parser.add_argument("--parent-commit", default="")
     parser.add_argument("--machine", default="")
-    parser.add_argument("--trace-seed", type=int, default=0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    benchmark = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    benchmark = load_benchmark(args.change)
     claim_workload, _, claim_metric = args.claim.partition(":")
-    seconds = f"{args.seconds:g}"
+    seconds = benchmark["run_seconds"]
     report = {
         "change": args.change_desc,
         "parent_commit": args.parent_commit,
@@ -149,14 +155,14 @@ def main(argv=None):
         "workloads": {},
     }
     for workload in args.workload:
-        raw = run_pairs(args.parent, args.change, workload, args.seeds, args.seconds)
+        raw = run_pairs(args.parent, args.change, workload, args.seeds)
         report["workloads"][workload] = summarize_workload(raw, benchmark["end_to_end"])
         print(f"{workload}: {report['workloads'][workload]['metrics']}", file=sys.stderr)
-    lines = [run_once(checkout, claim_workload, args.trace_seed, args.seconds, trace=1)
+    lines = [run_once(checkout, claim_workload, TRACE_SEED, trace=1)
              for checkout in (args.parent, args.change)]
     report["trace"] = {
         "command": (f"python3 perfbench/run.py --workload {claim_workload} "
-                    f"--seed {args.trace_seed} --seconds {seconds} --trace 1"),
+                    f"--seed {TRACE_SEED} --seconds {seconds} --trace 1"),
         "note": "one traced run per side; counts are deterministic, the traced seconds of "
                 "a single run on a shared machine are not and are left out",
         "counts": trace_counts(*lines),

@@ -539,7 +539,12 @@ def maximal_minors(rows) -> dict:
                 product = {}
                 multiply_into(product, scaled[r][col], minor, nvars, -1 if (p + col) % 2 else 1)
                 product_reach = min(entry._reach + reach, EXPONENT_LIMIT)
-                cur = grown.setdefault(subset[:p] + (r,) + subset[p:], [{}, 0])
+                key = subset[:p] + (r,) + subset[p:]
+                cur = grown.get(key)
+                if cur is None:
+                    grown[key] = cur = [{}, product_reach]
+                else:
+                    cur[1] = max(cur[1], product_reach)
                 total = cur[0]
                 for t, c in product.items():
                     if c:
@@ -548,7 +553,6 @@ def maximal_minors(rows) -> dict:
                             total[t] = c
                         else:
                             del total[t]
-                cur[1] = max(cur[1], product_reach)
         level = {key: minor for key, minor in grown.items() if minor[0]}
     zero = LaurentPolynomial.zero(nvars)
     scale = math.prod(dens)

@@ -77,12 +77,27 @@ class TestBenchPairs:
         bench = _bench_pairs()
         order = []
 
-        def fake_run(checkout, workload, seed, seconds, trace=0):
+        def fake_run(checkout, workload, seed, trace=0):
             order.append((seed, checkout))
             return json.dumps({"correct": True, "metrics": {}})
 
         monkeypatch.setattr(bench, "run_once", fake_run)
-        raw = bench.run_pairs("P", "C", "criterion-poly", bench.parse_seeds("1-3,6"), 20)
+        raw = bench.run_pairs("P", "C", "criterion-poly", bench.parse_seeds("1-3,6"))
         assert order == [(1, "P"), (1, "C"), (2, "C"), (2, "P"),
                          (3, "P"), (3, "C"), (6, "C"), (6, "P")]
         assert [r["side"] for r in raw[:2]] == ["parent", "change"]
+
+    def test_run_length_comes_from_the_checkouts_benchmark(self, monkeypatch, tmp_path):
+        bench = _bench_pairs()
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+        calls = []
+
+        def fake_subprocess_run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout='{"metrics": {}}\n', stderr="")
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_subprocess_run)
+        assert bench.run_once(str(tmp_path), "structure", 3) == '{"metrics": {}}'
+        argv = calls[0]
+        assert argv[argv.index("--seconds") + 1] == "7"
+        assert argv[argv.index("--seed") + 1] == "3"
