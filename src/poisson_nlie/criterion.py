@@ -62,7 +62,8 @@ products accumulate into one dict through the ring's ``multiply_into``,
 each after the ring's ``check_product_range``, so an exponent leaving
 ``EXPONENT_LIMIT`` raises the ring product's ``ExponentOverflowError``.
 Only a nonzero group becomes a polynomial again, with coefficients divided
-exactly by den^2, so residuals are those of the ring.
+exactly by den^2 (left as they stand when den is 1), so residuals are those
+of the ring.
 
 When the Frobenius pass fails, ``check_criterion`` calls
 ``group_residual_a`` label by label, (alpha, beta) in lexicographic order,
@@ -95,6 +96,7 @@ from .ring import (
     CertifiedDerivationFamily,
     ExponentOverflowError,
     LaurentPolynomial,
+    _cleaned,
     _from_keys,
     _origin,
     check_product_range,
@@ -146,9 +148,11 @@ _MISSING = object()
 
 def _scaled(p: LaurentPolynomial, den: int) -> Optional[tuple]:
     """None for zero, else (p, its packed terms times den): ints unless a
-    derivation brought in another denominator."""
+    derivation brought in another denominator; p's own terms when den is 1."""
     if p.is_zero():
         return None
+    if den == 1:
+        return p, p._terms
     terms = {}
     for key, c in p._terms.items():
         scaled = c * den
@@ -221,9 +225,10 @@ def _group_value(terms: dict, nvars: int, dpi: _SignedPi, right) -> LaurentPolyn
     if not any(total.values()):
         return LaurentPolynomial.zero(nvars)
     scale = dpi.den ** 2
+    if scale != 1:
+        total = {k: Fraction(v, scale) for k, v in total.items()}
     # every key is in range: each product passed check_product_range
-    return _from_keys(nvars, {k: Fraction(v, scale) for k, v in total.items() if v},
-                      EXPONENT_LIMIT)
+    return _from_keys(nvars, _cleaned(total), EXPONENT_LIMIT)
 
 
 def group_residual_a(alpha: Tuple[int, ...], beta: Tuple[int, ...],

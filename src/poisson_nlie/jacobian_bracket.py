@@ -15,6 +15,7 @@ an independent permutation-sum oracle and sympy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -153,19 +154,23 @@ def parse_adjoined_matrix(text: str, nvars: int) -> AdjoinedMatrix:
 # Expansion coefficients and minors
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _pi_index(n: int, m: int) -> tuple:
+    """(I, the 0-based rows of I^c, ``complement_sign(I)``) for each
+    n-subset I of 1..n+m, in ``combinations`` order."""
+    size = n + m
+    return tuple((I, tuple(r - 1 for r in complement(I, size)), complement_sign(I, n, m))
+                 for I in itertools.combinations(range(1, size + 1), n))
+
+
 def pi_table(A: AdjoinedMatrix) -> dict:
     """All pi^I = (-1)^{eps(I)} det(A_{I^c}), keyed by sorted index tuple;
     all ones when m = 0."""
-    size = A.n + A.m
-    subsets = itertools.combinations(range(1, size + 1), A.n)
+    index = _pi_index(A.n, A.m)
     if A.m == 0:
-        return {I: LaurentPolynomial.one(A.nvars) for I in subsets}
+        return {I: LaurentPolynomial.one(A.nvars) for I, _, _ in index}
     minors = maximal_minors(A.entries)
-    table = {}
-    for I in subsets:
-        minor = minors[tuple(r - 1 for r in complement(I, size))]
-        table[I] = minor if complement_sign(I, A.n, A.m) > 0 else -minor
-    return table
+    return {I: minors[rows] if sign > 0 else -minors[rows] for I, rows, sign in index}
 
 
 # ---------------------------------------------------------------------------

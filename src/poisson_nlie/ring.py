@@ -1,14 +1,14 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
 The ring substrate: polynomials are finite maps from signed exponent
-vectors to nonzero ``Fraction`` coefficients, so equality of term maps is
-equality of ring elements and no rounding can ever occur.  On top of the
-ring live commuting derivations (with pairwise-commutation certification)
-and exact ring-valued determinants: one division-free routine,
-``maximal_minors``, gives every maximal minor of a matrix, and ``det_ring``
-is the square case.  It expands on packed terms with ``int`` coefficients,
-each column scaled by the lcm of its denominators, and builds one
-``Fraction`` per term of each minor at the end.
+vectors to nonzero coefficients, an ``int`` when integral and else a
+``Fraction`` (every division goes through ``Fraction``: ``int / int`` is a
+float), so equality of term maps is equality of ring elements and no
+rounding can ever occur.  On top of the ring live commuting derivations
+(with pairwise-commutation certification) and exact ring-valued
+determinants: one division-free routine, ``maximal_minors``, gives every
+maximal minor of a matrix on column-scaled int terms, and ``det_ring`` is
+the square case.
 
 This module alone encodes exponent vectors: each term is keyed by one
 packed integer (Monagan and Pearce, CASC 2007) whose integer order is the
@@ -69,12 +69,16 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _coeff(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _coeff(value: Scalar) -> Scalar:
+    """``value`` stored: an int when integral (a bool too), else a Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return int(value) if value.denominator == 1 else value
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+def _cleaned(terms: dict) -> dict:
+    """``terms`` without its zero coefficients, each integral one an int."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
 
 
 # A key holds the total degree plus nvars * _OFFSET in its top field, then
@@ -194,8 +198,7 @@ class LaurentPolynomial:
         for key, coeff in other._terms.items():
             cur = result.get(key)
             result[key] = coeff if cur is None else cur + coeff
-        return _from_keys(self.nvars, {k: c for k, c in result.items() if c},
-                          max(self._reach, other._reach))
+        return _from_keys(self.nvars, _cleaned(result), max(self._reach, other._reach))
 
     __radd__ = __add__
 
@@ -215,14 +218,15 @@ class LaurentPolynomial:
             c = _coeff(other)
             if not c:
                 return LaurentPolynomial(self.nvars)
-            return _from_keys(self.nvars, {k: c * v for k, v in self._terms.items()}, self._reach)
+            return _from_keys(self.nvars, _cleaned({k: c * v for k, v in self._terms.items()}),
+                              self._reach)
         self._check(other)
         if not self._terms or not other._terms:
             return LaurentPolynomial(self.nvars)
         check_product_range(self, other)
         result = {}
         multiply_into(result, self._terms, other._terms, self.nvars, 1)
-        return _from_keys(self.nvars, {k: c for k, c in result.items() if c},
+        return _from_keys(self.nvars, _cleaned(result),
                           min(self._reach + other._reach, EXPONENT_LIMIT))
 
     __rmul__ = __mul__
@@ -234,8 +238,8 @@ class LaurentPolynomial:
             if len(self._terms) != 1:
                 raise ExactDivisionError("only monomials are invertible in the Laurent ring")
             (key, coeff), = self._terms.items()
-            inv = _from_keys(self.nvars, {2 * _origin(self.nvars) - key: 1 / coeff}, self._reach)
-            return inv ** (-power)
+            inverse = {2 * _origin(self.nvars) - key: Fraction(1, coeff)}
+            return _from_keys(self.nvars, inverse, self._reach) ** (-power)
         result = LaurentPolynomial.one(self.nvars)
         base = self
         while power:
@@ -258,12 +262,6 @@ class LaurentPolynomial:
         if self._hash is None:
             self._hash = hash((self.nvars, frozenset(self._terms.items())))
         return self._hash
-
-    # -- ordering helpers (graded lexicographic) ----------------------------
-
-    def sorted_terms(self):
-        return [(_unpack(key, self.nvars), self._terms[key])
-                for key in sorted(self._terms, reverse=True)]
 
     def __repr__(self):
         return f"LaurentPolynomial({self.nvars}, {format_polynomial(self)!r})"
@@ -330,7 +328,7 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
         diff = tuple(r - d for r, d in zip(_unpack(lt_r, v), ed))
         if any(not low <= e <= high for e, low, high in zip(diff, lo, hi)):
             raise ExactDivisionError("polynomial division is not exact")
-        factor = rem[lt_r] / cd
+        factor = Fraction(rem[lt_r], cd)
         quotient[diff] = factor
         shift = lt_r - lt_d
         for key, c in den._terms.items():
@@ -410,7 +408,7 @@ class DerivationSpec:
                         raise ExponentOverflowError(f"exponent {e - 1} out of range")
                     result[key - step] = c * e
             reach = min(p._reach + 1, EXPONENT_LIMIT) if step else p._reach
-            return _from_keys(p.nvars, result, reach)
+            return _from_keys(p.nvars, _cleaned(result), reach)
         total = LaurentPolynomial.zero(p.nvars)
         for j, cj in enumerate(self.coeffs):
             if cj.is_zero():
@@ -497,9 +495,10 @@ def maximal_minors(rows) -> dict:
     sum_{j <= k} C(N, j) * j products and no division.
 
     The expansion runs on packed terms with ``int`` coefficients: column j
-    is scaled by the lcm D_j of its coefficient denominators, and as every
-    maximal minor takes one entry from each column, every minor comes out
-    scaled by D = D_0 * ... * D_{k-1}, divided out once per term at the end.
+    is scaled by the lcm D_j of its coefficient denominators (D_j = 1 uses
+    the entries' own terms), and as every maximal minor takes one entry from
+    each column, every minor comes out scaled by D = D_0 * ... * D_{k-1},
+    divided out per term through ``Fraction`` at the end unless D = 1.
     Each sub-minor carries the exponent bound and term order that ring
     arithmetic would give it (a product's bound is the sum of its factors',
     capped at EXPONENT_LIMIT, a sum's the larger of its operands'; each
@@ -520,7 +519,8 @@ def maximal_minors(rows) -> dict:
     dens = [math.lcm(*(c.denominator for row in entries for c in row[col]._terms.values()))
             for col in range(k)]
     # scaled[r][col]: the int terms of dens[col] * entries[r][col]
-    scaled = [[{key: c.numerator * (d // c.denominator) for key, c in entry._terms.items()}
+    scaled = [[entry._terms if d == 1 else
+               {key: c.numerator * (d // c.denominator) for key, c in entry._terms.items()}
                for entry, d in zip(row, dens)] for row in entries]
     # level: {row subset: [int terms, exponent bound]} of the nonzero minors
     level = {(r,): [scaled[r][0], row[0]._reach] for r, row in enumerate(entries) if row[0]}
@@ -556,7 +556,8 @@ def maximal_minors(rows) -> dict:
         level = {key: minor for key, minor in grown.items() if minor[0]}
     zero = LaurentPolynomial.zero(nvars)
     scale = math.prod(dens)
-    minors = {subset: _from_keys(nvars, {t: Fraction(c, scale) for t, c in terms.items()}, reach)
+    minors = {subset: _from_keys(nvars, terms if scale == 1 else
+                                 _cleaned({t: Fraction(c, scale) for t, c in terms.items()}), reach)
               for subset, (terms, reach) in level.items()}
     return {subset: minors.get(subset, zero)
             for subset in itertools.combinations(range(len(entries)), k)}
@@ -750,26 +751,24 @@ def parse_polynomial(text: str, nvars: int) -> LaurentPolynomial:
 
 
 def format_polynomial(p: LaurentPolynomial) -> str:
-    """Canonical serialization: terms sorted graded-lex descending."""
+    """Canonical serialization: terms by descending key (graded-lex)."""
     if p.is_zero():
         return "0"
-    pieces = []
-    for exps, coeff in p.sorted_terms():
+    fields = [(f"t{j}", _BITS * (p.nvars - j)) for j in range(1, p.nvars + 1)]
+    out = []
+    for key in sorted(p._terms, reverse=True):
+        coeff = p._terms[key]
         factors = []
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            factors.append(f"t{j + 1}" if e == 1 else f"t{j + 1}^{e}")
+        for name, shift in fields:
+            e = ((key >> shift) & _MASK) - _OFFSET
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
         magnitude = abs(coeff)
-        if not factors:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = "*".join(factors)
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = "*".join(factors)
+        if out:
+            out.append(f" - {body}" if coeff < 0 else f" + {body}")
         else:
-            body = "*".join([str(magnitude)] + factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
-    sign, body = pieces[0]
-    out = [body if sign == "+" else f"-{body}"]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
+            out.append(f"-{body}" if coeff < 0 else body)
     return "".join(out)

@@ -40,9 +40,11 @@ def _sv(values) -> SVec:
 
 
 def _sv_accum(acc: SVec, sv: SVec, scale: Fraction):
-    """acc += scale * sv, dropping the entries that cancel."""
+    """acc += scale * sv, dropping the entries that cancel; a unit scale
+    makes no product."""
+    unit = scale == 1
     for i, c in sv.items():
-        value = acc.get(i, _F0) + scale * c
+        value = acc.get(i, _F0) + (c if unit else scale * c)
         if value:
             acc[i] = value
         else:

@@ -6,7 +6,21 @@ from fractions import Fraction
 
 from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign
-from poisson_nlie.ring import DET_SIZE_CAP, DeterminantSizeError, LaurentPolynomial
+from poisson_nlie.ring import (
+    DET_SIZE_CAP,
+    EXPONENT_LIMIT,
+    DerivationSpec,
+    DeterminantSizeError,
+    ExactDivisionError,
+    ExponentOverflowError,
+    LaurentPolynomial,
+    _from_keys,
+    _origin,
+    _pack,
+    _unpack,
+    check_product_range,
+    multiply_into,
+)
 
 
 def leibniz_det(rows):
@@ -34,13 +48,137 @@ def leibniz_minors(rows):
             for subset in itertools.combinations(range(len(rows)), k)}
 
 
+# ---------------------------------------------------------------------------
+# The ring on Fraction coefficients
+# ---------------------------------------------------------------------------
+#
+# The ring operations as they ran when every coefficient was a Fraction: the
+# same algorithms on the same packed keys, with the same exponent bounds and
+# term order, each result built straight from its terms, so no integral
+# coefficient is turned into an int.  The ring's own results must equal
+# these in value, bound and term order.
+
+def fraction_poly(p):
+    """``p`` with every coefficient a Fraction; keys, order and bound kept."""
+    return _from_keys(p.nvars, {k: Fraction(c) for k, c in p._terms.items()}, p._reach)
+
+
+def f_constant(nvars, value):
+    value = Fraction(value)
+    return _from_keys(nvars, {_origin(nvars): value} if value else {}, 0)
+
+
+def f_add(a, b):
+    result = dict(a._terms)
+    for key, coeff in b._terms.items():
+        cur = result.get(key)
+        result[key] = coeff if cur is None else cur + coeff
+    return _from_keys(a.nvars, {k: c for k, c in result.items() if c}, max(a._reach, b._reach))
+
+
+def f_neg(a):
+    return _from_keys(a.nvars, {k: -c for k, c in a._terms.items()}, a._reach)
+
+
+def f_sub(a, b):
+    return f_add(a, f_neg(b))
+
+
+def f_mul(a, b):
+    """a * b for a polynomial or scalar b."""
+    if isinstance(b, (int, Fraction)):
+        b = Fraction(b)
+        terms = {k: b * c for k, c in a._terms.items()} if b else {}
+        return _from_keys(a.nvars, terms, a._reach if b else 0)
+    if not a._terms or not b._terms:
+        return _from_keys(a.nvars, {}, 0)
+    check_product_range(a, b)
+    result = {}
+    multiply_into(result, a._terms, b._terms, a.nvars, 1)
+    return _from_keys(a.nvars, {k: c for k, c in result.items() if c},
+                      min(a._reach + b._reach, EXPONENT_LIMIT))
+
+
+def f_pow(a, power):
+    """a ** power by repeated squaring; a negative power inverts a monomial."""
+    if power < 0:
+        if len(a._terms) != 1:
+            raise ExactDivisionError("only monomials are invertible in the Laurent ring")
+        (key, coeff), = a._terms.items()
+        return f_pow(_from_keys(a.nvars, {2 * _origin(a.nvars) - key: 1 / coeff}, a._reach),
+                     -power)
+    result, base = f_constant(a.nvars, 1), a
+    while power:
+        if power & 1:
+            result = f_mul(result, base)
+        power >>= 1
+        if power:
+            base = f_mul(base, base)
+    return result
+
+
+def f_apply(spec, p):
+    """The derivation ``spec`` applied to ``p``, term by term on exponent
+    tuples for the euler and partial kinds."""
+    if spec.kind == "general":
+        total = f_constant(p.nvars, 0)
+        for j, cj in enumerate(spec.coeffs):
+            if cj:
+                part = f_apply(DerivationSpec.partial(j + 1, p.nvars), p)
+                total = f_add(total, f_mul(fraction_poly(cj), part))
+        return total
+    partial = spec.kind == "partial"
+    result = {}
+    for key, c in p._terms.items():
+        exps = list(_unpack(key, p.nvars))
+        e = exps[spec.index - 1]
+        if e:
+            if partial:
+                exps[spec.index - 1] -= 1
+                if abs(e - 1) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError(f"exponent {e - 1} out of range")
+            result[_pack(exps)] = Fraction(c) * e
+    return _from_keys(p.nvars, result,
+                      min(p._reach + 1, EXPONENT_LIMIT) if partial else p._reach)
+
+
+def f_exact_divide(num, den):
+    """num / den by graded-lex division in the box of ``ring.exact_divide``."""
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return _from_keys(num.nvars, {}, 0)
+    v = num.nvars
+    columns = [list(zip(*(_unpack(key, v) for key in p._terms))) for p in (num, den)]
+    lo = [min(n) - min(d) for n, d in zip(*columns)]
+    hi = [max(n) - max(d) for n, d in zip(*columns)]
+    lt_d = max(den._terms)
+    cd, ed = Fraction(den._terms[lt_d]), _unpack(lt_d, v)
+    quotient = {}
+    rem = {k: Fraction(c) for k, c in num._terms.items()}
+    while rem:
+        lt_r = max(rem)
+        diff = tuple(r - d for r, d in zip(_unpack(lt_r, v), ed))
+        if any(not low <= e <= high for e, low, high in zip(diff, lo, hi)):
+            raise ExactDivisionError("polynomial division is not exact")
+        factor = quotient[diff] = rem[lt_r] / cd
+        for key, c in den._terms.items():
+            key += lt_r - lt_d
+            cur = rem.get(key, 0) - factor * c
+            if cur:
+                rem[key] = cur
+            else:
+                rem.pop(key, None)
+    return _from_keys(v, {_pack(e): c for e, c in quotient.items()},
+                      max(abs(x) for e in quotient for x in e))
+
+
 def laplace_minors(rows) -> dict:
     """Every maximal minor of an N x k matrix by the column-by-column
-    Laplace expansion of ``ring.maximal_minors``, in ``LaurentPolynomial``
-    arithmetic with ``Fraction`` coefficients (the expansion before it moved
-    to int terms): the reference for each minor's value, exponent bound,
-    term order and overflow error."""
-    entries = tuple(tuple(r) for r in rows)
+    Laplace expansion of ``ring.maximal_minors``, in the Fraction arithmetic
+    above (the expansion before it moved to int terms): the reference for
+    each minor's value, exponent bound, term order and overflow error."""
+    entries = tuple(tuple(fraction_poly(p) for p in r) for r in rows)
     k = len(entries[0]) if entries else 0
     if not 0 < k <= len(entries) or any(len(r) != k for r in entries):
         raise ValueError("maximal minors need an N x k matrix with N >= k >= 1")
@@ -57,15 +195,15 @@ def laplace_minors(rows) -> dict:
                 # r sits at position p of the grown subset, so its cofactor
                 # sign in column ``col`` is (-1)^(p + col)
                 p = bisect.bisect_left(subset, r)
-                term = entry * minor
+                term = f_mul(entry, minor)
                 key = subset[:p] + (r,) + subset[p:]
                 cur = grown.get(key)
                 if (p + col) % 2:
-                    grown[key] = -term if cur is None else cur - term
+                    grown[key] = f_neg(term) if cur is None else f_sub(cur, term)
                 else:
-                    grown[key] = term if cur is None else cur + term
+                    grown[key] = term if cur is None else f_add(cur, term)
         level = {key: minor for key, minor in grown.items() if minor}
-    zero = LaurentPolynomial.zero(entries[0][0].nvars)
+    zero = f_constant(entries[0][0].nvars, 0)
     return {subset: level.get(subset, zero)
             for subset in itertools.combinations(range(len(entries)), k)}
 
@@ -170,3 +308,89 @@ def literal_group_b(alpha, pair, beta_rest, A, reads):
             if pu is not None:
                 total = total + pw * pu
     return total
+
+
+def format_polynomial_oracle(p):
+    """The canonical serialization as ``ring.format_polynomial`` wrote it
+    before it read exponents from the packed keys: terms unpacked to
+    exponent tuples and sorted graded-lex descending."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps, coeff in sorted(p.terms(), key=lambda item: (sum(item[0]), item[0]), reverse=True):
+        factors = []
+        for j, e in enumerate(exps):
+            if e == 0:
+                continue
+            factors.append(f"t{j + 1}" if e == 1 else f"t{j + 1}^{e}")
+        magnitude = abs(coeff)
+        if not factors:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(magnitude)] + factors)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    sign, body = pieces[0]
+    out = [body if sign == "+" else f"-{body}"]
+    for sign, body in pieces[1:]:
+        out.append(f" {sign} {body}")
+    return "".join(out)
+
+
+def random_expression(rng, nvars, depth=2):
+    """A seeded text of the polynomial grammar with integer and p/q literals,
+    variables, powers (negative ones of monomials only) and parentheses, and
+    its value in the Fraction arithmetic above, taken in the order in which
+    ``ring.parse_polynomial`` evaluates it."""
+    texts, value = [], None
+    for i in range(rng.randint(1, 3)):
+        text, term = _random_term(rng, nvars, depth)
+        if i == 0:
+            if rng.random() < 0.3:
+                text, term = "-" + text, f_neg(term)
+            texts.append(text)
+            value = term
+        elif rng.random() < 0.5:
+            texts.append(" + " + text)
+            value = f_add(value, term)
+        else:
+            texts.append(" - " + text)
+            value = f_sub(value, term)
+    return "".join(texts), value
+
+
+def _random_term(rng, nvars, depth):
+    texts, value = [], None
+    for _ in range(rng.randint(1, 3)):
+        text, factor = _random_factor(rng, nvars, depth)
+        texts.append(text)
+        value = factor if value is None else f_mul(value, factor)
+    return "*".join(texts), value
+
+
+def _random_factor(rng, nvars, depth):
+    kind = rng.choice(["int", "ratio", "var", "var", "paren"] if depth else ["int", "ratio", "var"])
+    if kind == "int":
+        numerator, denominator = rng.randint(0, 9), 1
+        text = str(numerator)
+    elif kind == "ratio":
+        numerator, denominator = rng.randint(0, 9), rng.randint(1, 6)
+        text = f"{numerator}/{denominator}"
+    if kind in ("int", "ratio"):
+        base = f_constant(nvars, Fraction(numerator, denominator))
+        invertible = numerator != 0
+    elif kind == "var":
+        index = rng.randint(1, nvars)
+        text = f"t{index}"
+        base = _from_keys(nvars, {_pack([int(j == index) for j in range(1, nvars + 1)]): Fraction(1)},
+                          1)
+        invertible = True
+    else:
+        inner, base = random_expression(rng, nvars, depth - 1)
+        text = f"({inner})"
+        invertible = False
+    if rng.random() < 0.4:
+        power = rng.randint(-2, 3) if invertible else rng.randint(0, 2)
+        return f"{text}^{power}", f_pow(base, power)
+    return text, base

@@ -137,6 +137,18 @@ class TestPiCoefficient:
             assert value == (minor if complement_sign(I, n, m) > 0 else -minor)
 
 
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_pi_index_matches_the_per_subset_construction(self, size):
+        """Every shape with n + m = size, m = 0 included: each n-subset I in
+        ``combinations`` order with the 0-based rows of I^c and its
+        ``complement_sign``."""
+        for n in range(1, size + 1):
+            m = size - n
+            expected = tuple((I, tuple(r - 1 for r in complement(I, size)), complement_sign(I, n, m))
+                             for I in itertools.combinations(range(1, size + 1), n))
+            assert jacobian_bracket._pi_index(n, m) == expected
+
+
 class TestJacMinor:
     def test_alternating(self, euler3):
         x = parse_polynomial("t1*t2", 3)

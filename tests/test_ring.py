@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -30,7 +31,22 @@ from poisson_nlie.ring import (
 )
 from poisson_nlie.ring import _pack, _unpack
 
-from oracles import laplace_minors, leibniz_det, leibniz_minors
+from oracles import (
+    f_add,
+    f_apply,
+    f_constant,
+    f_exact_divide,
+    f_mul,
+    f_neg,
+    f_pow,
+    f_sub,
+    format_polynomial_oracle,
+    fraction_poly,
+    laplace_minors,
+    leibniz_det,
+    leibniz_minors,
+    random_expression,
+)
 
 coeffs = st.integers(-9, 9).map(Fraction) | st.fractions(
     min_value=-5, max_value=5, max_denominator=6)
@@ -105,8 +121,10 @@ class TestPackedKeys:
             lambda terms: LaurentPolynomial(nv, terms))))
     @settings(max_examples=200, deadline=None)
     def test_sorted_terms_is_the_graded_lex_order(self, p):
-        assert p.sorted_terms() == sorted(p.terms(), key=lambda item: (sum(item[0]), item[0]),
-                                          reverse=True)
+        """Descending packed keys, the order ``format_polynomial`` writes
+        terms in, are the graded-lex order, highest first."""
+        by_key = [(_unpack(key, p.nvars), p._terms[key]) for key in sorted(p._terms, reverse=True)]
+        assert by_key == sorted(p.terms(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     def test_products_and_derivatives_at_the_limit(self):
         top = LaurentPolynomial.monomial(2, (EXPONENT_LIMIT, -EXPONENT_LIMIT), 2)
@@ -495,6 +513,151 @@ class TestIntegerKernel:
             for fs in itertools.combinations(values, 2):
                 assert criterion.grassmann_plucker_defect(es, fs) == 0
         assert sum(1 for minor in reads if minor) > 100
+
+
+def mixed_poly(rng, nvars=2, max_terms=4):
+    """A seeded polynomial built from coefficients that mix ints, bools,
+    integral Fractions and proper fractions, with +-1 among them and
+    negative exponents."""
+    def coefficient():
+        return rng.choice([rng.randint(-9, 9), rng.choice([-1, 1]), True,
+                           Fraction(rng.randint(-9, 9)),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    return LaurentPolynomial(nvars, {tuple(rng.randint(-3, 3) for _ in range(nvars)): coefficient()
+                                     for _ in range(rng.randint(0, max_terms))})
+
+
+def assert_stored(p):
+    """Every stored coefficient is an int when integral and a Fraction when
+    not: never a bool, a float or an integral Fraction."""
+    for c in p._terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+def assert_same(result, oracle):
+    """``result`` equals the Fraction oracle in value, exponent bound and
+    term order, and stores its coefficients as ints or Fractions."""
+    assert result == oracle
+    assert result._reach == oracle._reach
+    assert list(result._terms) == list(oracle._terms)
+    assert_stored(result)
+
+
+class TestIntegerCoefficients:
+    """Integral coefficients are stored as ints; every result matches the
+    same operation on Fraction coefficients (``oracles.f_*``)."""
+
+    SEEDS = range(80)
+
+    def test_sums_differences_negation_and_products(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            a, b = mixed_poly(rng), mixed_poly(rng)
+            fa, fb = fraction_poly(a), fraction_poly(b)
+            assert_stored(a)
+            assert_same(a + b, f_add(fa, fb))
+            assert_same(a - b, f_sub(fa, fb))
+            assert_same(-a, f_neg(fa))
+            assert_same(a * b, f_mul(fa, fb))
+            # halves on the same keys: sums and differences of Fractions
+            # that come out integral
+            half, other = a * Fraction(1, 2), b * Fraction(1, 2) + a * Fraction(3, 2)
+            fhalf, fother = fraction_poly(half), fraction_poly(other)
+            assert_same(half + half, f_add(fhalf, fhalf))
+            assert_same(half + other, f_add(fhalf, fother))
+            assert_same(other - half, f_sub(fother, fhalf))
+            for scalar in (rng.randint(-3, 3), True, Fraction(rng.randint(-4, 4), rng.randint(1, 4))):
+                assert_same(a * scalar, f_mul(fa, scalar))
+                assert_same(scalar * a, f_mul(fa, scalar))
+                assert_same(a + scalar, f_add(fa, f_constant(2, scalar)))
+
+    def test_powers(self):
+        """Powers -3..3 of monomials with non-unit coefficients (so an
+        inverse may be integral or not), and 0..3 of any polynomial."""
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            coeff = rng.choice([2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 1)])
+            monomial = LaurentPolynomial.monomial(2, (rng.randint(-3, 3), rng.randint(-3, 3)), coeff)
+            for power in range(-3, 4):
+                assert_same(monomial ** power, f_pow(fraction_poly(monomial), power))
+            p = mixed_poly(rng, max_terms=3)
+            for power in range(4):
+                assert_same(p ** power, f_pow(fraction_poly(p), power))
+            if len(p) > 1:
+                with pytest.raises(ExactDivisionError):
+                    p ** -1
+
+    def test_derivations(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            p = mixed_poly(rng, nvars=3)
+            specs = [DerivationSpec.euler(rng.randint(1, 3), 3),
+                     DerivationSpec.partial(rng.randint(1, 3), 3),
+                     DerivationSpec.general([mixed_poly(rng, nvars=3, max_terms=2)
+                                             for _ in range(3)])]
+            for spec in specs:
+                assert_same(spec.apply(p), f_apply(spec, fraction_poly(p)))
+
+    def test_exact_divide(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            a, b = mixed_poly(rng, max_terms=3), mixed_poly(rng, max_terms=3)
+            if b.is_zero():
+                continue
+            num = a * b
+            assert_same(exact_divide(num, b), f_exact_divide(fraction_poly(num), fraction_poly(b)))
+
+    def test_minors_and_determinants(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            k = rng.randint(1, 3)
+            rows = [[mixed_poly(rng, max_terms=2) for _ in range(k)]
+                    for _ in range(k + rng.randint(0, 2))]
+            if rng.random() < 0.5:  # an integral matrix, whose columns all have scale 1
+                rows = [[p * math.lcm(*(c.denominator for _, c in p.terms())) for p in row]
+                        for row in rows]
+            expected = laplace_minors(rows)
+            minors = maximal_minors(rows)
+            assert list(minors) == list(expected)
+            for subset, minor in minors.items():
+                assert_same(minor, expected[subset])
+            assert_same(det_ring(rows[:k]), laplace_minors(rows[:k])[tuple(range(k))])
+
+    def test_parse_with_rational_literals(self):
+        for seed in self.SEEDS:
+            text, expected = random_expression(random.Random(seed), 3)
+            assert_same(parse_polynomial(text, 3), expected)
+
+    def test_int_and_fraction_coefficients_are_one_polynomial(self):
+        """A polynomial equals, and hashes like, the same terms stored as
+        Fractions."""
+        for seed in self.SEEDS:
+            p = mixed_poly(random.Random(seed))
+            q = fraction_poly(p)
+            assert p == q and q == p and hash(p) == hash(q)
+            assert {p: seed}[q] == seed
+
+    def test_bool_coefficients_are_stored_and_printed_as_ints(self):
+        one = LaurentPolynomial.constant(1, True)
+        assert_stored(one)
+        assert format_polynomial(one) == "1"
+        assert format_polynomial(LaurentPolynomial.monomial(2, (1, -1), True)) == "t1*t2^-1"
+        assert format_polynomial(LaurentPolynomial.variable(2, 1) * True - True) == "t1 - 1"
+        assert LaurentPolynomial.constant(1, False).is_zero()
+
+    def test_formatter_matches_the_oracle(self):
+        """On int and Fraction coefficients (+-1 among them), constants,
+        negative exponents and zero; the Fraction-stored copy prints the
+        same."""
+        polys_seen = [LaurentPolynomial.zero(2), LaurentPolynomial.constant(2, -1),
+                      LaurentPolynomial.constant(2, Fraction(-7, 3))]
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            polys_seen.append(mixed_poly(rng, nvars=rng.randint(0, 4), max_terms=6))
+        for p in polys_seen:
+            assert format_polynomial(p) == format_polynomial_oracle(p)
+            assert format_polynomial(fraction_poly(p)) == format_polynomial_oracle(p)
 
 
 class TestExactDivision:
