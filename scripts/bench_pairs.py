@@ -8,8 +8,10 @@ run the parent first, even seeds the change first.  S is the
 For every end-to-end metric that ``BENCHMARK.json`` (read from the change
 checkout) declares, the BENCH file gives each side's median and quartiles
 over its runs, the relative change of the medians, and in how many pairs
-the change read better (ties count for neither side).  A traced run per side
-(``--trace 1``, seed 0) adds the per-layer counts, which repeat exactly.
+the change read better (ties count for neither side).  With ``--claim``, a
+traced run per side of the claimed workload (``--trace 1``, seed 0) adds the
+per-layer counts, which repeat exactly; without it the file records
+no-regression pairs, with ``"claim": null`` and no traced run.
 
 Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -135,7 +137,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--claim", required=True, help="workload:metric the change claims")
+    parser.add_argument("--claim", help="workload:metric the change claims, if any")
     parser.add_argument("--change-desc", required=True)
     parser.add_argument("--parent-commit", default="")
     parser.add_argument("--machine", default="")
@@ -143,7 +145,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     benchmark = load_benchmark(args.change)
-    claim_workload, _, claim_metric = args.claim.partition(":")
     seconds = benchmark["run_seconds"]
     report = {
         "change": args.change_desc,
@@ -151,22 +152,25 @@ def main(argv=None):
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds}",
         "machine": args.machine,
         "method": METHOD,
-        "claim": {"workload": claim_workload, "metric": claim_metric},
+        "claim": None,
         "workloads": {},
     }
     for workload in args.workload:
         raw = run_pairs(args.parent, args.change, workload, args.seeds)
         report["workloads"][workload] = summarize_workload(raw, benchmark["end_to_end"])
         print(f"{workload}: {report['workloads'][workload]['metrics']}", file=sys.stderr)
-    lines = [run_once(checkout, claim_workload, TRACE_SEED, trace=1)
-             for checkout in (args.parent, args.change)]
-    report["trace"] = {
-        "command": (f"python3 perfbench/run.py --workload {claim_workload} "
-                    f"--seed {TRACE_SEED} --seconds {seconds} --trace 1"),
-        "note": "one traced run per side; counts are deterministic, the traced seconds of "
-                "a single run on a shared machine are not and are left out",
-        "counts": trace_counts(*lines),
-    }
+    if args.claim:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        report["claim"] = {"workload": claim_workload, "metric": claim_metric}
+        lines = [run_once(checkout, claim_workload, TRACE_SEED, trace=1)
+                 for checkout in (args.parent, args.change)]
+        report["trace"] = {
+            "command": (f"python3 perfbench/run.py --workload {claim_workload} "
+                        f"--seed {TRACE_SEED} --seconds {seconds} --trace 1"),
+            "note": "one traced run per side; counts are deterministic, the traced seconds "
+                    "of a single run on a shared machine are not and are left out",
+            "counts": trace_counts(*lines),
+        }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .finite_algebra import (
@@ -92,7 +91,7 @@ def tensor_poisson_n(P: StructAlgebra, B: StructAlgebra) -> TensorAlgebra:
     # B-index words q of length n with a nonzero product f_q1 ... f_qn, grown
     # one factor at a time; a word can only use indices of product keys.
     factors = sorted({j for pair, _ in B.product_entries() for j in pair})
-    words = [((j,), {j: Fraction(1)}) for j in factors]
+    words = [((j,), {j: 1}) for j in factors]
     for _ in range(n - 1):
         longer = []
         for q, acc in words:
@@ -140,9 +139,9 @@ def xu_tensor(P1: StructAlgebra, P2: StructAlgebra) -> TensorAlgebra:
             if b > a:
                 value: SVec = {}
                 _sv_accum(value, _kron(P1.bracket_basis((ia, ib)),
-                                       P2.product_basis(ja, jb), width), Fraction(1))
+                                       P2.product_basis(ja, jb), width), 1)
                 _sv_accum(value, _kron(P1.product_basis(ia, ib),
-                                       P2.bracket_basis((ja, jb)), width), Fraction(1))
+                                       P2.bracket_basis((ja, jb)), width), 1)
                 if value:
                     brackets[(a, b)] = value
     algebra = StructAlgebra(dim, 2, brackets, products)
@@ -164,7 +163,7 @@ def iterated_bracket(P2: StructAlgebra, n: int) -> StructAlgebra:
     if n < 2:
         raise ValueError("need n >= 2")
     d = P2.dim
-    nestings: Dict[tuple, SVec] = {(j,): {j: Fraction(1)} for j in range(d)}
+    nestings: Dict[tuple, SVec] = {(j,): {j: 1} for j in range(d)}
     for _ in range(n - 1):
         grown: Dict[tuple, SVec] = {}
         for key, inner in nestings.items():
@@ -196,8 +195,8 @@ def skew_defect_spans(P: StructAlgebra) -> List[SVec]:
             swapped = list(key)
             swapped[a], swapped[b] = swapped[b], swapped[a]
             acc: SVec = {}
-            _sv_accum(acc, P.bracket_basis(key), Fraction(1))
-            _sv_accum(acc, P.bracket_basis(tuple(swapped)), Fraction(1))
+            _sv_accum(acc, P.bracket_basis(key), 1)
+            _sv_accum(acc, P.bracket_basis(tuple(swapped)), 1)
             if acc:
                 defects.add(tuple(sorted(acc.items())))
     return [dict(items) for items in sorted(defects)]
@@ -265,7 +264,7 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
         # grow words of oriented stored pairs one slot at a time
         oriented = [(pair, v) for (i, j), v in L.product_entries()
                     for pair in dict.fromkeys([(i, j), (j, i)])]
-        words = [(0, 0, {0: Fraction(1)})]
+        words = [(0, 0, {0: 1})]
         for _ in range(n - 1):
             words = [(a * d + i, b * d + j, _kron(acc, v, d))
                      for a, b, acc in words for (i, j), v in oriented]
@@ -329,7 +328,7 @@ def poisson_quotient_tilde(P: StructAlgebra) -> QuotientAlgebra:
 
 def unital_line() -> StructAlgebra:
     """The one-dimensional unital algebra with zero bracket (arity 2)."""
-    return StructAlgebra(1, 2, {}, {(0, 0): {0: Fraction(1)}})
+    return StructAlgebra(1, 2, {}, {(0, 0): {0: 1}})
 
 
 def truncated_power_algebra(k: int, unital: bool = False) -> StructAlgebra:
@@ -344,7 +343,7 @@ def truncated_power_algebra(k: int, unital: bool = False) -> StructAlgebra:
         for b in range(a, dim):
             total = (a + offset) + (b + offset)
             if total <= k:
-                products[(a, b)] = {total - offset: Fraction(1)}
+                products[(a, b)] = {total - offset: 1}
     return StructAlgebra(dim, 2, {}, products)
 
 
@@ -361,24 +360,24 @@ def direct_sum(P1: StructAlgebra, P2: StructAlgebra) -> StructAlgebra:
     return StructAlgebra(P1.dim + P2.dim, P1.arity, brackets, products)
 
 
-def _seed_heisenberg(scale: Fraction) -> StructAlgebra:
+def _seed_heisenberg(scale: int) -> StructAlgebra:
     """dim 4, arity 3: [e2,e3,e4] = c e1 with e2.e2 = e1."""
     return StructAlgebra(4, 3,
                          {(1, 2, 3): {0: scale}},
-                         {(1, 1): {0: Fraction(1)}})
+                         {(1, 1): {0: 1}})
 
 
 def _seed_epsilon() -> StructAlgebra:
     """dim 4, arity 3: the alternating epsilon bracket, zero product."""
     return StructAlgebra(4, 3, {
-        (0, 1, 2): {3: Fraction(1)},
-        (0, 1, 3): {2: Fraction(-1)},
-        (0, 2, 3): {1: Fraction(1)},
-        (1, 2, 3): {0: Fraction(-1)},
+        (0, 1, 2): {3: 1},
+        (0, 1, 3): {2: -1},
+        (0, 2, 3): {1: 1},
+        (1, 2, 3): {0: -1},
     })
 
 
-def _seed_line_bracket(scale: Fraction) -> StructAlgebra:
+def _seed_line_bracket(scale: int) -> StructAlgebra:
     """dim 3, arity 3: [e1,e2,e3] = c e1, zero product."""
     return StructAlgebra(3, 3, {(0, 1, 2): {0: scale}})
 
@@ -389,7 +388,7 @@ def random_poisson_n_lie(seed: int, max_dim: int = 6) -> Tuple[StructAlgebra, st
     products and direct sums so the axioms hold by construction; the
     verification suite is run and asserted anyway."""
     rng = random.Random(seed)
-    scale = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+    scale = rng.choice([-2, -1, 1, 2, 3])
     recipe = rng.randrange(6)
     if recipe == 0:
         k = rng.randint(1, max_dim - 1)
@@ -425,7 +424,7 @@ def random_poisson_n_lie(seed: int, max_dim: int = 6) -> Tuple[StructAlgebra, st
             desc = "line bracket dim 3"
     else:
         P = direct_sum(_seed_line_bracket(scale),
-                       _seed_line_bracket(Fraction(rng.choice([1, 2]))))
+                       _seed_line_bracket(rng.choice([1, 2])))
         desc = "two line brackets"
     _require_verified(P, "random instance")
     return P, desc

@@ -153,11 +153,7 @@ def _scaled(p: LaurentPolynomial, den: int) -> Optional[tuple]:
         return None
     if den == 1:
         return p, p._terms
-    terms = {}
-    for key, c in p._terms.items():
-        scaled = c * den
-        terms[key] = scaled.numerator if scaled.denominator == 1 else scaled
-    return p, terms
+    return p, _cleaned({key: c * den for key, c in p._terms.items()})
 
 
 class _SignedPi:

@@ -17,9 +17,11 @@ whole-slot pattern, and kept on the algebra) is met against that index, so
 only images that can be nonzero are formed.
 
 Structure constants, evaluations and ``Subspace`` rows share the sparse
-vectors of ``subspaces`` (``{index: Fraction}``); dense tuples appear only in
+vectors of ``subspaces``, whose entries follow the scalar rule of ``ring``
+(an int when integral, else a Fraction); dense tuples appear only in
 operator matrices and at the output edge (``Subspace.basis``,
-``CommonEigenvector.vector``, ``QuotientAlgebra.project``/``lift``).
+``CommonEigenvector.vector``, ``QuotientAlgebra.project``/``lift``), by
+the same rule.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jacobian_bracket import perm_sign
-from .ring import ParseError
+from .ring import ParseError, Scalar, _coeff
 from .subspaces import (
     SVec,
     Subspace,
@@ -45,8 +47,6 @@ from .subspaces import (
     shift_diagonal,
     sv_to_dense,
 )
-
-_F0 = Fraction(0)
 
 
 class InternalCheckError(AssertionError):
@@ -63,7 +63,7 @@ def _multilinear(value, vectors: Sequence[SVec]) -> SVec:
     for combo in itertools.product(*(v.items() for v in vectors)):
         base = value(tuple(i for i, _ in combo))
         if base:
-            coeff = Fraction(1)
+            coeff = 1
             for _, c in combo:
                 coeff *= c
             _sv_accum(acc, base, coeff)
@@ -139,7 +139,7 @@ class StructAlgebra:
 
     def _operator_matrix(self, image) -> tuple:
         """Matrix of the linear map ``image`` (columns indexed by e_j)."""
-        cols = [sv_to_dense(image({j: Fraction(1)}), self.dim) for j in range(self.dim)]
+        cols = [sv_to_dense(image({j: 1}), self.dim) for j in range(self.dim)]
         return tuple(tuple(col[i] for col in cols) for i in range(self.dim))
 
     def left_mult_matrix(self, x: SVec) -> tuple:
@@ -390,9 +390,9 @@ def _require_verified(P: StructAlgebra, label: str) -> None:
 # Subspace arithmetic driven by the algebra
 # ---------------------------------------------------------------------------
 
-def _row_index(U: Subspace) -> Dict[int, List[Tuple[int, Fraction]]]:
+def _row_index(U: Subspace) -> Dict[int, List[Tuple[int, Scalar]]]:
     """{entry: [(row number, coefficient), ...]} over U's RREF rows."""
-    index: Dict[int, List[Tuple[int, Fraction]]] = {}
+    index: Dict[int, List[Tuple[int, Scalar]]] = {}
     for r, row in enumerate(U.rows):
         for i, c in row.items():
             index.setdefault(i, []).append((r, c))
@@ -599,7 +599,7 @@ def engel_operators_nilpotent(P: StructAlgebra) -> Tuple[bool, Optional[tuple]]:
     """All basis left-multiplications and all increasing-tuple adjoints
     nilpotent?  Returns a witness tag when one is not."""
     for i in range(P.dim):
-        if not is_nilpotent_matrix(P.left_mult_matrix({i: Fraction(1)})):
+        if not is_nilpotent_matrix(P.left_mult_matrix({i: 1})):
             return False, ("product", i)
     for tup, matrix in _adjoint_generators(P):
         if not is_nilpotent_matrix(matrix):
@@ -629,7 +629,7 @@ def _adapted_basis(P: StructAlgebra) -> List[SVec]:
     collected: List[SVec] = []
     spanned = Subspace.zero(P.dim)
     layers = [term.rows for term in reversed(_series_terms(full_space(P), P, "derived"))]
-    for row in itertools.chain(*layers, ({j: Fraction(1)} for j in range(P.dim))):
+    for row in itertools.chain(*layers, ({j: 1} for j in range(P.dim))):
         if not spanned.contains(row):
             collected.append(row)
             spanned = spanned.adjoin([row])
@@ -710,13 +710,13 @@ class CommonEigenvector:
 
 def annihilator(P: StructAlgebra) -> Subspace:
     """{v : x . v = 0 for all x}; an ideal by the Leibniz rule."""
-    rows = [row for i in range(P.dim) for row in P.left_mult_matrix({i: Fraction(1)})]
+    rows = [row for i in range(P.dim) for row in P.left_mult_matrix({i: 1})]
     return kernel(rows, P.dim)
 
 
 def _adjoint_generators(P: StructAlgebra):
     for tup in itertools.combinations(range(P.dim), P.arity - 1):
-        ys = [{i: Fraction(1)} for i in tup]
+        ys = [{i: 1} for i in tup]
         yield tup, P.adjoint_matrix(ys)
 
 
@@ -782,10 +782,10 @@ class QuotientAlgebra:
 
     def project(self, vector: Sequence) -> tuple:
         residue = self.ideal.reduce(vector)
-        return tuple(residue.get(j, _F0) for j in self.kept)
+        return tuple(residue.get(j, 0) for j in self.kept)
 
     def lift(self, vector: Sequence) -> tuple:
-        return sv_to_dense({j: Fraction(c) for c, j in zip(vector, self.kept)}, self.parent.dim)
+        return sv_to_dense({j: _coeff(c) for c, j in zip(vector, self.kept)}, self.parent.dim)
 
 
 def quotient_algebra(P: StructAlgebra, I: Subspace) -> QuotientAlgebra:
@@ -879,7 +879,7 @@ def _restrict(operator, U: Subspace):
         image = operator(row)
         if not U.contains(image):
             raise ValueError("subspace is not invariant under the operator")
-        cols.append(tuple(image.get(p, _F0) for p in U.pivots))
+        cols.append(tuple(image.get(p, 0) for p in U.pivots))
     return tuple(tuple(col[i] for col in cols) for i in range(U.dim))
 
 
@@ -956,8 +956,8 @@ def fixture_hypo(n: int = 4, m: int = 6) -> StructAlgebra:
     brackets = {}
     tail = tuple(range(m - n + 1, m))  # 0-based indices of e_{m-n+2}..e_m
     for i in range(m - n + 1):
-        brackets[(i,) + tail] = {i: Fraction(1)}
-    products = {(m - n + 1, m - n + 2): {dim - 1: Fraction(1)}}
+        brackets[(i,) + tail] = {i: 1}
+    products = {(m - n + 1, m - n + 2): {dim - 1: 1}}
     P = StructAlgebra(dim, n, brackets, products)
     _require_verified(P, "fixture")
     return P
@@ -975,11 +975,7 @@ def fixture_torus(n: int = 4, k: int = 5) -> StructAlgebra:
     for i in range(1, q + 1):
         t_index = k + i - 1
         members = [t_index] + list(range(n - 2)) + [n - 3 + i]
-        arrangement = tuple(members)
-        sign = perm_sign(arrangement)
-        key = tuple(sorted(arrangement))
-        value = Fraction(1) if sign > 0 else Fraction(-1)
-        brackets[key] = {n - 3 + i: value}
+        brackets[tuple(sorted(members))] = {n - 3 + i: perm_sign(members)}
     P = StructAlgebra(dim, n, brackets, {})
     _require_verified(P, "fixture")
     return P
@@ -1002,27 +998,23 @@ def _parse_combination(text: str, dim: int, line_no: int) -> dict:
     for piece in pieces:
         if not piece:
             continue
-        sign = Fraction(1)
+        sign = 1
         if piece[0] == "+":
             piece = piece[1:]
         elif piece[0] == "-":
-            sign = Fraction(-1)
+            sign = -1
             piece = piece[1:]
         match = _TERM_RE.match(piece)
         if not match:
             raise ParseError(f"bad basis combination term {piece!r}", line_no, 1)
         try:
-            coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+            coeff = Fraction(match.group(1)) if match.group(1) else 1
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {piece!r}", line_no, 1)
         index = int(match.group(2))
         if not 1 <= index <= dim:
             raise ParseError(f"basis index e{index} out of range", line_no, 1)
-        value = result.get(index - 1, _F0) + sign * coeff
-        if value:
-            result[index - 1] = value
-        else:
-            result.pop(index - 1, None)
+        _sv_accum(result, {index - 1: coeff}, sign)
     return result
 
 

@@ -104,7 +104,7 @@ class AdjoinedMatrix:
 
     @classmethod
     def from_scalars(cls, n: int, m: int, rows: Sequence[Sequence], nvars: int) -> "AdjoinedMatrix":
-        poly_rows = tuple(tuple(LaurentPolynomial.constant(nvars, Fraction(v)) for v in row)
+        poly_rows = tuple(tuple(LaurentPolynomial.constant(nvars, v) for v in row)
                           for row in rows)
         return cls(n, m, nvars, poly_rows)
 

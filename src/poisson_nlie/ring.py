@@ -1,10 +1,18 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
 The ring substrate: polynomials are finite maps from signed exponent
-vectors to nonzero coefficients, an ``int`` when integral and else a
-``Fraction`` (every division goes through ``Fraction``: ``int / int`` is a
-float), so equality of term maps is equality of ring elements and no
-rounding can ever occur.  On top of the ring live commuting derivations
+vectors to nonzero coefficients, so equality of term maps is equality of
+ring elements and no rounding can ever occur.
+
+Every exact scalar the package stores (ring coefficients, the entries of
+sparse vectors, structure constants and operator matrices) follows one
+rule: an ``int`` when integral and else a ``Fraction``, never a ``bool``
+or a ``float``.  ``_coeff`` stores outside input by it and raises
+``TypeError`` on anything else; ``_cleaned`` restores it after arithmetic.
+A ``Fraction`` is made only where a division or a parse makes one (every
+division goes through ``Fraction``: ``int / int`` is a float).  Values
+stay equal across the two types: 3 == Fraction(3), the two hash alike and
+print alike.  On top of the ring live commuting derivations
 (with pairwise-commutation certification) and exact ring-valued
 determinants: one division-free routine, ``maximal_minors``, gives every
 maximal minor of a matrix on column-scaled int terms, and ``det_ring`` is
@@ -77,7 +85,7 @@ def _coeff(value: Scalar) -> Scalar:
 
 
 def _cleaned(terms: dict) -> dict:
-    """``terms`` without its zero coefficients, each integral one an int."""
+    """``terms``, any map to scalars, without its zeros, each integral one an int."""
     return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
 
 

@@ -1,12 +1,15 @@
 """Exact rational linear algebra: RREF subspaces, kernels, eigen tools.
 
-This module owns the sparse vector format, ``SVec = {index: Fraction}``
-without zero entries, and its one axpy, ``_sv_accum``.  A ``Subspace``
+This module owns the sparse vector format, ``SVec = {index: scalar}``
+without zero entries, and its one axpy, ``_sv_accum``.  Its entries, and
+those of every dense vector it returns, follow the scalar rule stated in
+``ring``: an int when integral, else a Fraction.  A ``Subspace``
 stores its RREF basis as sparse rows sorted by pivot, so two subspaces are
 equal iff their rows are; a sum, a kernel or an intersection comes out of
 one sparse ``rref`` in that form.  Dense tuples appear only at the output
-edge (``Subspace.basis``) and in operator matrices (``mat_*``,
-``det_fraction``, ``char_poly``).  Nothing here ever rounds.
+edge (``Subspace.basis``) and in operator matrices (``mat_pow``,
+``det_fraction``, ``char_poly``); those three and ``rational_roots``
+divide, and return Fractions.  Nothing here ever rounds.
 
 Operator matrices have one integer-scaling step, ``_integer_scaled``: M
 with entries in Q becomes B = D M, with D the lcm of the entry
@@ -24,39 +27,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-Vector = Tuple[Fraction, ...]
-Matrix = Tuple[Vector, ...]
-SVec = Dict[int, Fraction]
+from .ring import Scalar, _cleaned, _coeff
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+Vector = Tuple[Scalar, ...]  # by the rule of ``ring``, as are SVec entries
+Matrix = Tuple[Vector, ...]
+SVec = Dict[int, Scalar]
 
 
 def _sv(values) -> SVec:
     """A new sparse vector from a dense sequence or a mapping: zeros are
-    dropped, and entries that are not Fractions already are made so."""
+    dropped and entries stored by ``ring._coeff``, so a float raises."""
     items = values.items() if isinstance(values, dict) else enumerate(values)
-    return {i: c if type(c) is Fraction else Fraction(c) for i, c in items if c}
+    return {i: v for i, c in items if (v := _coeff(c))}
 
 
-def _sv_accum(acc: SVec, sv: SVec, scale: Fraction):
-    """acc += scale * sv, dropping the entries that cancel; a unit scale
-    makes no product."""
+def _sv_accum(acc: SVec, sv: SVec, scale: Scalar):
+    """acc += scale * sv, dropping the entries that cancel and storing an
+    integral result as an int; a unit scale makes no product."""
     unit = scale == 1
     for i, c in sv.items():
-        value = acc.get(i, _F0) + (c if unit else scale * c)
+        value = acc.get(i, 0) + (c if unit else scale * c)
         if value:
-            acc[i] = value
+            acc[i] = value.numerator if value.denominator == 1 else value
         else:
             acc.pop(i, None)
 
 
 def sv_to_dense(sv: SVec, dim: int) -> tuple:
-    return tuple(sv.get(i, _F0) for i in range(dim))
+    return tuple(sv.get(i, 0) for i in range(dim))
 
 
 def unit_vector(dim: int, index: int) -> Vector:
-    return tuple(_F1 if j == index else _F0 for j in range(dim))
+    return tuple(int(j == index) for j in range(dim))
 
 
 def rref(rows: Iterable) -> Tuple[Tuple[SVec, ...], Tuple[int, ...]]:
@@ -74,8 +76,8 @@ def rref(rows: Iterable) -> Tuple[Tuple[SVec, ...], Tuple[int, ...]]:
             continue
         pivot = min(vec)
         if vec[pivot] != 1:
-            inv = _F1 / vec[pivot]
-            vec = {i: inv * c for i, c in vec.items()}
+            inv = Fraction(1, vec[pivot])
+            vec = _cleaned({i: inv * c for i, c in vec.items()})
         for p, other in echelon.items():
             if pivot in other:
                 other = dict(other)
@@ -109,7 +111,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple({j: _F1} for j in range(ambient)), tuple(range(ambient)))
+        return cls(ambient, tuple({j: 1} for j in range(ambient)), tuple(range(ambient)))
 
     @property
     def basis(self) -> Matrix:
@@ -173,7 +175,7 @@ def kernel(matrix: Iterable, ncols: int) -> Subspace:
     last = ncols - 1  # columns and pivots below are counted from the end
     reduced, pivots = rref({last - i: c for i, c in _sv(row).items()} for row in matrix)
     bound = {last - p for p in pivots}
-    null = {f: {f: _F1} for f in range(ncols) if f not in bound}
+    null = {f: {f: 1} for f in range(ncols) if f not in bound}
     for row, p in zip(reduced, pivots):
         for i, c in row.items():
             if i != p:  # a free column
@@ -182,18 +184,18 @@ def kernel(matrix: Iterable, ncols: int) -> Subspace:
 
 
 def shift_diagonal(matrix: Sequence[Sequence], c) -> Matrix:
-    """M - c I, with only the diagonal entries rebuilt."""
-    c = Fraction(c)
-    return tuple(tuple(row[:i]) + (row[i] - c,) + tuple(row[i + 1:])
+    """M - c I, with only the diagonal entries rebuilt, by ``ring._coeff``
+    (so a float raises)."""
+    c = _coeff(c)
+    return tuple(tuple(row[:i]) + (_coeff(row[i] - c),) + tuple(row[i + 1:])
                  for i, row in enumerate(matrix))
 
 
 def _integer_scaled(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     """(B, D) with D the lcm of the entry denominators of M and B = D M,
     an integer matrix given as lists of plain ints."""
-    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
-    denom = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (denom // v.denominator) for v in row] for row in rows], denom
+    denom = math.lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (denom // v.denominator) for v in row] for row in matrix], denom
 
 
 def _int_mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
@@ -227,14 +229,12 @@ def is_nilpotent_matrix(matrix: Sequence[Sequence]) -> bool:
 
 
 def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant over Q by Gaussian elimination."""
+    """Exact determinant over Q by Gaussian elimination, as a Fraction."""
     n = len(matrix)
-    if n == 0:
-        return _F1
     work = [list(Fraction(v) for v in row) for row in matrix]
     if any(len(r) != n for r in work):
         raise ValueError("determinant of a non-square matrix")
-    det = _F1
+    det = 1
     for k in range(n):
         pivot_row = None
         for r in range(k, n):
@@ -242,7 +242,8 @@ def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
                 pivot_row = r
                 break
         if pivot_row is None:
-            return _F0
+            det = 0
+            break
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
             det = -det
@@ -252,14 +253,14 @@ def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
             if work[r][k]:
                 factor = work[r][k] / pivot
                 work[r] = [a - factor * b for a, b in zip(work[r], work[k])]
-    return det
+    return Fraction(det)
 
 
 def char_poly(matrix: Sequence[Sequence]) -> List[Fraction]:
     """Monic characteristic polynomial det(xI - M) by Berkowitz's
     division-free method (Inf. Process. Lett. 18, 1984).
 
-    Returns coefficients [1, c1, ..., cn] of x^n + c1 x^{n-1} + ... + cn.
+    Returns the Fractions [1, c1, ..., cn] of x^n + c1 x^{n-1} + ... + cn.
     Berkowitz runs on the integer matrix B = D M of ``_integer_scaled``,
     whose coefficients are b_k = D^k c_k, so c_k = b_k / D^k.  Adding row
     and column r to the leading r x r block A multiplies the coefficient
@@ -297,23 +298,22 @@ def _divisors(value: int) -> List[int]:
     return small + large[::-1]
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    """All rational roots of the polynomial with the given coefficients
-    (descending powers), each listed once."""
-    coeffs = [Fraction(c) for c in coeffs]
+def rational_roots(coeffs: Sequence[Scalar]) -> List[Fraction]:
+    """All rational roots, as Fractions, of the polynomial with the given
+    coefficients (descending powers), each listed once."""
+    coeffs = list(coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
-    if not coeffs or len(coeffs) == 1:
+    if len(coeffs) <= 1:
         return []
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
+    (ints,), _ = _integer_scaled([coeffs])
     roots = []
     trailing = 0
     while ints and ints[-1] == 0:
         ints = ints[:-1]
         trailing += 1
     if trailing:
-        roots.append(_F0)
+        roots.append(Fraction(0))
     if len(ints) <= 1:
         return roots
     tails = _divisors(ints[-1])

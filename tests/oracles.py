@@ -208,6 +208,53 @@ def laplace_minors(rows) -> dict:
             for subset in itertools.combinations(range(len(entries)), k)}
 
 
+def assert_scalar_rule(values):
+    """Every value is stored by the package's scalar rule: an int when
+    integral and a Fraction when not, never a bool, a float or an integral
+    Fraction."""
+    for c in values:
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination on Fraction entries
+# ---------------------------------------------------------------------------
+
+def _fraction_axpy(acc, sv, scale):
+    for i, c in sv.items():
+        value = acc.get(i, Fraction(0)) + scale * c
+        if value:
+            acc[i] = value
+        else:
+            acc.pop(i, None)
+
+
+def fraction_rref(rows):
+    """``subspaces.rref`` as it ran when every entry was a Fraction: the
+    same sparse elimination, in the same order, on rows given as dicts or
+    dense sequences, with each entry made and kept a Fraction."""
+    echelon = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        vec = {i: Fraction(c) for i, c in items if c}
+        for p in [i for i in vec if i in echelon]:
+            _fraction_axpy(vec, echelon[p], -vec[p])
+        if not vec:
+            continue
+        pivot = min(vec)
+        if vec[pivot] != 1:
+            inv = 1 / vec[pivot]
+            vec = {i: inv * c for i, c in vec.items()}
+        for p, other in echelon.items():
+            if pivot in other:
+                other = dict(other)
+                _fraction_axpy(other, vec, -other[pivot])
+                echelon[p] = other
+        echelon[pivot] = vec
+    pivots = tuple(sorted(echelon))
+    return tuple(echelon[p] for p in pivots), pivots
+
+
 def mat_sub(a, b):
     """Entrywise difference of two dense matrices, as Fractions."""
     return tuple(tuple(Fraction(x) - Fraction(y) for x, y in zip(ra, rb))

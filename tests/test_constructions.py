@@ -35,6 +35,8 @@ from poisson_nlie.finite_algebra import (
 )
 from poisson_nlie.subspaces import Subspace
 
+from oracles import assert_scalar_rule
+
 F1 = Fraction(1)
 
 
@@ -539,3 +541,35 @@ class TestRandomInstances:
     def test_variety(self):
         descriptions = {random_poisson_n_lie(seed)[1] for seed in range(20)}
         assert len(descriptions) >= 4
+
+
+def _entries(P):
+    return [c for _, value in [*P.bracket_entries(), *P.product_entries()]
+            for c in value.values()]
+
+
+class TestScalarRule:
+    def test_construction_outputs(self, hypo):
+        """Every construction stores its constants by the rule of ``ring``:
+        an int when integral, a Fraction when not.  Rational factors whose
+        products are integral (1/2 times 2) are among the inputs."""
+        half = StructAlgebra(1, 2, {}, {(0, 0): {0: Fraction(1, 2)}})
+        two = StructAlgebra(1, 2, {}, {(0, 0): {0: 2}})
+        lie = StructAlgebra(2, 2, {(0, 1): {1: Fraction(3, 2)}})
+        B = truncated_power_algebra(2, unital=True)
+        B3 = StructAlgebra(B.dim, 3, {}, dict(B.product_entries()))
+        line = StructAlgebra(3, 3, {(0, 1, 2): {0: Fraction(2, 3)}})
+        xu = xu_tensor(half, two).algebra
+        assert dict(xu.product_entries()) == {(0, 0): {0: 1}}
+        algebras = [xu, xu_tensor(two_dim_poisson(), two_dim_poisson()).algebra,
+                    tensor_poisson_n(line, B3).algebra, tensor_poisson_n(_seed_heisenberg(3), B3).algebra,
+                    iterated_bracket(lie, 3), skew_defect_quotient(iterated_bracket(lie, 3)).algebra,
+                    leibniz_tensor_functor(line, with_product=True),
+                    poisson_quotient_tilde(hypo).algebra, poisson_quotient_tilde(line).algebra,
+                    unital_line(), truncated_power_algebra(4), direct_sum(line, line_bracket_3())]
+        algebras += [random_poisson_n_lie(seed)[0] for seed in range(30)]
+        values = [c for P in algebras for c in _entries(P)]
+        values += [c for row in kernel_of_adjoint(line).rows for c in row.values()]
+        values += [c for row in skew_defect_spans(iterated_bracket(lie, 4)) for c in row.values()]
+        assert any(type(c) is Fraction for c in values)
+        assert_scalar_rule(values)

@@ -756,8 +756,8 @@ class TestFrobenius:
                        for mu in itertools.combinations_with_replacement(range(na), m - 1)]
         keys = {}
 
-        def vector(p):
-            return {keys.setdefault(e, len(keys)): c for e, c in p.terms()}
+        def vector(p):  # packed keys are in bijection with exponent tuples
+            return {keys.setdefault(k, len(keys)): c for k, c in p._terms.items()}
 
         span = Subspace(0, *rref(vector(c * u) for c in components for u in multipliers))
         signed = _SignedPi(pi, family)

@@ -47,7 +47,7 @@ from poisson_nlie.ring import ParseError
 from poisson_nlie.subspaces import (
     Subspace, is_nilpotent_matrix, kernel, mat_pow, rational_eigenvalues, unit_vector)
 
-from oracles import greedy_ideal_resweep, mat_sub, mat_vec, scale_matrix
+from oracles import assert_scalar_rule, greedy_ideal_resweep, mat_sub, mat_vec, scale_matrix
 
 F1 = Fraction(1)
 
@@ -1010,6 +1010,57 @@ class TestQuotients:
     def test_rejects_non_ideals(self, hypo):
         with pytest.raises(ValueError):
             quotient_algebra(hypo, span(7, 3))
+
+
+def _entries(P):
+    return [c for _, value in [*P.bracket_entries(), *P.product_entries()]
+            for c in value.values()]
+
+
+class TestScalarRule:
+    """Structure constants, evaluations, operators and the output edges
+    store scalars by the rule of ``ring``: an int when integral, a Fraction
+    when not, never a bool or a float."""
+
+    def test_entries_evaluations_and_operators(self, hypo, torus):
+        P = StructAlgebra(3, 2, {(0, 1): {0: Fraction(4, 2), 2: Fraction(1, 2)}},
+                          {(0, 0): [True, 0, Fraction(-3, 3)], (1, 2): {2: Fraction(2, 3)}})
+        assert P.bracket_basis((0, 1)) == {0: 2, 2: Fraction(1, 2)}
+        assert P.product_basis(0, 0) == {0: 1, 2: -1}
+        x, y = {0: Fraction(3, 2), 1: 2}, {1: Fraction(1, 2), 2: 3}
+        values = [*_entries(P), *P.bracket([x, y]).values(), *P.product(x, y).values()]
+        for Q in (P, hypo, torus):
+            values += _entries(Q)
+            values += [c for row in Q.left_mult_matrix(x) for c in row]
+            values += [c for i in range(Q.dim - Q.arity + 1)
+                       for row in Q.adjoint_matrix([e(i + j) for j in range(Q.arity - 1)])
+                       for c in row]
+        values += _entries(parse_algebra("dim 2\narity 2\nbracket [1,2] = 2/2*e1 - 1/2*e2 + 1/2*e2\n"
+                                         "product 1*1 = 4/6*e1 - 3*e2\n"))
+        assert_scalar_rule(values)
+
+    @pytest.mark.parametrize("call", [
+        lambda: StructAlgebra(2, 2, {}, {(0, 0): [0.1, 0]}),
+        lambda: StructAlgebra(2, 2, {(0, 1): {0: 2.0}}),
+        lambda: quotient_algebra(fixture_hypo(), span(7, 6)).lift([0.5] + [0] * 5),
+    ])
+    def test_floats_raise(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_output_edges(self, hypo, torus):
+        values = []
+        for P in (hypo, torus, fixture_hypo(5, 7), fixture_torus(3, 4)):
+            found = common_eigenvector(P)
+            values += found.vector
+            assert all(type(lam) is Fraction for lam in found.eigenvalues.values())
+            values += [c for U in (nilradical(P), annihilator(P)) for row in U.basis for c in row]
+        quo = quotient_algebra(hypo, span(7, 6))
+        projected = quo.project((Fraction(1, 2), 2, Fraction(6, 3), 4, 5, 6, 7))
+        lifted = quo.lift((Fraction(4, 2), True, 0, Fraction(1, 3), 1, 2))
+        assert projected == (Fraction(1, 2), 2, 2, 4, 5, 6)
+        assert lifted == (2, 1, 0, Fraction(1, 3), 1, 2, 0)
+        assert_scalar_rule(values + list(projected) + list(lifted))
 
 
 class TestFixtures:

@@ -29,7 +29,7 @@ from poisson_nlie.ring import (
     parse_polynomial,
 )
 
-from oracles import leibniz_det, leibniz_minors
+from oracles import assert_scalar_rule, leibniz_det, leibniz_minors
 
 
 def generic_entry_matrix(size):
@@ -177,6 +177,14 @@ class TestBracket:
     def test_full_equals_expanded_largest_configuration(self):
         result = expansion_equivalence_check(4, 3, euler_family(7), samples=20, seed=5)
         assert result["equal"]
+
+    def test_from_scalars_stores_by_the_scalar_rule(self):
+        A = AdjoinedMatrix.from_scalars(2, 1, [[Fraction(4, 2)], [True], [Fraction(1, 3)]], 3)
+        assert_scalar_rule(c for row in A.entries for p in row for c in p._terms.values())
+        assert [row[0] for row in A.entries] == [LaurentPolynomial.constant(3, c)
+                                                 for c in (2, 1, Fraction(1, 3))]
+        with pytest.raises(TypeError):
+            AdjoinedMatrix.from_scalars(2, 1, [[0.5], [1], [2]], 3)
 
     def test_repeated_arguments_vanish(self, euler3):
         A = AdjoinedMatrix.from_scalars(2, 1, [[2], [1], [0]], 3)

@@ -32,6 +32,7 @@ from poisson_nlie.ring import (
 from poisson_nlie.ring import _pack, _unpack
 
 from oracles import (
+    assert_scalar_rule,
     f_add,
     f_apply,
     f_constant,
@@ -529,10 +530,8 @@ def mixed_poly(rng, nvars=2, max_terms=4):
 
 
 def assert_stored(p):
-    """Every stored coefficient is an int when integral and a Fraction when
-    not: never a bool, a float or an integral Fraction."""
-    for c in p._terms.values():
-        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+    """Every stored coefficient follows the scalar rule."""
+    assert_scalar_rule(p._terms.values())
 
 
 def assert_same(result, oracle):

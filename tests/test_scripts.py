@@ -101,3 +101,35 @@ class TestBenchPairs:
         argv = calls[0]
         assert argv[argv.index("--seconds") + 1] == "7"
         assert argv[argv.index("--seed") + 1] == "3"
+
+    @pytest.mark.parametrize("claim", [None, "structure:jobs_per_s"])
+    def test_a_claim_is_optional(self, monkeypatch, tmp_path, claim):
+        """Without ``--claim`` the file records the pairs with ``"claim":
+        null`` and makes no traced run; with it, one traced run per side."""
+        bench = _bench_pairs()
+        spec = {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}
+        (tmp_path / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 7, "end_to_end": [spec]}))
+        calls = []
+
+        def fake_run(checkout, workload, seed, trace=0):
+            calls.append((checkout, workload, seed, trace))
+            return json.dumps({"correct": True, "metrics": {
+                "rate": {"value": 10.0 + seed, "unit": "1/s"},
+                "jobs": {"value": 5, "unit": "count"}}})
+
+        monkeypatch.setattr(bench, "run_once", fake_run)
+        out = tmp_path / "BENCH.json"
+        argv = ["--parent", "P", "--change", str(tmp_path), "--workload", "structure",
+                "--seeds", "1-2", "--change-desc", "d", "--out", str(out)]
+        bench.main(argv + (["--claim", claim] if claim else []))
+        report = json.loads(out.read_text())
+        assert report["workloads"]["structure"]["pairs"] == 2
+        traced = [call for call in calls if call[3]]
+        if claim is None:
+            assert report["claim"] is None and "trace" not in report
+            assert traced == []
+        else:
+            assert report["claim"] == {"workload": "structure", "metric": "jobs_per_s"}
+            assert traced == [("P", "structure", 0, 1), (str(tmp_path), "structure", 0, 1)]
+            assert report["trace"]["counts"] == {"jobs": {"parent": 5, "change": 5}}

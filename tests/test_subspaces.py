@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from poisson_nlie.subspaces import (
     Subspace,
+    _sv,
+    _sv_accum,
     char_poly,
     det_fraction,
     is_nilpotent_matrix,
@@ -21,7 +23,7 @@ from poisson_nlie.subspaces import (
     unit_vector,
 )
 
-from oracles import mat_sub, mat_vec, scale_matrix
+from oracles import assert_scalar_rule, fraction_rref, mat_sub, mat_vec, scale_matrix
 
 small = st.integers(-4, 4).map(Fraction)
 vectors4 = st.tuples(small, small, small, small)
@@ -122,6 +124,101 @@ class TestSparseRref:
         assert U.reduce((2, 3, 2)) == {1: 3}
         assert U.reduce({0: Fraction(1)}) == {2: -1}
         assert U.reduce((1, 0, 1)) == {}
+
+
+def _random_rows(rng, integral):
+    """Seeded rows for ``rref``: dicts or dense sequences of width 1-8 whose
+    entries are ints, bools and integral Fractions, plus proper fractions
+    unless ``integral``; zero and repeated rows mixed in."""
+    ncols = rng.randint(1, 8)
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        choices = [rng.randint(-4, 4), rng.choice([-1, 1, True]), Fraction(rng.randint(-6, 6), 2) * 2]
+        if not integral:
+            choices.append(Fraction(rng.randint(-9, 9), rng.randint(2, 7)))
+        return rng.choice(choices)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, 7))]
+    rows += rows[:rng.randint(0, 2)] + [[0] * ncols] * rng.randint(0, 1)
+    rng.shuffle(rows)
+    return ncols, [{i: v for i, v in enumerate(row) if v} if rng.random() < 0.5 else row
+                   for row in rows]
+
+
+def _stored(rows):
+    return [c for row in rows for c in row.values()]
+
+
+class TestScalarRule:
+    """Sparse vectors store scalars by the rule of ``ring``: an int when
+    integral, a Fraction when not, never a bool or a float; every result
+    equals the Fraction-only elimination."""
+
+    def test_sv_stores_by_the_rule(self):
+        vec = _sv([Fraction(4, 2), True, 0, Fraction(1, 3), -3, False, Fraction(0)])
+        assert vec == {0: 2, 1: 1, 3: Fraction(1, 3), 4: -3}
+        assert_scalar_rule(vec.values())
+        assert_scalar_rule(_sv({5: Fraction(-6, 3), 2: Fraction(3, 6)}).values())
+
+    @pytest.mark.parametrize("call", [
+        lambda: _sv([0.1, 1]),
+        lambda: _sv({0: 0.0}),
+        lambda: Subspace.from_vectors(2, [[0.1, 1]]),
+        lambda: Subspace.zero(2).adjoin([{1: 2.5}]),
+        lambda: shift_diagonal(((1, 0), (0, 1)), 0.5),
+        lambda: shift_diagonal(((Fraction(1, 2), 0), (0, 1.0)), 1),
+    ])
+    def test_floats_raise(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sv_accum_matches_fractions(self, seed):
+        rng = random.Random(seed)
+
+        def scalar():
+            return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+
+        acc = _sv({i: scalar() for i in range(6)})
+        sv = _sv({i: scalar() for i in range(6)})
+        scale = rng.choice([1, -1, scalar()])
+        expected = {i: Fraction(acc.get(i, 0)) + Fraction(scale) * Fraction(sv.get(i, 0))
+                    for i in range(6)}
+        _sv_accum(acc, sv, scale)
+        assert acc == {i: v for i, v in expected.items() if v}
+        assert_scalar_rule(acc.values())
+
+    @pytest.mark.parametrize("integral", [True, False], ids=["integral", "rational"])
+    @pytest.mark.parametrize("seed", range(60))
+    def test_rref_matches_the_fraction_oracle(self, seed, integral):
+        ncols, rows = _random_rows(random.Random(seed), integral)
+        reduced, pivots = rref(rows)
+        expected, expected_pivots = fraction_rref(rows)
+        assert pivots == expected_pivots
+        assert [list(row.items()) for row in reduced] == [list(row.items()) for row in expected]
+        assert_scalar_rule(_stored(reduced))
+        assert all(type(c) is Fraction for c in _stored(expected))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kernel_intersection_and_reduce(self, seed):
+        rng = random.Random(seed)
+        ncols, rows = _random_rows(rng, integral=seed % 2 == 0)
+        _, others = _random_rows(rng, integral=False)
+        U = Subspace.zero(ncols).adjoin(_sv(row) for row in rows)
+        V = Subspace.zero(ncols).adjoin({i: c for i, c in _sv(row).items() if i < ncols}
+                                        for row in others)
+        for W in (U, V, kernel(rows, ncols), U.intersection(V), U.sum(V)):
+            assert_scalar_rule(_stored(W.rows))
+            assert_scalar_rule([c for row in W.basis for c in row])
+        assert_scalar_rule(_stored(V.reduce(row) for row in rows))
+
+    def test_dense_outputs(self):
+        assert_scalar_rule(unit_vector(4, 2))
+        shifted = shift_diagonal(((Fraction(1, 2), Fraction(1, 3)), (0, 3)), Fraction(1, 2))
+        assert shifted == ((0, Fraction(1, 3)), (0, Fraction(5, 2)))
+        assert_scalar_rule(c for row in shifted for c in row)
 
 
 class TestSubspace:
