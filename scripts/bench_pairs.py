@@ -7,11 +7,14 @@ run the parent first, even seeds the change first.  S is the
 ``run_seconds`` of the checkout's ``BENCHMARK.json``, as in the benchmark.
 For every end-to-end metric that ``BENCHMARK.json`` (read from the change
 checkout) declares, the BENCH file gives each side's median and quartiles
-over its runs, the relative change of the medians, and in how many pairs
-the change read better (ties count for neither side).  With ``--claim``, a
-traced run per side of the claimed workload (``--trace 1``, seed 0) adds the
-per-layer counts, which repeat exactly; without it the file records
-no-regression pairs, with ``"claim": null`` and no traced run.
+over its runs, the relative change of the medians, in how many pairs the
+change read better (ties count for neither side), and whether the change's
+median is within the metric's bound of the parent's (``within_bound``).
+With ``--claim``, the claim records ``claim_met`` (the rule of
+``claim_met`` below) and a traced run per side of the claimed workload
+(``--trace 1``, seed 0) adds the per-layer counts, which repeat exactly;
+without it the file records no-regression pairs, with ``"claim": null``
+and no traced run.
 
 Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -79,6 +82,7 @@ def summarize_metric(raw, spec):
     better = sum(1 for s in seeds if sign * (change[s] - parent[s]) > 0)
     p, c = [parent[s] for s in seeds], [change[s] for s in seeds]
     p_median, c_median = statistics.median(p), statistics.median(c)
+    limit = p_median * (1 - sign * spec["bound"])
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -89,7 +93,20 @@ def summarize_metric(raw, spec):
         "change_quartiles": [round(q, 7) for q in _quartiles(c)],
         "change_over_parent": round(c_median / p_median - 1, 4) if p_median else None,
         "change_better": f"{better}/{len(seeds)}",
+        "within_bound": sign * (c_median - limit) >= 0,
     }
+
+
+def claim_met(summary):
+    """The rule for claiming a gain on one metric's summary: at least ten
+    pairs, the change better in at least nine tenths of them (ties count
+    for neither side), and the medians apart, in the better direction, by
+    more than the distance between the parent's quartiles."""
+    better, pairs = (int(v) for v in summary["change_better"].split("/"))
+    q1, q3 = summary["parent_quartiles"]
+    sign = 1 if summary["better"] == "higher" else -1
+    gap = sign * (summary["change_median"] - summary["parent_median"])
+    return pairs >= 10 and 10 * better >= 9 * pairs and gap > q3 - q1
 
 
 def _quartiles(values):
@@ -145,6 +162,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     benchmark = load_benchmark(args.change)
+    if args.claim:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        if (claim_workload not in args.workload
+                or claim_metric not in {spec["name"] for spec in benchmark["end_to_end"]}):
+            parser.error(f"--claim {args.claim} names no end-to-end metric of a --workload")
     seconds = benchmark["run_seconds"]
     report = {
         "change": args.change_desc,
@@ -160,8 +182,9 @@ def main(argv=None):
         report["workloads"][workload] = summarize_workload(raw, benchmark["end_to_end"])
         print(f"{workload}: {report['workloads'][workload]['metrics']}", file=sys.stderr)
     if args.claim:
-        claim_workload, _, claim_metric = args.claim.partition(":")
-        report["claim"] = {"workload": claim_workload, "metric": claim_metric}
+        summary = report["workloads"][claim_workload]["metrics"][claim_metric]
+        report["claim"] = {"workload": claim_workload, "metric": claim_metric,
+                           "claim_met": claim_met(summary)}
         lines = [run_once(checkout, claim_workload, TRACE_SEED, trace=1)
                  for checkout in (args.parent, args.change)]
         report["trace"] = {

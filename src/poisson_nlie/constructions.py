@@ -274,19 +274,28 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
     # derivation extension of ad_x, and that extension is an injective Lie
     # homomorphism End(L) -> End(L^(n-1)) over Q, so the identity holds
     # exactly when [ad_x, ad_y] = ad_[x,y] on L for every basis pair.  Both
-    # sides vanish unless (x, y) is stored or both adjoints are nonzero.
+    # sides vanish unless (x, y) is stored or both adjoints are nonzero, and
+    # also when y's adjoint is zero and [x, y] has no entry at a nonzero
+    # adjoint.  Only nonzero images are added.
     stored = dict(result.bracket_entries())
+    is_live = set(live)
     for x, y in sorted(set(stored) | set(itertools.product(live, repeat=2))):
         value = stored.get((x, y), {})
+        terms = [(a, c) for a, c in value.items() if a in is_live]
+        if y not in is_live and not terms:
+            continue
         for j in range(d):
             lhs: SVec = {}  # ad_x ad_y e_j
             rhs: SVec = {}  # ad_y ad_x e_j + ad_[x,y] e_j
             for l, c in images[y][j].items():
-                _sv_accum(lhs, images[x][l], c)
+                if images[x][l]:
+                    _sv_accum(lhs, images[x][l], c)
             for l, c in images[x][j].items():
-                _sv_accum(rhs, images[y][l], c)
-            for a, c in value.items():
-                _sv_accum(rhs, images[a][j], c)
+                if images[y][l]:
+                    _sv_accum(rhs, images[y][l], c)
+            for a, c in terms:
+                if images[a][j]:
+                    _sv_accum(rhs, images[a][j], c)
             if lhs != rhs:
                 raise InternalCheckError(
                     f"tensor-power bracket lost the Leibniz identity at {(x, y)}")

@@ -44,6 +44,20 @@ otherwise the scan below names the first nonzero group, and if it finds
 none its verdict stands.  The pass uses ring arithmetic, and an exponent
 leaving the range in it leaves the decision to the scan.
 
+Every component is a sum of curl times minor, so a matrix whose curls all
+vanish passes whatever its minors are: scalar matrices (every derivation
+kills constants, so two constant entries give a zero curl with no
+``apply`` call) and gradient columns (curls [d_r, d_s] y_j = 0).
+``check_criterion`` therefore reads the curls before it builds the pi
+table, through one curl table per column (``_Curls``) that the components
+read too, and passes such a matrix with no pi table built and no group
+evaluated.  The curls decide first only when building pi could not have
+raised (``_pi_cannot_raise``: m within ``DET_SIZE_CAP``, no minor product
+range-checked, A in the family's ring) and no derivative in the curl pass
+leaves the exponent range.  Any other input takes the pi-first order:
+pi, the constant-pi pass below, the components, the scan.  Verdicts,
+counterexamples and errors are those of that order on every input.
+
 Signed coefficients are written pi^tau = sgn(tau) * pi^{set(tau)} for an
 index tuple tau, zero when an index repeats; that convention silently
 removes every degenerate substitution.  ``signed_pi`` defines it.
@@ -68,9 +82,9 @@ of the ring.
 When the Frobenius pass fails, ``check_criterion`` calls
 ``group_residual_a`` label by label, (alpha, beta) in lexicographic order,
 and stops at the first nonzero group, so a failing check costs only its
-prefix of groups and keeps no state between checks.  When every pi^S is
-constant, every d_r pi^T is zero (d(1) = d(1 * 1) = 2 d(1)), so the check
-passes at once, before the Frobenius pass.
+prefix of groups and keeps no state between checks.  When pi is built and
+every pi^S is constant, every d_r pi^T is zero (d(1) = d(1 * 1) = 2 d(1)),
+so the check passes at once, before the Frobenius components.
 """
 
 from __future__ import annotations
@@ -92,11 +106,13 @@ from .jacobian_bracket import (
     pi_table,
 )
 from .ring import (
+    DET_SIZE_CAP,
     EXPONENT_LIMIT,
     CertifiedDerivationFamily,
     ExponentOverflowError,
     LaurentPolynomial,
     _cleaned,
+    _coeff,
     _from_keys,
     _origin,
     check_product_range,
@@ -289,34 +305,82 @@ def _frobenius_terms(n: int, m: int) -> tuple:
     return tuple(components)
 
 
-def _integrable(A: AdjoinedMatrix, pis: list,
-                family: CertifiedDerivationFamily) -> bool:
+class _Curls:
+    """The curls curl_j(r, s) = d_r A_{sj} - d_s A_{rj}, r < s, of the
+    columns of A under ``family``: one table per column, each curl taken on
+    first use and stored as None when zero.  Every derivation kills
+    constants, so two constant entries give None with no ``apply`` call
+    (when A lives in the family's ring; otherwise ``apply`` raises its
+    mismatch error, as for any other entry)."""
+
+    def __init__(self, A: AdjoinedMatrix, family: CertifiedDerivationFamily):
+        self.family = family
+        self.columns = [[row[j] for row in A.entries] for j in range(A.m)]
+        self.tables = [{} for _ in range(A.m)]
+        self.pairs = tuple(itertools.combinations(range(1, A.n + A.m + 1), 2))
+        origin, same_ring = _origin(family.nvars), A.nvars == family.nvars
+        self.flat = [[same_ring and all(key == origin for key in entry._terms)
+                      for entry in column] for column in self.columns]
+
+    def curl(self, j: int, r: int, s: int) -> Optional[LaurentPolynomial]:
+        table = self.tables[j]
+        curl = table.get((r, s), _MISSING)
+        if curl is _MISSING:
+            flat, column = self.flat[j], self.columns[j]
+            if flat[r - 1] and flat[s - 1]:
+                curl = None
+            else:
+                left = self.family[r - 1].apply(column[s - 1])
+                right = self.family[s - 1].apply(column[r - 1])
+                curl = None if left == right else left - right
+            table[r, s] = curl
+        return curl
+
+    def vanish(self) -> bool:
+        """Whether every curl is zero, so that every component of
+        d(alpha_j) ^ omega vanishes whatever the minors are; stops at the
+        first nonzero curl.  An ExponentOverflowError in a derivative also
+        gives False: the pi-first order then decides."""
+        try:
+            return all(all(flat) or all(self.curl(j, r, s) is None for r, s in self.pairs)
+                       for j, flat in enumerate(self.flat))
+        except ExponentOverflowError:
+            return False
+
+
+def _integrable(A: AdjoinedMatrix, pis: list, curls: _Curls) -> bool:
     """Whether d(alpha_j) ^ omega = 0 for every column j of A, where
-    ``pis`` lists A's pi^I in ``combinations`` order; stops at the first
-    nonzero component.  curl_j(r, s) = d_r A_{sj} - d_s A_{rj} is taken on
-    first use, and a zero curl or pi^I makes no product, so gradient
-    columns, whose curls are [d_r, d_s] y_j = 0, make none at all."""
-    nvars = family.nvars
+    ``pis`` lists A's pi^I in ``combinations`` order and ``curls`` is A's
+    curl table; stops at the first nonzero component.  A curl is read only
+    beside a nonzero pi^I, and a zero curl makes no product."""
+    nvars = curls.family.nvars
     components = _frobenius_terms(A.n, A.m)
     for j in range(A.m):
-        column = [row[j] for row in A.entries]
-        curls = {}
         for component in components:
             total = LaurentPolynomial.zero(nvars)
             for r, s, sign, i in component:
                 if pis[i].is_zero():
                     continue
-                curl = curls.get((r, s), _MISSING)
-                if curl is _MISSING:
-                    left = family[r - 1].apply(column[s - 1])
-                    right = family[s - 1].apply(column[r - 1])
-                    curl = curls[r, s] = None if left == right else left - right
+                curl = curls.curl(j, r, s)
                 if curl is not None:
                     term = curl * pis[i]
                     total = total + term if sign > 0 else total - term
             if not total.is_zero():
                 return False
     return True
+
+
+def _pi_cannot_raise(A: AdjoinedMatrix, family: CertifiedDerivationFamily) -> bool:
+    """Whether building pi_table(A) cannot raise, so the curls may decide
+    first: ``maximal_minors`` refuses only m > DET_SIZE_CAP, and it
+    range-checks a product only when its factors' exponent bounds sum past
+    EXPONENT_LIMIT, which the sum over columns of the largest entry bound
+    rules out.  A must also live in the family's ring: otherwise the curl
+    pass raises the mismatch error where the pi-first order passes a
+    matrix whose minors are all zero."""
+    return (A.m <= DET_SIZE_CAP and A.nvars == family.nvars
+            and sum(max(row[j]._reach for row in A.entries) for j in range(A.m))
+            <= EXPONENT_LIMIT)
 
 
 def _scan(A: AdjoinedMatrix, family: CertifiedDerivationFamily, pi: dict) -> Optional[dict]:
@@ -409,9 +473,13 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
     parametrization); exact arithmetic, zero tolerance.  The verdict is
     equivalent to the vanishing of the fundamental-identity defect on all
     inputs whenever the family's separating assumptions hold.  A matrix
-    that passes the Frobenius test passes without a scan; otherwise the
-    counterexample is the first group, in label order, that does not
-    vanish.  The second family always vanishes (see the module docstring).
+    whose curls all vanish passes before its pi table is built (when
+    building it could not have raised), one that passes the Frobenius test
+    passes without a scan, and otherwise the counterexample is the first
+    group, in label order, that does not vanish.  The second family always
+    vanishes (see the module docstring).  ``phases`` times the pi table,
+    the Frobenius test (its curls included) and the scan; ``pi_table_s`` is
+    0 when the curls decide.
 
     ``budget`` caps the residual groups covered (``counts["groups_total"]``).
     The check runs serially; ``threads`` is accepted for compatibility and
@@ -428,18 +496,22 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
     counts = check_group_budget(A.n, A.m, budget)
 
     start = time.perf_counter()
-    pi = pi_table(A)
-    pi_s = time.perf_counter() - start
-    pis = [pi[S] for S in itertools.combinations(range(1, A.n + A.m + 1), A.n)]
-    counterexample, frobenius_s = None, 0.0
-    if any(key != _origin(family.nvars) for p in pis for key in p._terms):
-        try:
-            integrable = _integrable(A, pis, family)
-        except ExponentOverflowError:
-            integrable = False  # the scan meets the overflow or avoids it
-        frobenius_s = time.perf_counter() - start - pi_s
-        if not integrable:
-            counterexample = _scan(A, family, pi)
+    curls = _Curls(A, family)
+    flat = _pi_cannot_raise(A, family) and curls.vanish()
+    frobenius_s, pi_s, counterexample = time.perf_counter() - start, 0.0, None
+    if not flat:
+        mark = time.perf_counter()
+        pi = pi_table(A)
+        pi_s = time.perf_counter() - mark
+        pis = [pi[S] for S in itertools.combinations(range(1, A.n + A.m + 1), A.n)]
+        if any(key != _origin(family.nvars) for p in pis for key in p._terms):
+            try:
+                integrable = _integrable(A, pis, curls)
+            except ExponentOverflowError:
+                integrable = False  # the scan meets the overflow or avoids it
+            frobenius_s += time.perf_counter() - mark - pi_s
+            if not integrable:
+                counterexample = _scan(A, family, pi)
     wall = time.perf_counter() - start
     entries = [[format_polynomial(e) for e in row] for row in A.entries]
     return CriterionReport(
@@ -458,8 +530,9 @@ def check_criterion(A: AdjoinedMatrix, family: CertifiedDerivationFamily,
 def grassmann_plucker_defect(es: Sequence[Sequence], fs: Sequence[Sequence]) -> Fraction:
     """sum_k (-1)^{k-1} det(e_1..e_k-hat..e_n) det(e_k, f_3..f_n); always 0.
 
-    Row vectors over Q of length n-1, with n = len(es) and n-2 trailing
-    f vectors: a Grassmann-Pluecker relation, which holds for the maximal
+    Row vectors over Q of length n-1 (exact scalars, stored by
+    ``ring._coeff``, so a float raises TypeError), with n = len(es) and
+    n-2 trailing f vectors: a Grassmann-Pluecker relation, which holds for the maximal
     minors of any matrix over any commutative ring (Fulton, Young Tableaux,
     1997, sec. 9), as the second residual family does for the pi^S.
     """
@@ -468,8 +541,8 @@ def grassmann_plucker_defect(es: Sequence[Sequence], fs: Sequence[Sequence]) -> 
         raise ValueError("need at least two e vectors")
     if len(fs) != n - 2:
         raise ValueError("need exactly n-2 f vectors")
-    rows = [tuple(Fraction(v) for v in e) for e in es]
-    frows = [tuple(Fraction(v) for v in f) for f in fs]
+    rows = [tuple(_coeff(v) for v in e) for e in es]
+    frows = [tuple(_coeff(v) for v in f) for f in fs]
     width = n - 1
     for vec in rows + frows:
         if len(vec) != width:
@@ -619,9 +692,10 @@ def probe_conjecture(n: int, m: int, trials: int, seed: int,
                      budget: int = DEFAULT_GROUP_BUDGET) -> ProbeReport:
     """Run the exhaustive criterion, with the Euler family on n + m
     variables, on seeded random scalar matrices, serially.  Within the
-    criterion's reduction every scalar matrix passes (constant pi^S), so
-    this exercises ``pi_table``, the budget and the report path, and a
-    sweep cannot fail; a failure would be a fault and is dumped verbatim."""
+    criterion's reduction every scalar matrix passes: its curls vanish, so
+    no pi table is built for m within ``DET_SIZE_CAP``.  The probe thus
+    exercises the curl pass, the budget and the report path, and a sweep
+    cannot fail; a failure would be a fault and is dumped verbatim."""
     from .ring import euler_family
 
     if trials < 0:

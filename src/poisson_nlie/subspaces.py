@@ -229,9 +229,10 @@ def is_nilpotent_matrix(matrix: Sequence[Sequence]) -> bool:
 
 
 def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant over Q by Gaussian elimination, as a Fraction."""
+    """Exact determinant over Q by Gaussian elimination, as a Fraction;
+    entries are stored by ``ring._coeff``, so a float raises TypeError."""
     n = len(matrix)
-    work = [list(Fraction(v) for v in row) for row in matrix]
+    work = [[Fraction(_coeff(v)) for v in row] for row in matrix]
     if any(len(r) != n for r in work):
         raise ValueError("determinant of a non-square matrix")
     det = 1

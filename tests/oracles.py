@@ -4,8 +4,9 @@ import bisect
 import itertools
 from fractions import Fraction
 
+from poisson_nlie import criterion
 from poisson_nlie.criterion import replace_position, signed_pi
-from poisson_nlie.jacobian_bracket import perm_sign
+from poisson_nlie.jacobian_bracket import perm_sign, pi_table
 from poisson_nlie.ring import (
     DET_SIZE_CAP,
     EXPONENT_LIMIT,
@@ -317,6 +318,62 @@ class OrderedPiReads:
                     entry = None
             self._derivatives[r, tau] = entry
         return self._derivatives[r, tau]
+
+
+def _integrable_pi_first(A, pis, family):
+    """The Frobenius pass before curls were read first: curl_j(r, s) is
+    taken by ``apply`` on first use beside a nonzero pi^I, for constant
+    entries too."""
+    nvars = family.nvars
+    components = criterion._frobenius_terms(A.n, A.m)
+    for j in range(A.m):
+        column = [row[j] for row in A.entries]
+        curls = {}
+        for component in components:
+            total = LaurentPolynomial.zero(nvars)
+            for r, s, sign, i in component:
+                if pis[i].is_zero():
+                    continue
+                if (r, s) not in curls:
+                    left = family[r - 1].apply(column[s - 1])
+                    right = family[s - 1].apply(column[r - 1])
+                    curls[r, s] = None if left == right else left - right
+                if curls[r, s] is not None:
+                    term = curls[r, s] * pis[i]
+                    total = total + term if sign > 0 else total - term
+            if not total.is_zero():
+                return False
+    return True
+
+
+def check_criterion_pi_first(A, family, budget=criterion.DEFAULT_GROUP_BUDGET, matrix_desc=""):
+    """``check_criterion`` in its pi-first order: the pi table first, then
+    the constant-pi pass, then the Frobenius components, then the scan.
+    The report has no phases and zero wall time."""
+    if not isinstance(family, criterion.CertifiedDerivationFamily):
+        raise TypeError("check_criterion requires a certified derivation family")
+    if not family.assumptions_12:
+        raise criterion.AssumptionsError(
+            "the derivation preset is not certified for the separating "
+            "assumptions; only the sampled identity check applies")
+    if len(family) != A.n + A.m:
+        raise ValueError("derivation family size must be n + m")
+    counts = criterion.check_group_budget(A.n, A.m, budget)
+    pi = pi_table(A)
+    pis = [pi[S] for S in itertools.combinations(range(1, A.n + A.m + 1), A.n)]
+    counterexample = None
+    if any(key != _origin(family.nvars) for p in pis for key in p._terms):
+        try:
+            integrable = _integrable_pi_first(A, pis, family)
+        except ExponentOverflowError:
+            integrable = False
+        if not integrable:
+            counterexample = criterion._scan(A, family, pi)
+    return criterion.CriterionReport(
+        n=A.n, m=A.m, nvars=A.nvars, matrix_desc=matrix_desc,
+        matrix_entries=[[criterion.format_polynomial(e) for e in row] for row in A.entries],
+        verdict="pass" if counterexample is None else "fail",
+        counts=counts, counterexample=counterexample, wall_time=0.0)
 
 
 def literal_group_a(alpha, beta, A, reads):

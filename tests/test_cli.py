@@ -290,6 +290,19 @@ class TestCriterionCommands:
             "version": cli.__version__,
         }
 
+    def test_gradient_columns_whose_minors_overflow_exit_four(self, capsys, tmp_path):
+        """Columns d_r(y_j) of y_1 = t1^a and y_2 = t1^a * t2 have zero
+        curls, but their minors reach t1^(2a), past the exponent range.
+        The pi table is built before the curls decide, so its error still
+        ends the check with exit 4 instead of a pass."""
+        a = 1073741829
+        path = tmp_path / "gradient.mat"
+        path.write_text(f"2 2\n{a}*t1^{a}\n{a}*t1^{a}*t2\n0\nt1^{a}*t2\n0\n0\n0\n0\n")
+        code, report, _ = invoke(capsys, "criterion-check", "--n", "2", "--m", "2",
+                                 "--matrix", f"file:{path}")
+        assert code == 4
+        assert report["error"] == "exponent 2147483658 out of range"
+
     @pytest.mark.parametrize("scalars, row, exponent", [
         ("-1 3 -2 2 -2 3 -3 2 1 2 2 3 1 3 0 -1 1 -2", 1, 1073741829),
         ("-3 -2 -3 -1 -1 1 -1 -1 1 0 -1 3 -1 -1 -2 2 3 1", 2, 1073741830),

@@ -33,7 +33,7 @@ from poisson_nlie.finite_algebra import (
     sv_to_dense,
     verify_axioms,
 )
-from poisson_nlie.subspaces import Subspace
+from poisson_nlie.subspaces import Subspace, _sv_accum
 
 from oracles import assert_scalar_rule
 
@@ -334,6 +334,33 @@ def _first_leibniz_failure(R):
     return None
 
 
+def _first_operator_failure(L):
+    """The first basis pair (x, y), in sorted order over every stored pair
+    and every pair of nonzero adjoints, at which [ad_x, ad_y] = ad_[x,y]
+    fails on L, with every image added, zero or not: the operator check
+    before it skipped pairs and images that add nothing."""
+    images = constructions._adjoint_images(L)
+    live = [a for a in range(len(images)) if any(images[a])]
+    stored = {}
+    for key, value in _power_by_formula(L).bracket_entries():
+        value = {i: c for i, c in value.items() if c}
+        if value:
+            stored[key] = value
+    for x, y in sorted(set(stored) | set(itertools.product(live, repeat=2))):
+        value = stored.get((x, y), {})
+        for j in range(L.dim):
+            lhs, rhs = {}, {}
+            for l, c in images[y][j].items():
+                _sv_accum(lhs, images[x][l], c)
+            for l, c in images[x][j].items():
+                _sv_accum(rhs, images[y][l], c)
+            for a, c in value.items():
+                _sv_accum(rhs, images[a][j], c)
+            if lhs != rhs:
+                return (x, y)
+    return None
+
+
 # fails the fundamental identity at ((1, 5), (2, 3, 4)); its 81-dim power
 # breaks the Leibniz identity on 816 of 531,441 basis triples
 NOT_FUNDAMENTAL_9 = """dim 9
@@ -386,6 +413,35 @@ class TestLeibnizTensorFunctor:
             assert refused == failing == (not verify_axioms(L).fundamental)
             outcomes.add(refused)
         assert outcomes == {True, False}
+
+    def test_refuses_at_the_first_pair_of_the_all_pairs_check(self):
+        """Skipping pairs and images that add nothing keeps the first
+        failing pair: seeded algebras, some breaking the identity, refuse
+        at the pair the all-pairs operator check names."""
+        rng = random.Random(7)
+        refused = 0
+        # [e0, e2] = e0 fails first at (0, 2), where y = e2 has a zero
+        # adjoint but [x, y] = e0 does not
+        inputs = [parse_algebra(NOT_FUNDAMENTAL_9),
+                  StructAlgebra(5, 2, {(0, 3): e(2), (1, 4): e(3)}, skew=False),
+                  StructAlgebra(5, 2, {(0, 2): e(0)}, skew=False),
+                  StructAlgebra(2, 2, {(1, 1): {0: -1}, (1, 0): {1: -2}}, skew=False)]
+        for _ in range(30):
+            d, n = rng.choice([(3, 3), (4, 3), (5, 3), (4, 2), (4, 4)])
+            keys = list(itertools.combinations(range(d), n))
+            inputs.append(StructAlgebra(d, n, {
+                key: {rng.randrange(d): rng.choice([-2, -1, 1, Fraction(1, 2)])}
+                for key in rng.sample(keys, rng.randint(1, len(keys)))}))
+        for L in inputs:
+            expected = _first_operator_failure(L)
+            if expected is None:
+                leibniz_tensor_functor(L)
+                continue
+            with pytest.raises(InternalCheckError) as raised:
+                leibniz_tensor_functor(L)
+            assert str(raised.value).endswith(f"Leibniz identity at {expected}")
+            refused += 1
+        assert 5 < refused < len(inputs), refused
 
     def test_refuses_a_failure_only_a_pair_of_nonzero_adjoints_shows(self):
         # [a, d] = c and [b, f] = d: every stored pair holds, but a and b do

@@ -12,6 +12,7 @@ from poisson_nlie.criterion import (
     AssumptionsError,
     DEFAULT_GROUP_BUDGET,
     BudgetExceededError,
+    _Curls,
     _SignedPi,
     _frobenius_terms,
     _integrable,
@@ -47,7 +48,12 @@ from poisson_nlie.ring import (
 )
 from poisson_nlie.subspaces import Subspace, rref
 
-from oracles import OrderedPiReads, literal_group_a, literal_group_b
+from oracles import (
+    OrderedPiReads,
+    check_criterion_pi_first,
+    literal_group_a,
+    literal_group_b,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +552,31 @@ class TestStreamedScan:
                 assert "second" not in failed  # the family is formally zero at n = 2
 
     def test_only_a_failing_check_evaluates_groups(self, monkeypatch):
-        """A scalar table evaluates no group, nor does a passing polynomial
-        check, which the Frobenius test decides; a failing check evaluates
-        the same prefix of groups each time it runs."""
-        calls = []
-        evaluate = criterion.group_residual_a
+        """A scalar matrix builds no pi table and evaluates no group, and
+        neither does a passing gradient check: every curl vanishes, which
+        decides them before pi.  A passing f * I block builds pi for the
+        Frobenius components but evaluates no group; a failing check
+        evaluates the same prefix of groups each time it runs."""
+        calls, built = [], []
+        evaluate, build = criterion.group_residual_a, criterion.pi_table
         monkeypatch.setattr(criterion, "group_residual_a",
                             lambda *a, **k: calls.append(a[:2]) or evaluate(*a, **k))
+        monkeypatch.setattr(criterion, "pi_table", lambda A: built.append(A) or build(A))
         family = euler_family(7)
         for seed in (3, 4):
             report = check_criterion(MonomialSampler(7, seed=seed).scalar_matrix(5, 2), family)
-            assert report.passed()
-            assert report.phases["frobenius_s"] == 0.0
+            assert report.passed() and report.phases["pi_table_s"] == 0.0
         sampler = MonomialSampler(7, seed=5)
         A = gradient_matrix(5, 2, [sampler.binomial() for _ in range(2)], family)
         report = check_criterion(A, family)
         assert report.passed() and report.phases["frobenius_s"] > 0.0
-        assert calls == []
+        assert calls == [] and built == []
+        f = sampler.binomial()
+        zero = LaurentPolynomial.zero(7)
+        A = AdjoinedMatrix.from_rows(5, 2, [[f if r == s else zero for s in range(2)]
+                                            for r in range(7)])
+        report = check_criterion(A, family)
+        assert report.passed() and calls == [] and built == [A]
         t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
         A = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
         prefixes = []
@@ -574,6 +588,7 @@ class TestStreamedScan:
             prefixes.append(calls[:])
             calls.clear()
         assert prefixes[0] == prefixes[1] and prefixes[0]
+        assert built[1:] == [A, A]
         assert set(report.phases) == {"pi_table_s", "frobenius_s", "evaluate_s"}
 
     def test_a_failing_cli_check_evaluates_its_prefix(self, capsys, monkeypatch):
@@ -707,7 +722,7 @@ class TestFrobenius:
                 A = _frobenius_matrix(kind, n, m, family, seed=10 * n + m + i)
                 pi = pi_table(A)
                 pis = [pi[S] for S in itertools.combinations(range(1, n + m + 1), n)]
-                verdict = _integrable(A, pis, family)
+                verdict = _integrable(A, pis, _Curls(A, family))
                 assert verdict == (_scan(A, family, pi) is None), (derivations, kind)
                 verdicts[kind] = verdict
             assert verdicts["combination"] and verdicts["scaled"], derivations
@@ -771,19 +786,149 @@ class TestFrobenius:
         assert nonzero  # the generic matrix fails, so the span is not trivially met
 
     def test_overflow_in_the_pass_leaves_the_decision_to_the_scan(self, monkeypatch):
-        """An ExponentOverflowError inside the Frobenius pass is not an
-        error of the check: the scan decides, as if the pass had failed."""
-        def overflowing(A, pis, family):
+        """An ExponentOverflowError inside the Frobenius pass, whether in
+        the curls read before pi or in the components, is not an error of
+        the check: the scan decides, as if the pass had failed."""
+        def overflowing(*args):
             raise ExponentOverflowError("exponent 2147483648 out of range")
 
         t = [LaurentPolynomial.variable(3, i) for i in (1, 2, 3)]
         failing = AdjoinedMatrix.from_rows(2, 1, [[t[1]], [t[2]], [t[0]]])
         passing = gradient_matrix(2, 1, [parse_polynomial("t1^2*t2 + t3", 3)], euler_family(3))
         expected = [check_criterion(A, euler_family(3)).to_json_dict() for A in (failing, passing)]
-        monkeypatch.setattr("poisson_nlie.criterion._integrable", overflowing)
-        got = [check_criterion(A, euler_family(3)).to_json_dict() for A in (failing, passing)]
-        assert got == expected
-        assert [report["verdict"] for report in got] == ["fail", "pass"]
+        for target in ("_integrable", "_Curls.curl"):
+            with monkeypatch.context() as patch:
+                if target == "_integrable":
+                    patch.setattr(criterion, "_integrable", overflowing)
+                else:
+                    patch.setattr(criterion._Curls, "curl", overflowing)
+                got = [check_criterion(A, euler_family(3)).to_json_dict()
+                       for A in (failing, passing)]
+            assert got == expected, target
+            assert [report["verdict"] for report in got] == ["fail", "pass"]
+
+
+def _outcome(check, A, family):
+    """The report body of ``check``, or the type and message of its error."""
+    try:
+        return json.dumps(check(A, family, matrix_desc="m").to_json_dict())
+    except Exception as error:  # every error is compared, not handled
+        return type(error).__name__, str(error)
+
+
+def _near_limit_matrices():
+    """Inputs at the edges of the curl-first pass, each with the family
+    it is checked under."""
+    big = 2**30 + 5
+    euler3, euler4 = euler_family(3), euler_family(4)
+    partial3 = _derivations("partial", 3)
+    t = [LaurentPolynomial.variable(4, i) for i in (1, 2, 3, 4)]
+    zero = LaurentPolynomial.zero(4)
+    y1 = LaurentPolynomial.monomial(4, (big, 0, 0, 0))
+    y2 = y1 * t[1]
+    # partial d_1 of t1^-(2^31 - 1) leaves the range inside the curl pass
+    edge = LaurentPolynomial.monomial(3, (-EXPONENT_LIMIT, 0, 0))
+    # a 2 x 2 minor of the m = 2 columns is constant, the entries are not
+    flat_minor = [[t[0], LaurentPolynomial.one(4)], [LaurentPolynomial.one(4), zero],
+                  [zero, zero], [zero, zero]]
+    wide = certify_family([DerivationSpec.partial(i, 6) for i in range(1, 5)],
+                          assumptions_12=True)
+    return [
+        (AdjoinedMatrix.from_rows(2, 1, [[parse_polynomial(f"t1^{big}*t{i}", 3)]
+                                         for i in (1, 2, 3)]), euler3),
+        (gradient_matrix(2, 2, [y1, y2], euler4), euler4),
+        (AdjoinedMatrix.from_rows(2, 1, [[edge], [LaurentPolynomial.one(3)], [edge]]), partial3),
+        (AdjoinedMatrix.from_rows(2, 1, [[edge], [LaurentPolynomial.one(3)], [edge]]), euler3),
+        (AdjoinedMatrix.from_rows(2, 2, flat_minor), euler4),
+        (AdjoinedMatrix.from_rows(2, 2, flat_minor), wide),
+        (MonomialSampler(4, seed=1).scalar_matrix(2, 2), wide),
+        (MonomialSampler(4, seed=1).monomial_matrix(2, 2), wide),
+        (AdjoinedMatrix.empty(4, 5), wide),
+        (AdjoinedMatrix.from_rows(2, 2, [[zero, zero]] * 4), wide),
+        (MonomialSampler(15, seed=0).scalar_matrix(2, 13), euler_family(15)),
+        (AdjoinedMatrix.empty(3, 3), euler3),
+    ]
+
+
+class TestCurlsBeforePi:
+    """check_criterion reads the curls before it builds pi and passes a
+    matrix whose curls all vanish with no pi table; the pi-first body it
+    replaced is the reference for every body and every error."""
+
+    SHAPES = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3),
+              (4, 3), (9, 3)]
+
+    @pytest.mark.parametrize("kind", ["scalar", "gradient", "block", "monomial",
+                                      "rational", "negative", "partial"])
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_reports_match_the_pi_first_body(self, kind, n, m):
+        for derivations in ("euler", "partial", "halved"):
+            if derivations != "euler" and n + m > 7:
+                continue  # the shift families at (9, 3) add time, not cases
+            family = _derivations("partial" if kind == "partial" else derivations, n + m)
+            for seed in range(2):
+                A = _seeded_matrix(kind, n, m, family, seed)
+                expected = _outcome(check_criterion_pi_first, A, family)
+                assert _outcome(check_criterion, A, family) == expected, (derivations, seed)
+
+    def test_inputs_at_the_edges_match_the_pi_first_body(self):
+        """Overflowing minors, an overflow inside the curl pass, a constant
+        minor of non-constant entries, a matrix outside the family's ring,
+        m = 0 and m past the determinant size cap."""
+        outcomes = []
+        for A, family in _near_limit_matrices():
+            expected = _outcome(check_criterion_pi_first, A, family)
+            assert _outcome(check_criterion, A, family) == expected, A
+            outcomes.append(expected if isinstance(expected, tuple) else
+                            json.loads(expected)["verdict"])
+        assert outcomes == [
+            ("ExponentOverflowError", "exponent 2147483658 out of range"),
+            ("ExponentOverflowError", "exponent 2147483658 out of range"),
+            ("ExponentOverflowError", "exponent -2147483648 out of range"),
+            "fail", "pass",
+            ("ValueError", "variable count mismatch"),
+            ("ValueError", "variable count mismatch"),
+            ("ValueError", "variable count mismatch"),
+            "pass", "pass",
+            ("DeterminantSizeError", "matrix size 13 exceeds cap 12"),
+            "pass",
+        ]
+
+    def test_vanishing_curls_build_no_pi(self, monkeypatch):
+        """Scalar, gradient and m = 0 inputs build no pi table; so does a
+        matrix with a zero curl table outside the guard's reach, which
+        builds pi as before."""
+        built = []
+        build = criterion.pi_table
+        monkeypatch.setattr(criterion, "pi_table", lambda A: built.append(A) or build(A))
+        family = euler_family(7)
+        sampler = MonomialSampler(7, seed=2)
+        for A in (sampler.scalar_matrix(5, 2), sampler.scalar_matrix(4, 3),
+                  gradient_matrix(4, 3, [sampler.binomial() for _ in range(3)], family),
+                  AdjoinedMatrix.empty(7, 7)):
+            assert check_criterion(A, family).passed()
+        assert built == []
+        A, family = _near_limit_matrices()[1]  # gradient columns, overflowing minors
+        with pytest.raises(ExponentOverflowError):
+            check_criterion(A, family)
+        assert built == [A]
+
+    def test_constant_entries_make_no_apply_call(self, monkeypatch):
+        """Two constant entries give a zero curl without a derivative."""
+        family, family3 = euler_family(7), euler_family(3)  # certifying applies
+        applied = []
+        apply = DerivationSpec.apply
+        monkeypatch.setattr(DerivationSpec, "apply",
+                            lambda self, p: applied.append(p) or apply(self, p))
+        assert check_criterion(MonomialSampler(7, seed=0).scalar_matrix(5, 2), family).passed()
+        assert applied == []
+        one, t1 = LaurentPolynomial.one(3), LaurentPolynomial.variable(3, 1)
+        A = AdjoinedMatrix.from_rows(2, 1, [[one], [t1], [one]])
+        curls = _Curls(A, family3)
+        assert curls.curl(0, 1, 3) is None and applied == []
+        assert curls.curl(0, 1, 2) == t1 and len(applied) == 2
+        assert curls.curl(0, 1, 2) == t1 and len(applied) == 2  # read from the table
+        assert not curls.vanish()
 
 
 class TestPackedEvaluation:
@@ -862,7 +1007,7 @@ class TestPackedEvaluation:
             monkeypatch.setattr(LaurentPolynomial, name, counting)
         counterexample = _scan(A, family, pi)
         assert counterexample is None
-        assert _integrable(A, pis, family)
+        assert _integrable(A, pis, _Curls(A, family))
         assert calls == []
 
 
@@ -950,6 +1095,16 @@ class TestGrassmannPlucker:
                 fs = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                             for _ in range(n - 1)) for _ in range(n - 2)]
                 assert grassmann_plucker_defect(es, fs) == 0
+
+    @pytest.mark.parametrize("es, fs", [
+        ([[0.1], [0.2]], []),
+        ([(1, 2), (3, 4), (5, 6)], [(1, 2.5)]),
+    ])
+    def test_floats_raise(self, es, fs):
+        """Entries are exact scalars: a float is refused, not read as the
+        binary fraction it stands for."""
+        with pytest.raises(TypeError):
+            grassmann_plucker_defect(es, fs)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

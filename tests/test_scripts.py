@@ -60,7 +60,7 @@ class TestBenchPairs:
             "parent_median": 11.0, "parent_quartiles": [9.5, 12.5],
             "change_median": 14.0, "change_quartiles": [11.0, 15.5],
             "change_over_parent": round(14 / 11 - 1, 4),
-            "change_better": "3/5",
+            "change_better": "3/5", "within_bound": True,
         }
 
     def test_lower_is_better_and_ties_count_for_neither(self):
@@ -107,7 +107,7 @@ class TestBenchPairs:
         """Without ``--claim`` the file records the pairs with ``"claim":
         null`` and makes no traced run; with it, one traced run per side."""
         bench = _bench_pairs()
-        spec = {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}
+        spec = {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
         (tmp_path / "BENCHMARK.json").write_text(
             json.dumps({"run_seconds": 7, "end_to_end": [spec]}))
         calls = []
@@ -115,7 +115,7 @@ class TestBenchPairs:
         def fake_run(checkout, workload, seed, trace=0):
             calls.append((checkout, workload, seed, trace))
             return json.dumps({"correct": True, "metrics": {
-                "rate": {"value": 10.0 + seed, "unit": "1/s"},
+                "jobs_per_s": {"value": 10.0 + seed, "unit": "1/s"},
                 "jobs": {"value": 5, "unit": "count"}}})
 
         monkeypatch.setattr(bench, "run_once", fake_run)
@@ -130,6 +130,77 @@ class TestBenchPairs:
             assert report["claim"] is None and "trace" not in report
             assert traced == []
         else:
-            assert report["claim"] == {"workload": "structure", "metric": "jobs_per_s"}
+            assert report["claim"] == {"workload": "structure", "metric": "jobs_per_s",
+                                       "claim_met": False}  # two pairs are too few
             assert traced == [("P", "structure", 0, 1), (str(tmp_path), "structure", 0, 1)]
             assert report["trace"]["counts"] == {"jobs": {"parent": 5, "change": 5}}
+
+
+def _pairs(parent, change, name="rate"):
+    return [_record(seed, side, **{name: value})
+            for seed, (p, c) in enumerate(zip(parent, change), start=1)
+            for side, value in (("parent", p), ("change", c))]
+
+
+class TestClaimRule:
+    """``claim_met`` and ``within_bound`` on synthetic records."""
+
+    RATE = {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}
+    TIME = {"name": "t", "unit": "s", "better": "lower", "bound": 0.25}
+    PARENT = [10.0, 11.0, 12.0, 10.5, 11.5, 9.5, 12.5, 10.0, 11.0, 12.0]  # quartiles 10, 12
+
+    def summary(self, parent, change, spec=RATE):
+        return _bench_pairs().summarize_metric(_pairs(parent, change, spec["name"]), spec)
+
+    def test_nine_of_ten_wins_and_a_gap_past_the_spread_meet_the_claim(self):
+        change = [14.0, 15.0, 13.5, 14.5, 16.0, 15.0, 12.0, 14.0, 13.0, 15.5]  # loses pair 7
+        summary = self.summary(self.PARENT, change)
+        assert summary["change_better"] == "9/10"
+        assert summary["parent_quartiles"] == [10.0, 12.0]
+        assert summary["change_median"] - summary["parent_median"] > 2.0
+        assert _bench_pairs().claim_met(summary) and summary["within_bound"]
+
+    def test_eight_wins_do_not(self):
+        change = [14.0, 15.0, 13.5, 14.5, 16.0, 15.0, 12.0, 9.0, 13.0, 15.5]
+        summary = self.summary(self.PARENT, change)
+        assert summary["change_better"] == "8/10"
+        assert not _bench_pairs().claim_met(summary)
+
+    def test_a_gap_inside_the_parent_spread_does_not(self):
+        change = [v + 1.0 for v in self.PARENT]  # wins every pair by less than the spread
+        summary = self.summary(self.PARENT, change)
+        assert summary["change_better"] == "10/10"
+        assert not _bench_pairs().claim_met(summary)
+
+    def test_fewer_than_ten_pairs_do_not(self):
+        change = [v * 2 for v in self.PARENT]
+        assert _bench_pairs().claim_met(self.summary(self.PARENT, change))
+        assert not _bench_pairs().claim_met(self.summary(self.PARENT[:9], change[:9]))
+
+    def test_lower_is_better(self):
+        parent = [v / 100 for v in self.PARENT]
+        faster = [v / 2 for v in parent]
+        summary = self.summary(parent, faster, self.TIME)
+        assert _bench_pairs().claim_met(summary) and summary["within_bound"]
+        slower = self.summary(faster, parent, self.TIME)  # twice as slow
+        assert not _bench_pairs().claim_met(slower) and not slower["within_bound"]
+
+    @pytest.mark.parametrize("spec, scale, within", [
+        (RATE, 0.75, True), (RATE, 0.74, False), (RATE, 3.0, True),
+        (TIME, 1.25, True), (TIME, 1.26, False), (TIME, 0.5, True),
+    ])
+    def test_within_bound_compares_the_medians(self, spec, scale, within):
+        parent = [8.0, 8.0, 8.0]
+        summary = self.summary(parent, [v * scale for v in parent], spec)
+        assert summary["within_bound"] is within
+
+    def test_a_claim_must_name_a_metric_of_a_run_workload(self, tmp_path):
+        bench = _bench_pairs()
+        (tmp_path / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 7, "end_to_end": [self.RATE]}))
+        argv = ["--parent", "P", "--change", str(tmp_path), "--workload", "structure",
+                "--seeds", "1", "--change-desc", "d", "--out", str(tmp_path / "out.json")]
+        for claim in ("probe-scalar:rate", "structure:jobs_per_s"):
+            with pytest.raises(SystemExit):
+                bench.main(argv + ["--claim", claim])
+        assert not (tmp_path / "out.json").exists()

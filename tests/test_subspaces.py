@@ -169,6 +169,8 @@ class TestScalarRule:
         lambda: Subspace.zero(2).adjoin([{1: 2.5}]),
         lambda: shift_diagonal(((1, 0), (0, 1)), 0.5),
         lambda: shift_diagonal(((Fraction(1, 2), 0), (0, 1.0)), 1),
+        lambda: det_fraction([[0.1]]),
+        lambda: det_fraction([[1, 0], [0, 2.0]]),
     ])
     def test_floats_raise(self, call):
         with pytest.raises(TypeError):
