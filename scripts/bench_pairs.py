@@ -10,6 +10,9 @@ checkout) declares, the BENCH file gives each side's median and quartiles
 over its runs, the relative change of the medians, in how many pairs the
 change read better (ties count for neither side), and whether the change's
 median is within the metric's bound of the parent's (``within_bound``).
+For each workload it also gives each side's ``failed_share`` (failed over
+attempted operations, summed over its runs) and whether the change's share
+is no larger than the parent's (``failed_share_not_worse``).
 With ``--claim``, the claim records ``claim_met`` (the rule of
 ``claim_met`` below) and a traced run per side of the claimed workload
 (``--trace 1``, seed 0) adds the per-layer counts, which repeat exactly;
@@ -118,12 +121,25 @@ def _quartiles(values):
     return [q1, q3]
 
 
+def failed_share(raw, side):
+    """The share of ``side``'s operations that failed: the sum of ``failed``
+    over the sum of ``attempted`` in its result lines; None when none was
+    attempted."""
+    lines = [json.loads(r["line"]) for r in raw if r["side"] == side]
+    attempted = sum(line["attempted"] for line in lines)
+    return sum(line["failed"] for line in lines) / attempted if attempted else None
+
+
 def summarize_workload(raw, specs):
     seeds = sorted({r["seed"] for r in raw})
+    shares = {side: failed_share(raw, side) for side in ("parent", "change")}
     return {
         "seeds": seeds,
         "pairs": len(seeds),
         "all_correct": all(json.loads(r["line"])["correct"] for r in raw),
+        "failed_share": shares,
+        "failed_share_not_worse": shares["change"] is not None and (
+            shares["parent"] is None or shares["change"] <= shares["parent"]),
         "metrics": {spec["name"]: summarize_metric(raw, spec) for spec in specs},
         "raw": raw,
     }

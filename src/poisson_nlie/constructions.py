@@ -196,7 +196,9 @@ def skew_defect_spans(P: StructAlgebra) -> List[SVec]:
             swapped[a], swapped[b] = swapped[b], swapped[a]
             acc: SVec = {}
             _sv_accum(acc, P.bracket_basis(key), 1)
-            _sv_accum(acc, P.bracket_basis(tuple(swapped)), 1)
+            other = P.bracket_basis(tuple(swapped))
+            if other:
+                _sv_accum(acc, other, 1)
             if acc:
                 defects.add(tuple(sorted(acc.items())))
     return [dict(items) for items in sorted(defects)]

@@ -318,8 +318,11 @@ class _Curls:
         self.columns = [[row[j] for row in A.entries] for j in range(A.m)]
         self.tables = [{} for _ in range(A.m)]
         self.pairs = tuple(itertools.combinations(range(1, A.n + A.m + 1), 2))
+        # an exponent bound of 0 makes an entry constant; a larger bound
+        # may still hold only the constant key (t1 - t1 + 3), so scan then
         origin, same_ring = _origin(family.nvars), A.nvars == family.nvars
-        self.flat = [[same_ring and all(key == origin for key in entry._terms)
+        self.flat = [[same_ring and (not entry._reach
+                                     or all(key == origin for key in entry._terms))
                       for entry in column] for column in self.columns]
 
     def curl(self, j: int, r: int, s: int) -> Optional[LaurentPolynomial]:

@@ -251,7 +251,9 @@ def _fundamental_holds(P: StructAlgebra, xs: tuple, ys: tuple) -> bool:
         nested = P.bracket_basis(xs + (ys[pos],))
         if not nested:
             continue
-        _sv_accum(rhs, _bracket_with_vector(P, ys[:pos], nested, ys[pos + 1:]), 1)
+        image = _bracket_with_vector(P, ys[:pos], nested, ys[pos + 1:])
+        if image:
+            _sv_accum(rhs, image, 1)
     return lhs == rhs
 
 
@@ -259,10 +261,11 @@ def _leibniz_holds(P: StructAlgebra, y: int, z: int, xs: tuple) -> bool:
     yz = P.product_basis(y, z)
     lhs = _bracket_with_vector(P, (), yz, xs) if yz else {}
     rhs: SVec = {}
-    for l, c in P.bracket_basis((z,) + xs).items():
-        _sv_accum(rhs, P.product_basis(y, l), c)
-    for l, c in P.bracket_basis((y,) + xs).items():
-        _sv_accum(rhs, P.product_basis(z, l), c)
+    for factor, other in ((y, z), (z, y)):
+        for l, c in P.bracket_basis((other,) + xs).items():
+            product = P.product_basis(factor, l)
+            if product:
+                _sv_accum(rhs, product, c)
     return lhs == rhs
 
 

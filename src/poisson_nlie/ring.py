@@ -21,9 +21,13 @@ the square case.
 This module alone encodes exponent vectors: each term is keyed by one
 packed integer (Monagan and Pearce, CASC 2007) whose integer order is the
 graded-lex order.  ``terms`` unpacks keys to exponent tuples; the criterion
-evaluates on the keys directly.  Exponents stay within ``EXPONENT_LIMIT``:
-the constructor checks outside input, and a product checks its terms only
-when its operands' bounds on exponent magnitude sum past the limit.
+evaluates on the keys directly, and ``format_polynomial`` reads each key's
+fields through one (name, shift) table per variable count, cached like the
+key of 1, writes each coefficient from its int numerator and denominator,
+and writes a constant term without reading fields.  Exponents stay within
+``EXPONENT_LIMIT``: the constructor checks outside input, and a product
+checks its terms only when its operands' bounds on exponent magnitude sum
+past the limit.
 
 Everything is immutable; all operations are pure.
 """
@@ -758,25 +762,37 @@ def parse_polynomial(text: str, nvars: int) -> LaurentPolynomial:
     return _Parser(text, nvars).parse()
 
 
+@functools.cache
+def _fields(nvars: int) -> tuple:
+    """The (name, shift) of each variable's field in a packed key, t1 first."""
+    return tuple((f"t{j}", _BITS * (nvars - j)) for j in range(1, nvars + 1))
+
+
 def format_polynomial(p: LaurentPolynomial) -> str:
-    """Canonical serialization: terms by descending key (graded-lex)."""
-    if p.is_zero():
+    """Canonical serialization: terms by descending key (graded-lex), each
+    coefficient written from its int numerator and denominator."""
+    terms = p._terms
+    if not terms:
         return "0"
-    fields = [(f"t{j}", _BITS * (p.nvars - j)) for j in range(1, p.nvars + 1)]
+    fields, origin, mask, offset = _fields(p.nvars), _origin(p.nvars), _MASK, _OFFSET
     out = []
-    for key in sorted(p._terms, reverse=True):
-        coeff = p._terms[key]
-        factors = []
-        for name, shift in fields:
-            e = ((key >> shift) & _MASK) - _OFFSET
-            if e:
-                factors.append(name if e == 1 else f"{name}^{e}")
-        magnitude = abs(coeff)
-        if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
-        body = "*".join(factors)
+    for key in sorted(terms, reverse=True):
+        coeff = terms[key]
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        text = f"{num}" if den == 1 else f"{num}/{den}"
+        if key != origin:
+            factors = [] if text == "1" else [text]
+            for name, shift in fields:
+                e = ((key >> shift) & mask) - offset
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            text = "*".join(factors)
         if out:
-            out.append(f" - {body}" if coeff < 0 else f" + {body}")
-        else:
-            out.append(f"-{body}" if coeff < 0 else body)
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(text)
     return "".join(out)

@@ -63,11 +63,17 @@ def unit_vector(dim: int, index: int) -> Vector:
 
 def rref(rows: Iterable) -> Tuple[Tuple[SVec, ...], Tuple[int, ...]]:
     """Reduced row echelon form of rows given as SVecs or dense sequences:
-    (nonzero sparse rows sorted by pivot, pivot columns).  Each row is
-    reduced by the kept rows (zero at one another's pivots, so one pass
-    clears them), and a nonzero rest, scaled to a leading 1, is eliminated
-    from them; kept rows are replaced, never modified."""
-    echelon: Dict[int, SVec] = {}
+    (nonzero sparse rows sorted by pivot, pivot columns)."""
+    return _eliminate({}, rows)
+
+
+def _eliminate(echelon: Dict[int, SVec],
+               rows: Iterable) -> Tuple[Tuple[SVec, ...], Tuple[int, ...]]:
+    """``rref`` of the rows of ``echelon`` ({pivot: row}, already in RREF)
+    and ``rows``: each row is reduced by the kept rows (zero at one
+    another's pivots, so one pass clears them), and a nonzero rest, scaled
+    to a leading 1, is eliminated from them; kept rows are replaced, never
+    modified, and ``echelon`` takes the result."""
     for row in rows:
         vec = _sv(row)
         for p in [i for i in vec if i in echelon]:
@@ -126,8 +132,9 @@ class Subspace:
         return not self.rows
 
     def adjoin(self, rows: Iterable[SVec]) -> "Subspace":
-        """The span of this subspace and the given sparse rows."""
-        return Subspace(self.ambient, *rref(self.rows + tuple(rows)))
+        """The span of this subspace and the given sparse rows: only the
+        new rows are eliminated, against the held ones."""
+        return Subspace(self.ambient, *_eliminate(dict(zip(self.pivots, self.rows)), rows))
 
     def reduce(self, vector) -> SVec:
         """Residue of a vector (an SVec or a dense sequence) after

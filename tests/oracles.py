@@ -7,6 +7,7 @@ from fractions import Fraction
 from poisson_nlie import criterion
 from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign, pi_table
+from poisson_nlie.subspaces import Subspace, rref
 from poisson_nlie.ring import (
     DET_SIZE_CAP,
     EXPONENT_LIMIT,
@@ -254,6 +255,12 @@ def fraction_rref(rows):
         echelon[pivot] = vec
     pivots = tuple(sorted(echelon))
     return tuple(echelon[p] for p in pivots), pivots
+
+
+def adjoin_by_rref(U, rows):
+    """``Subspace.adjoin`` as it ran before it eliminated only the new rows:
+    one ``rref`` over the held rows and the new ones."""
+    return Subspace(U.ambient, *rref(U.rows + tuple(rows)))
 
 
 def mat_sub(a, b):

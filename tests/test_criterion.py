@@ -931,6 +931,38 @@ class TestCurlsBeforePi:
         assert not curls.vanish()
 
 
+    def test_flat_entries_match_the_key_scan(self):
+        """An exponent bound of 0 marks an entry constant; an entry whose
+        bound is above 0 is constant only when every key is the constant
+        key (t1 - t1 + 3), which the scan still finds."""
+        family = euler_family(4)
+        cancelled = parse_polynomial("t1 - t1 + 3", 4)
+        shifted = parse_polynomial("t2^-1*t2", 4) * Fraction(-7, 2)
+        assert cancelled._reach > 0 and shifted._reach > 0
+        entries = [cancelled, shifted, LaurentPolynomial.constant(4, 5),
+                   LaurentPolynomial.zero(4), parse_polynomial("t1 - t1", 4),
+                   parse_polynomial("t2 + 3", 4), parse_polynomial("t2^-1", 4),
+                   LaurentPolynomial.monomial(4, (0, 0, EXPONENT_LIMIT, 0), -1)]
+        A = AdjoinedMatrix.from_rows(2, 2, [entries[2 * r:2 * r + 2] for r in range(4)])
+        origin = LaurentPolynomial.one(4)._terms.keys()
+        scan = [[all(key in origin for key in row[j]._terms) for row in A.entries]
+                for j in range(A.m)]
+        assert _Curls(A, family).flat == scan
+        assert scan == [[True, True, True, False], [True, True, False, False]]
+
+    @pytest.mark.parametrize("n, m", [(5, 2), (4, 3)])
+    def test_scalar_reports_match_the_pi_first_body(self, n, m):
+        """The report of a scalar matrix, whose entries are formatted inside
+        the check, equals the pi-first body's."""
+        family = euler_family(n + m)
+        for seed in range(12):
+            A = MonomialSampler(n + m, seed=100 + seed).scalar_matrix(n, m)
+            report = check_criterion(A, family, matrix_desc="scalar").to_json_dict()
+            expected = check_criterion_pi_first(A, family, matrix_desc="scalar")
+            assert report == expected.to_json_dict()
+            assert report["verdict"] == "pass"
+
+
 class TestPackedEvaluation:
     """Groups are evaluated on packed integer monomials; the ring's exponent
     range and its error are kept."""

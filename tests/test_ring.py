@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_nlie import criterion
-from poisson_nlie.jacobian_bracket import perm_sign
+from poisson_nlie.jacobian_bracket import MonomialSampler, perm_sign
 from poisson_nlie.ring import (
     DerivationSpec,
     EXPONENT_LIMIT,
@@ -647,16 +647,47 @@ class TestIntegerCoefficients:
 
     def test_formatter_matches_the_oracle(self):
         """On int and Fraction coefficients (+-1 among them), constants,
-        negative exponents and zero; the Fraction-stored copy prints the
-        same."""
+        negative exponents and zero; the entries of seeded scalar matrices;
+        monomials at +-EXPONENT_LIMIT; 0, 1 and 12 to 14 variables; and
+        polynomials of hundreds of terms.  The Fraction-stored copy prints
+        the same."""
         polys_seen = [LaurentPolynomial.zero(2), LaurentPolynomial.constant(2, -1),
-                      LaurentPolynomial.constant(2, Fraction(-7, 3))]
+                      LaurentPolynomial.constant(2, Fraction(-7, 3)),
+                      LaurentPolynomial.zero(0), LaurentPolynomial.constant(0, Fraction(5, 2)),
+                      LaurentPolynomial.constant(1, -4), LaurentPolynomial.constant(13, 1)]
         for seed in self.SEEDS:
             rng = random.Random(seed)
             polys_seen.append(mixed_poly(rng, nvars=rng.randint(0, 4), max_terms=6))
+            polys_seen.append(mixed_poly(rng, nvars=rng.randint(12, 14), max_terms=4))
+        for seed in range(8):
+            sampler = MonomialSampler(7, seed=seed)
+            n, m = ((5, 2), (4, 3))[seed % 2]
+            polys_seen.extend(entry for row in sampler.scalar_matrix(n, m).entries
+                              for entry in row)
+        for nvars in (1, 3, 12):
+            for sign, coeff in itertools.product((-1, 1), (1, -1, 3, Fraction(-2, 5))):
+                exps = [0] * nvars
+                exps[nvars // 2] = sign * EXPONENT_LIMIT
+                exps[-1] -= sign  # one variable: the limit, less one
+                polys_seen.append(LaurentPolynomial.monomial(nvars, exps, coeff))
+        for seed, nvars in enumerate((1, 2, 5, 9)):
+            rng = random.Random(1000 + seed)
+            polys_seen.append(LaurentPolynomial(nvars, {
+                tuple(rng.randint(-9, 9) for _ in range(nvars)):
+                    rng.choice([rng.randint(-99, 99), 1, -1, Fraction(rng.randint(-9, 9), 7)])
+                for _ in range(400)}))
+        assert max(len(p) for p in polys_seen) > 300
         for p in polys_seen:
             assert format_polynomial(p) == format_polynomial_oracle(p)
             assert format_polynomial(fraction_poly(p)) == format_polynomial_oracle(p)
+
+    def test_scalar_entries_print_their_int_parts(self):
+        entries = [LaurentPolynomial.constant(7, c)
+                   for c in (3, -3, 1, -1, Fraction(9, 4), Fraction(-9, 4), Fraction(8, 4))]
+        assert [format_polynomial(p) for p in entries] == \
+            ["3", "-3", "1", "-1", "9/4", "-9/4", "2"]
+        t1 = LaurentPolynomial.variable(7, 1)
+        assert format_polynomial(Fraction(-9, 4) * t1 - t1 * t1 + 1) == "-t1^2 - 9/4*t1 + 1"
 
 
 class TestExactDivision:

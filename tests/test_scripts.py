@@ -114,7 +114,7 @@ class TestBenchPairs:
 
         def fake_run(checkout, workload, seed, trace=0):
             calls.append((checkout, workload, seed, trace))
-            return json.dumps({"correct": True, "metrics": {
+            return json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
                 "jobs_per_s": {"value": 10.0 + seed, "unit": "1/s"},
                 "jobs": {"value": 5, "unit": "count"}}})
 
@@ -125,6 +125,8 @@ class TestBenchPairs:
         bench.main(argv + (["--claim", claim] if claim else []))
         report = json.loads(out.read_text())
         assert report["workloads"]["structure"]["pairs"] == 2
+        assert report["workloads"]["structure"]["failed_share"] == {"parent": 0.0, "change": 0.0}
+        assert report["workloads"]["structure"]["failed_share_not_worse"] is True
         traced = [call for call in calls if call[3]]
         if claim is None:
             assert report["claim"] is None and "trace" not in report
@@ -134,6 +136,47 @@ class TestBenchPairs:
                                        "claim_met": False}  # two pairs are too few
             assert traced == [("P", "structure", 0, 1), (str(tmp_path), "structure", 0, 1)]
             assert report["trace"]["counts"] == {"jobs": {"parent": 5, "change": 5}}
+
+
+def _counted(seed, side, attempted, failed):
+    return {"seed": seed, "side": side, "line": json.dumps({
+        "correct": not failed, "attempted": attempted, "failed": failed,
+        "metrics": {"rate": {"value": 1.0, "unit": "1/s"}}})}
+
+
+class TestFailedShare:
+    """Each side's share of failed operations, summed over its runs, on
+    synthetic records."""
+
+    SPECS = [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+    def summary(self, counts):
+        raw = [_counted(seed, side, *counts[side][seed - 1])
+               for seed in range(1, len(counts["parent"]) + 1)
+               for side in ("parent", "change")]
+        return _bench_pairs().summarize_workload(raw, self.SPECS)
+
+    def test_failed_over_attempted_summed_over_the_runs(self):
+        summary = self.summary({"parent": [(10, 1), (30, 0)], "change": [(20, 0), (20, 0)]})
+        assert summary["failed_share"] == {"parent": 0.025, "change": 0.0}
+        assert summary["failed_share_not_worse"] is True
+        assert summary["all_correct"] is False
+
+    def test_a_larger_share_is_worse_and_an_equal_one_is_not(self):
+        worse = self.summary({"parent": [(10, 1)], "change": [(10, 2)]})
+        assert worse["failed_share"] == {"parent": 0.1, "change": 0.2}
+        assert worse["failed_share_not_worse"] is False
+        equal = self.summary({"parent": [(10, 1), (10, 1)], "change": [(5, 1), (15, 1)]})
+        assert equal["failed_share"] == {"parent": 0.1, "change": 0.1}
+        assert equal["failed_share_not_worse"] is True
+
+    def test_no_attempted_operation_gives_no_share(self):
+        summary = self.summary({"parent": [(0, 0)], "change": [(4, 0)]})
+        assert summary["failed_share"] == {"parent": None, "change": 0.0}
+        assert summary["failed_share_not_worse"] is True
+        summary = self.summary({"parent": [(4, 0)], "change": [(0, 0)]})
+        assert summary["failed_share"] == {"parent": 0.0, "change": None}
+        assert summary["failed_share_not_worse"] is False
 
 
 def _pairs(parent, change, name="rate"):

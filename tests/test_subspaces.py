@@ -23,7 +23,14 @@ from poisson_nlie.subspaces import (
     unit_vector,
 )
 
-from oracles import assert_scalar_rule, fraction_rref, mat_sub, mat_vec, scale_matrix
+from oracles import (
+    adjoin_by_rref,
+    assert_scalar_rule,
+    fraction_rref,
+    mat_sub,
+    mat_vec,
+    scale_matrix,
+)
 
 small = st.integers(-4, 4).map(Fraction)
 vectors4 = st.tuples(small, small, small, small)
@@ -221,6 +228,48 @@ class TestScalarRule:
         shifted = shift_diagonal(((Fraction(1, 2), Fraction(1, 3)), (0, 3)), Fraction(1, 2))
         assert shifted == ((0, Fraction(1, 3)), (0, Fraction(5, 2)))
         assert_scalar_rule(c for row in shifted for c in row)
+
+
+class TestAdjoin:
+    """``Subspace.adjoin`` eliminates only the new rows against the held
+    ones; the RREF of a row space is unique, so it gives the subspace that
+    one ``rref`` over all the rows gives (``oracles.adjoin_by_rref``)."""
+
+    @staticmethod
+    def batches(rng, U, ncols, integral):
+        """Seeded batches: the sparse and dense rows of ``_random_rows``,
+        rows already in the span of U, zero rows and an empty batch."""
+        _, fresh = _random_rows(rng, integral)
+        fresh = [{i: c for i, c in row.items() if i < ncols} if isinstance(row, dict)
+                 else (list(row) + [0] * ncols)[:ncols] for row in fresh]  # fit to ncols
+        spanned = [{i: c * k for i, c in row.items()} for row, k in zip(U.rows, (2, -1, 3))]
+        if len(U.rows) > 1:
+            combined = dict(U.rows[0])
+            _sv_accum(combined, U.rows[1], Fraction(-1, 3))
+            spanned.append(combined)
+        return [fresh, spanned, [{}, [0] * ncols], [], fresh + spanned]
+
+    @pytest.mark.parametrize("integral", [True, False], ids=["integral", "rational"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_one_rref_over_all_rows(self, seed, integral):
+        rng = random.Random(seed)
+        ncols, rows = _random_rows(rng, integral)
+        for U in (Subspace.zero(ncols), Subspace.zero(ncols).adjoin(_sv(row) for row in rows),
+                  Subspace.full(ncols), kernel(rows, ncols)):
+            held = [dict(row) for row in U.rows]
+            for batch in self.batches(rng, U, ncols, integral):
+                got, expected = U.adjoin(batch), adjoin_by_rref(U, batch)
+                assert got == expected
+                assert [list(row.items()) for row in got.rows] == \
+                    [list(row.items()) for row in expected.rows]
+                assert_scalar_rule(_stored(got.rows))
+            assert [dict(row) for row in U.rows] == held  # held rows are only read
+
+    def test_rows_already_in_the_span_keep_the_subspace(self):
+        U = Subspace.from_vectors(4, [(1, 2, 0, 0), (0, 0, 1, Fraction(1, 2))])
+        assert U.adjoin([{0: 2, 1: 4}, {}, {2: -2, 3: -1}, {0: 1, 1: 2, 2: 1, 3: Fraction(1, 2)}]) == U
+        assert U.adjoin([]) == U and U.adjoin(iter(())) == U
+        assert U.adjoin([(0, 1, 0, 0)]).rows == ({0: 1}, {1: 1}, {2: 1, 3: Fraction(1, 2)})
 
 
 class TestSubspace:
