@@ -646,15 +646,17 @@ class TestIntegerCoefficients:
         assert LaurentPolynomial.constant(1, False).is_zero()
 
     def test_formatter_matches_the_oracle(self):
-        """On int and Fraction coefficients (+-1 among them), constants,
-        negative exponents and zero; the entries of seeded scalar matrices;
-        monomials at +-EXPONENT_LIMIT; 0, 1 and 12 to 14 variables; and
-        polynomials of hundreds of terms.  The Fraction-stored copy prints
-        the same."""
+        """On int and Fraction coefficients (+-1 and long ones among them),
+        constants, negative exponents and zero; the entries of seeded scalar
+        matrices; monomials at +-EXPONENT_LIMIT; 0, 1 and 12 to 14
+        variables; and polynomials of hundreds of terms.  The
+        Fraction-stored copy prints the same."""
         polys_seen = [LaurentPolynomial.zero(2), LaurentPolynomial.constant(2, -1),
                       LaurentPolynomial.constant(2, Fraction(-7, 3)),
                       LaurentPolynomial.zero(0), LaurentPolynomial.constant(0, Fraction(5, 2)),
-                      LaurentPolynomial.constant(1, -4), LaurentPolynomial.constant(13, 1)]
+                      LaurentPolynomial.constant(1, -4), LaurentPolynomial.constant(13, 1),
+                      LaurentPolynomial.monomial(3, (1, -2, 0), Fraction(-123456789, 1000003)),
+                      LaurentPolynomial.constant(2, -10**30) + Fraction(10**20 + 1, 10**20)]
         for seed in self.SEEDS:
             rng = random.Random(seed)
             polys_seen.append(mixed_poly(rng, nvars=rng.randint(0, 4), max_terms=6))
