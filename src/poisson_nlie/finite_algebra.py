@@ -8,13 +8,13 @@ nilpotency classification, the nilradical, hypo-nilpotent ideals,
 multiplication operators, common eigenvectors, eigenspace ideals, and
 idempotent bookkeeping.  The series, the classification and both
 nilradical searches (two-operation and bracket-only) share one descent
-loop, ``_series_terms``; both searches share one greedy adjoin-and-close
-loop, and every basis adjoint comes from ``_adjoint_generators``.  Both
-operations are evaluated by ``_multilinear`` and spanned by ``_span``: each
-slot that is not the whole space has its rows indexed by entry, and the
-algebra's table of stored-key arrangements (built once per operation and
-whole-slot pattern, and kept on the algebra) is met against that index, so
-only images that can be nonzero are formed.
+loop, ``_series_terms``; both searches share one greedy adjoin loop,
+``_greedy_ideal``, and every basis adjoint comes from ``_adjoint_generators``.  All
+span work starts from ``_images``, which meets each partial slot's rows,
+indexed by entry, with the algebra's table of stored-key arrangements, so
+only images that can be nonzero are formed.  A series step or a closure
+round (which images only the rows the round before added) is one
+elimination, and every series of P starts from ``_second_terms``.
 
 Structure constants, evaluations and ``Subspace`` rows share the sparse
 vectors of ``subspaces``, whose entries follow the scalar rule of ``ring``
@@ -402,8 +402,9 @@ def _row_index(U: Subspace) -> Dict[int, List[Tuple[int, Scalar]]]:
     return index
 
 
-def _span(P: StructAlgebra, op: str, slots: Sequence[Subspace]) -> Subspace:
-    """Span of the operation ``op`` with slot p drawn from slots[p].
+def _images(P: StructAlgebra, *parts: Tuple[str, Sequence[Subspace]]):
+    """Nonzero images of each part (op, slots): the operation ``op`` with
+    slot p drawn from slots[p], enough to span them all.
 
     A slot holding the whole space takes unit vectors; the image of one
     fill of those slots with one row per other slot is the sum, over the
@@ -411,35 +412,39 @@ def _span(P: StructAlgebra, op: str, slots: Sequence[Subspace]) -> Subspace:
     ``_arrangement_table``), of the rows' coefficients at t times t's
     value.  Each other slot's rows are indexed by entry, so only the row
     tuples whose entries hit t are visited (Gustavson's row-indexed sparse
-    product, ACM TOMS 4(3), 1978), and no image that must be zero is formed."""
-    if any(U.ambient != P.dim for U in slots):
+    product, ACM TOMS 4(3), 1978), and no image that must be zero is formed.
+    A subspace in several slots or parts is indexed once."""
+    if any(U.ambient != P.dim for _, slots in parts for U in slots):
         raise ValueError("ambient dimension mismatch")
-    whole = tuple(p for p, U in enumerate(slots) if U.dim == P.dim)
-    index = [_row_index(U) for U in slots if U.dim != P.dim]
+    partial = {id(U): U for _, slots in parts for U in slots if U.dim != P.dim}
+    indexes = {key: _row_index(U) for key, U in partial.items()}
     images: Dict[tuple, SVec] = {}
-    for fill, rest, sign, value in P._arrangement_table(op, whole):
-        hits = [idx.get(i) for idx, i in zip(index, rest)]
-        if not all(hits):
-            continue
-        for combo in itertools.product(*hits):
-            coeff = sign
-            for _, c in combo:
-                coeff *= c
-            rows = tuple(r for r, _ in combo)
-            _sv_accum(images.setdefault((fill, rows), {}), value, coeff)
-    return Subspace.zero(P.dim).adjoin(w for w in images.values() if w)
+    for part, (op, slots) in enumerate(parts):
+        whole = tuple(p for p, U in enumerate(slots) if U.dim == P.dim)
+        index = [indexes[id(U)] for U in slots if U.dim != P.dim]
+        for fill, rest, sign, value in P._arrangement_table(op, whole):
+            hits = [idx.get(i) for idx, i in zip(index, rest)]
+            if not all(hits):
+                continue
+            for combo in itertools.product(*hits):
+                coeff = sign
+                for _, c in combo:
+                    coeff *= c
+                rows = tuple(r for r, _ in combo)
+                _sv_accum(images.setdefault((part, fill, rows), {}), value, coeff)
+    return (w for w in images.values() if w)
 
 
 def subspace_product(U: Subspace, V: Subspace, P: StructAlgebra) -> Subspace:
     """Span of u . v over basis vectors."""
-    return _span(P, "product", [U, V])
+    return Subspace.zero(P.dim).adjoin(_images(P, ("product", [U, V])))
 
 
 def bracket_span(subspaces: Sequence[Subspace], P: StructAlgebra) -> Subspace:
     """Span of [u_1, ..., u_n] with slot p drawn from subspaces[p]."""
     if len(subspaces) != P.arity:
         raise ValueError("bracket_span needs one subspace per slot")
-    return _span(P, "bracket", subspaces)
+    return Subspace.zero(P.dim).adjoin(_images(P, ("bracket", subspaces)))
 
 
 def full_space(P: StructAlgebra) -> Subspace:
@@ -447,33 +452,37 @@ def full_space(P: StructAlgebra) -> Subspace:
 
 
 def is_subalgebra(U: Subspace, P: StructAlgebra) -> bool:
-    if not U.contains_subspace(subspace_product(U, U, P)):
-        return False
-    return U.contains_subspace(bracket_span([U] * P.arity, P))
+    return all(map(U.contains, _images(P, ("product", [U, U]), ("bracket", [U] * P.arity))))
+
+
+def _ideal_images(P: StructAlgebra, U: Subspace, with_product: bool = True):
+    """Images of [U, P, ..., P] and, with ``with_product``, of P.U."""
+    whole = full_space(P)
+    bracket = ("bracket", [U] + [whole] * (P.arity - 1))
+    return _images(P, bracket, ("product", [whole, U])) if with_product else _images(P, bracket)
 
 
 def is_ideal(U: Subspace, P: StructAlgebra) -> bool:
     """Ideal for both operations: P.U in U and [U, P, ..., P] in U."""
-    whole = full_space(P)
-    if not U.contains_subspace(subspace_product(whole, U, P)):
-        return False
-    br = bracket_span([U] + [whole] * (P.arity - 1), P)
-    return U.contains_subspace(br)
+    return all(map(U.contains, _ideal_images(P, U)))
 
 
 def ideal_closure(U: Subspace, P: StructAlgebra, with_product: bool = True) -> Subspace:
     """Smallest ideal containing U; with ``with_product`` False, the
-    smallest ideal of the bracket alone."""
-    whole = full_space(P)
-    current = U
-    for _ in range(P.dim + 1):
-        grown = current.sum(bracket_span([current] + [whole] * (P.arity - 1), P))
-        if with_product:
-            grown = grown.sum(subspace_product(whole, current, P))
+    smallest ideal of the bracket alone.  By multilinearity each round
+    needs the images of the rows the round before added, and no others
+    (semi-naive evaluation): the RREF rows of the sum at the pivots the
+    held ideal lacks are zero at its pivots, so with it they span the sum."""
+    if U.ambient != P.dim:
+        raise ValueError("ambient dimension mismatch")
+    current, rows = Subspace.zero(P.dim), U.rows
+    while True:
+        grown = current.adjoin(rows)
         if grown.dim == current.dim:
             return current
-        current = grown
-    raise InternalCheckError("ideal closure failed to stabilize")
+        held = set(current.pivots)
+        added = [(row, p) for p, row in zip(grown.pivots, grown.rows) if p not in held]
+        current, rows = grown, _ideal_images(P, Subspace(P.dim, *zip(*added)), with_product)
 
 
 # ---------------------------------------------------------------------------
@@ -497,37 +506,31 @@ class SeriesResult:
         return self.terms[min(k, len(self.terms)) - 1]
 
 
-def _series_terms(I: Subspace, P: StructAlgebra, kind: str) -> List[Subspace]:
+def _step(P: StructAlgebra, kind: str, T: Subspace, I: Subspace) -> Subspace:
+    """The term after T in the ``kind`` series of I, in one elimination:
+    the steps listed in ``series`` and the bracket part of the derived
+    step, ``bracket_derived``: T' = [T, T, P..P]."""
+    n, other = P.arity, T if kind in ("derived", "bracket_derived") else I
+    bracket = [T] + [I] * (n - 1) if kind == "subalg" else [T, other] + [full_space(P)] * (n - 2)
+    parts = [] if kind == "assoc_power" else [("bracket", bracket)]
+    if not kind.startswith("bracket"):
+        parts.append(("product", [T, other]))
+    return Subspace.zero(P.dim).adjoin(_images(P, *parts))
+
+
+def _series_terms(I: Subspace, P: StructAlgebra, kind: str,
+                  second: Optional[Subspace] = None) -> List[Subspace]:
     """The one descent loop: I, then each term's step, until a term is zero
-    or equals the one before it.  Steps are those listed in ``series``, plus
-    the bracket part of the derived step, ``bracket_derived``:
-    T' = [T, T, P..P].  Nothing is checked about I."""
-    whole = full_space(P)
-    n = P.arity
-
-    def step(T: Subspace) -> Subspace:
-        if kind == "derived":
-            return bracket_span([T, T] + [whole] * (n - 2), P).sum(
-                subspace_product(T, T, P))
-        if kind == "bracket_derived":
-            return bracket_span([T, T] + [whole] * (n - 2), P)
-        if kind == "lower_central":
-            return bracket_span([T, I] + [whole] * (n - 2), P).sum(
-                subspace_product(T, I, P))
-        if kind == "assoc_power":
-            return subspace_product(T, I, P)
-        if kind == "bracket_power":
-            return bracket_span([T, I] + [whole] * (n - 2), P)
-        return bracket_span([T] + [I] * (n - 1), P).sum(subspace_product(T, I, P))
-
+    or equals the one before it; ``second``, when given, is I's step,
+    already spanned.  Nothing is checked about I."""
     terms = [I]
-    while True:
-        nxt = step(terms[-1])
-        if nxt == terms[-1]:
-            return terms
+    nxt = _step(P, kind, I, I) if second is None else second
+    while nxt != terms[-1]:
         terms.append(nxt)
         if nxt.is_zero():
-            return terms
+            break
+        nxt = _step(P, kind, nxt, I)
+    return terms
 
 
 def _reaches_zero(I: Subspace, P: StructAlgebra, kind: str) -> bool:
@@ -554,10 +557,20 @@ def series(I: Subspace, P: StructAlgebra, kind: str) -> SeriesResult:
     return SeriesResult(kind, terms, len(terms), terms[-1].is_zero())
 
 
+def _second_terms(P: StructAlgebra) -> Dict[str, Subspace]:
+    """The second term of each series of P itself by kind, from one set of
+    images per operation: [P, ..., P], P.P and their sum P^2."""
+    whole = full_space(P)
+    products = list(_images(P, ("product", [whole, whole])))
+    bracket = Subspace.zero(P.dim).adjoin(_images(P, ("bracket", [whole] * P.arity)))
+    square = bracket.adjoin(products)
+    return {"derived": square, "lower_central": square, "bracket_derived": bracket,
+            "bracket_power": bracket, "assoc_power": Subspace.zero(P.dim).adjoin(products)}
+
+
 def algebra_square(P: StructAlgebra) -> Subspace:
     """P^2 = [P, ..., P] + P.P (the second term of both canonical series)."""
-    whole = full_space(P)
-    return bracket_span([whole] * P.arity, P).sum(subspace_product(whole, whole, P))
+    return _second_terms(P)["derived"]
 
 
 # ---------------------------------------------------------------------------
@@ -577,20 +590,19 @@ class Classification:
 
 def classify(P: StructAlgebra) -> Classification:
     """Solvability/nilpotency flags and indices, with the internal
-    cross-check that nilpotency coincides with nilpotency of both parts."""
-    whole = full_space(P)
-    derived = _series_terms(whole, P, "derived")
-    lower = _series_terms(whole, P, "lower_central")
-    solvable = derived[-1].is_zero()
-    nilpotent = lower[-1].is_zero()
+    cross-check that nilpotency coincides with nilpotency of both parts.
+    All five series start from one ``_second_terms``."""
+    terms = {kind: _series_terms(full_space(P), P, kind, second)
+             for kind, second in _second_terms(P).items()}
+    zero = {kind: found[-1].is_zero() for kind, found in terms.items()}
     result = Classification(
-        solvable=solvable,
-        solvability_index=len(derived) if solvable else None,
-        nilpotent=nilpotent,
-        nilpotency_index=len(lower) if nilpotent else None,
-        pa_nilpotent=_reaches_zero(whole, P, "assoc_power"),
-        pl_solvable=_reaches_zero(whole, P, "bracket_derived"),
-        pl_nilpotent=_reaches_zero(whole, P, "bracket_power"),
+        solvable=zero["derived"],
+        solvability_index=len(terms["derived"]) if zero["derived"] else None,
+        nilpotent=zero["lower_central"],
+        nilpotency_index=len(terms["lower_central"]) if zero["lower_central"] else None,
+        pa_nilpotent=zero["assoc_power"],
+        pl_solvable=zero["bracket_derived"],
+        pl_nilpotent=zero["bracket_power"],
     )
     if result.nilpotent != (result.pa_nilpotent and result.pl_nilpotent):
         raise InternalCheckError(
@@ -627,77 +639,64 @@ def is_hypo_nilpotent(U: Subspace, P: StructAlgebra) -> bool:
     return not is_nilpotent_as_ideal(U, P)
 
 
-def _adapted_basis(P: StructAlgebra) -> List[SVec]:
-    """Basis ordered from the deepest derived-series layer outward."""
+def _adapted_basis(P: StructAlgebra, derived: Sequence[Subspace]) -> List[SVec]:
+    """Basis ordered from the deepest layer of P's derived series outward
+    (its first term, P, ends it with the unit vectors)."""
     collected: List[SVec] = []
     spanned = Subspace.zero(P.dim)
-    layers = [term.rows for term in reversed(_series_terms(full_space(P), P, "derived"))]
-    for row in itertools.chain(*layers, ({j: 1} for j in range(P.dim))):
+    for row in itertools.chain(*(term.rows for term in reversed(derived))):
         if not spanned.contains(row):
             collected.append(row)
             spanned = spanned.adjoin([row])
     return collected
 
 
-def _greedy_ideal(start: Subspace, candidates: Sequence[SVec], closure,
-                  nilpotent) -> Subspace:
-    """The one greedy search: adjoin each candidate whose ``closure`` with
-    the current ideal stays ``nilpotent``, in one sweep.
+def _greedy_ideal(P: StructAlgebra, start: Subspace, candidates: Sequence[SVec],
+                  with_product: bool) -> Subspace:
+    """The one greedy search, from ``start``, which holds P^2 (or, if not
+    ``with_product``, [P, ..., P] and the search is for the bracket alone):
+    adjoin each candidate that keeps the ideal nilpotent, in one sweep.
+    Every subspace holding the start is an ideal (see ``nilradical``), so
+    no candidate needs a closure.
 
-    A second sweep could add nothing.  The current ideal only grows, and
-    closures are monotone, so a candidate rejected against U would later
-    be tried as closure(V + row), which contains closure(U + row), for
-    some V containing U.  An ideal inside a nilpotent ideal is nilpotent,
-    because each lower-central or bracket-power term of the smaller lies
-    in the matching term of the larger; so closure(V + row) is not
+    A second sweep could add nothing.  The current ideal only grows, so a
+    candidate rejected against U would later be tried as V + row, which
+    contains U + row, for some V containing U.  An ideal inside a nilpotent
+    ideal is nilpotent, because each lower-central or bracket-power term of
+    the smaller lies in the matching term of the larger; so V + row is not
     nilpotent either, and a rejected candidate stays rejected."""
+    kind = "lower_central" if with_product else "bracket_power"
+    if not _reaches_zero(start, P, kind):
+        raise InternalCheckError("P^2 and its bracket part must be nilpotent for solvable P")
     current = start
     for row in candidates:
         if current.contains(row):
             continue
-        grown = closure(current.adjoin([row]))
-        if nilpotent(grown):
+        grown = current.adjoin([row])
+        if _reaches_zero(grown, P, kind):
             current = grown
     return current
 
 
 def nilradical(P: StructAlgebra) -> Subspace:
-    """Greedy maximal nilpotent ideal: start from the closure of P^2
-    (nilpotent for solvable P) and adjoin adapted-basis vectors whose
-    closure keeps the ideal nilpotent.  Certified maximal over that basis;
-    always cross-checked against the bracket-only nilradical."""
-    if not classify(P).solvable:
+    """Greedy maximal nilpotent ideal: start from P^2 (nilpotent for
+    solvable P) and adjoin the adapted-basis vectors that keep the ideal
+    nilpotent.  Certified maximal over that basis; always
+    cross-checked against the bracket-only search from [P, ..., P].
+    No search needs a closure: for any X, [X, P, ..., P] lies in
+    [P, ..., P] and P.X in P.P, so every subspace holding P^2 is an ideal
+    and every one holding [P, ..., P] a bracket ideal.  The derived series
+    (for solvability and the adapted basis) and both starts come from one
+    ``_second_terms``."""
+    second = _second_terms(P)
+    derived = _series_terms(full_space(P), P, "derived", second["derived"])
+    if not derived[-1].is_zero():
         raise ValueError("nilradical computation expects a solvable algebra")
-
-    def nilpotent(U: Subspace) -> bool:
-        # closures are ideals, so the series needs no ideal check
-        return _reaches_zero(U, P, "lower_central")
-
-    start = ideal_closure(algebra_square(P), P)
-    if not nilpotent(start):
-        raise InternalCheckError("P^2 must be a nilpotent ideal for solvable P")
-    candidates = _adapted_basis(P)
-    current = _greedy_ideal(start, candidates, lambda U: ideal_closure(U, P), nilpotent)
-    if bracket_nilradical(P, candidates) != current:
-        raise InternalCheckError(
-            "nilradical must agree with the bracket-only nilradical")
-    return current
-
-
-def bracket_nilradical(P: StructAlgebra, candidates: Sequence[SVec]) -> Subspace:
-    """Nilradical of the underlying n-Lie algebra, ignoring the product,
-    searched over ``candidates`` (the adapted basis ``nilradical`` uses)."""
-
-    def nilpotent(U: Subspace) -> bool:
-        return _reaches_zero(U, P, "bracket_power")
-
-    def closure(U: Subspace) -> Subspace:
-        return ideal_closure(U, P, with_product=False)
-
-    start = closure(bracket_span([full_space(P)] * P.arity, P))
-    if not nilpotent(start):
-        raise InternalCheckError("bracket part of P^2 must be nilpotent")
-    return _greedy_ideal(start, candidates, closure, nilpotent)
+    candidates = _adapted_basis(P, derived)
+    found = _greedy_ideal(P, second["derived"], candidates, True)
+    if _greedy_ideal(P, second["bracket_power"], candidates, False) != found:
+        raise InternalCheckError("nilradical must agree with the bracket-only nilradical")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -918,12 +917,12 @@ def non_nilpotent_adjoint_search(P: StructAlgebra, H: Subspace,
 
 
 def zero_product_criterion(P: StructAlgebra, x: SVec, ms: Sequence[SVec]) -> dict:
-    """If the adjoint of (x, m_1..m_{n-2}) is invertible on the closure of
-    P^2, the whole product must vanish; verifies the hypothesis and, when
-    it holds, the conclusion."""
+    """If the adjoint of (x, m_1..m_{n-2}) is invertible on P^2 (an ideal
+    already, see ``nilradical``), the whole product must vanish; verifies
+    the hypothesis and, when it holds, the conclusion."""
     if len(ms) != P.arity - 2:
         raise ValueError("need n-2 companion elements")
-    square = ideal_closure(algebra_square(P), P)
+    square = algebra_square(P)
     restricted = _restrict(lambda v: P.bracket([x, *ms, v]), square)
     invertible = square.dim == 0 or det_fraction(restricted) != 0
     product_zero = not any(True for _ in P.product_entries())

@@ -7,6 +7,7 @@ from fractions import Fraction
 from poisson_nlie import criterion
 from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign, pi_table
+from poisson_nlie.finite_algebra import Classification, bracket_span, subspace_product
 from poisson_nlie.subspaces import Subspace, rref
 from poisson_nlie.ring import (
     DET_SIZE_CAP,
@@ -271,7 +272,8 @@ def mat_sub(a, b):
 
 def greedy_ideal_resweep(start, candidates, closure, nilpotent):
     """The greedy ideal search of ``finite_algebra._greedy_ideal``, sweeping
-    the candidates again until a pass adds none."""
+    the candidates again until a pass adds none: ``closure`` maps a
+    subspace to its closure and ``nilpotent`` decides an ideal."""
     current = start
     changed = True
     while changed:
@@ -284,6 +286,120 @@ def greedy_ideal_resweep(start, candidates, closure, nilpotent):
                 current = grown
                 changed = True
     return current
+
+
+# ---------------------------------------------------------------------------
+# Structure theory with one span per operation
+# ---------------------------------------------------------------------------
+#
+# ``finite_algebra`` as it ran when each operation had its own span, summed
+# afterwards, every closure round spanned the images of the whole current
+# subspace, and each series was computed afresh wherever it was needed.
+
+def images_by_scan(P, *parts):
+    """``finite_algebra._images`` by scanning: for each part (op, slots),
+    ``op`` ("bracket" or "product") on every combination of RREF rows, one
+    per slot."""
+    if any(U.ambient != P.dim for _, slots in parts for U in slots):
+        raise ValueError("ambient dimension mismatch")
+    images = []
+    for op, slots in parts:
+        combos = itertools.product(*(U.rows for U in slots))
+        if op == "product":
+            images += [w for u, v in combos if (w := P.product(u, v))]
+        else:
+            images += [w for combo in combos if (w := P.bracket(list(combo)))]
+    return images
+
+
+def ideal_closure_by_rounds(U, P, with_product=True):
+    """The smallest ideal containing U (of the bracket alone if not
+    ``with_product``): each round sums U with the spans of [U, P, .., P]
+    and P.U, until the dimension stops growing."""
+    whole = Subspace.full(P.dim)
+    current = U
+    for _ in range(P.dim + 1):
+        grown = current.sum(bracket_span([current] + [whole] * (P.arity - 1), P))
+        if with_product:
+            grown = grown.sum(subspace_product(whole, current, P))
+        if grown.dim == current.dim:
+            return current
+        current = grown
+    raise AssertionError("ideal closure failed to stabilize")
+
+
+def _series_by_sums(I, step):
+    """I, then each term's ``step``, until a term is zero or repeats."""
+    terms = [I]
+    while True:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+        if nxt.is_zero():
+            return terms
+
+
+def nilpotent_by_sums(U, P, with_product=True):
+    """Does the lower-central series of the ideal U (the bracket powers if
+    not ``with_product``) reach zero?"""
+    rest = [Subspace.full(P.dim)] * (P.arity - 2)
+
+    def step(T):
+        bracket = bracket_span([T, U] + rest, P)
+        return bracket.sum(subspace_product(T, U, P)) if with_product else bracket
+    return _series_by_sums(U, step)[-1].is_zero()
+
+
+def classification_by_sums(P):
+    """``finite_algebra.classify`` with each of its five series grown from P
+    on its own, without the cross-check."""
+    whole = Subspace.full(P.dim)
+    rest = [whole] * (P.arity - 2)
+    steps = {
+        "derived": lambda T: bracket_span([T, T] + rest, P).sum(subspace_product(T, T, P)),
+        "lower_central": lambda T: bracket_span([T, whole] + rest, P).sum(
+            subspace_product(T, whole, P)),
+        "assoc_power": lambda T: subspace_product(T, whole, P),
+        "bracket_derived": lambda T: bracket_span([T, T] + rest, P),
+        "bracket_power": lambda T: bracket_span([T, whole] + rest, P),
+    }
+    terms = {kind: _series_by_sums(whole, step) for kind, step in steps.items()}
+    zero = {kind: found[-1].is_zero() for kind, found in terms.items()}
+    return Classification(
+        solvable=zero["derived"],
+        solvability_index=len(terms["derived"]) if zero["derived"] else None,
+        nilpotent=zero["lower_central"],
+        nilpotency_index=len(terms["lower_central"]) if zero["lower_central"] else None,
+        pa_nilpotent=zero["assoc_power"],
+        pl_solvable=zero["bracket_derived"],
+        pl_nilpotent=zero["bracket_power"])
+
+
+def nilradical_by_rounds(P, with_product=True):
+    """The greedy nilradical search (of the bracket alone if not
+    ``with_product``): the derived series ordering the candidates, the
+    closure of the start, each closure and each nilpotency test computed
+    afresh, and the candidates swept until a pass adds none."""
+    whole = Subspace.full(P.dim)
+    rest = [whole] * (P.arity - 2)
+    derived = _series_by_sums(whole, lambda T: bracket_span([T, T] + rest, P).sum(
+        subspace_product(T, T, P)))
+    if not derived[-1].is_zero():
+        raise ValueError("nilradical computation expects a solvable algebra")
+    candidates, spanned = [], Subspace.zero(P.dim)
+    for row in itertools.chain(*(term.rows for term in reversed(derived))):
+        if not spanned.contains(row):
+            candidates.append(row)
+            spanned = spanned.adjoin([row])
+    start = bracket_span([whole] * P.arity, P)
+    if with_product:
+        start = start.sum(subspace_product(whole, whole, P))
+
+    def closure(U):
+        return ideal_closure_by_rounds(U, P, with_product)
+    return greedy_ideal_resweep(closure(start), candidates, closure,
+                                lambda U: nilpotent_by_sums(U, P, with_product))
 
 
 def mat_vec(matrix, vector):

@@ -18,7 +18,6 @@ from poisson_nlie.finite_algebra import (
     bracket_span,
     classify,
     common_eigenvector,
-    dense_to_sv,
     engel_operators_nilpotent,
     fixture_hypo,
     fixture_torus,
@@ -47,7 +46,18 @@ from poisson_nlie.ring import ParseError
 from poisson_nlie.subspaces import (
     Subspace, is_nilpotent_matrix, kernel, mat_pow, rational_eigenvalues, unit_vector)
 
-from oracles import assert_scalar_rule, greedy_ideal_resweep, mat_sub, mat_vec, scale_matrix
+from oracles import (
+    assert_scalar_rule,
+    classification_by_sums,
+    greedy_ideal_resweep,
+    ideal_closure_by_rounds,
+    images_by_scan,
+    mat_sub,
+    mat_vec,
+    nilpotent_by_sums,
+    nilradical_by_rounds,
+    scale_matrix,
+)
 
 F1 = Fraction(1)
 
@@ -329,16 +339,15 @@ class TestSubspaceOps:
 
 def _bracket_span_by_scan(subspaces, P):
     """The former bracket_span, kept as the reference: every combination of
-    basis vectors, one per slot, bracketed."""
-    pools = [[dense_to_sv(row) for row in U.basis] for U in subspaces]
-    images = (P.bracket(list(combo)) for combo in itertools.product(*pools))
-    return Subspace.from_vectors(P.dim, [sv_to_dense(w, P.dim) for w in images if w])
+    basis vectors, one per slot, bracketed, and one ``rref``."""
+    images = images_by_scan(P, ("bracket", subspaces))
+    return Subspace.from_vectors(P.dim, [sv_to_dense(w, P.dim) for w in images])
 
 
 def _subspace_product_by_scan(U, V, P):
     """The former subspace_product: every pair of basis vectors multiplied."""
-    images = (P.product(dense_to_sv(u), dense_to_sv(v)) for u in U.basis for v in V.basis)
-    return Subspace.from_vectors(P.dim, [sv_to_dense(w, P.dim) for w in images if w])
+    images = images_by_scan(P, ("product", [U, V]))
+    return Subspace.from_vectors(P.dim, [sv_to_dense(w, P.dim) for w in images])
 
 
 def _raw_algebras():
@@ -408,15 +417,24 @@ class TestSpansFollowStoredEntries:
         seen = Counter()
         for P in span_algebras:
             for slots in _slot_patterns(P, rng):
-                assert bracket_span(slots, P) == _bracket_span_by_scan(slots, P), (P, slots)
+                bracket = _bracket_span_by_scan(slots, P)
+                assert bracket_span(slots, P) == bracket, (P, slots)
                 for U, V in (slots[:2], slots[-2:], slots[::-1][:2]):
-                    assert subspace_product(U, V, P) == _subspace_product_by_scan(U, V, P)
-                    seen["product", subspace_product(U, V, P).dim > 0] += 1
-                seen["skew" if P.skew else "raw", bracket_span(slots, P).dim > 0] += 1
+                    product = _subspace_product_by_scan(U, V, P)
+                    assert subspace_product(U, V, P) == product
+                    seen["product", product.dim > 0] += 1
+                    # one call imaging both operations spans both spans
+                    both = finite_algebra._images(P, ("bracket", slots), ("product", [U, V]))
+                    assert Subspace.zero(P.dim).adjoin(both) == bracket.sum(product), (P, slots)
+                seen["skew" if P.skew else "raw", bracket.dim > 0] += 1
         # nonzero spans of both storages and of the product were compared
         assert min(seen.values()) >= 20 and len(seen) == 6, seen
 
     def test_structure_results_match_the_former_scans(self, monkeypatch):
+        """Every span the structure code makes goes through the image
+        builder: with the scan in its place (and the arrangement tables out
+        of reach), classification, nilradicals, flags, closures and
+        quotients come out the same."""
         from poisson_nlie.constructions import random_poisson_n_lie, skew_defect_quotient
 
         algebras = [fixture_hypo(), fixture_torus(), fixture_torus(3, 4)]
@@ -436,9 +454,19 @@ class TestSpansFollowStoredEntries:
             return out
 
         fast = results()
-        monkeypatch.setattr(finite_algebra, "bracket_span", _bracket_span_by_scan)
-        monkeypatch.setattr(finite_algebra, "subspace_product", _subspace_product_by_scan)
+        scans = Counter()
+
+        def scanned(P, *parts):
+            scans.update(op for op, _ in parts)
+            return images_by_scan(P, *parts)
+
+        def unreachable(*args):
+            raise AssertionError("an arrangement table was read during the scan")
+
+        monkeypatch.setattr(finite_algebra, "_images", scanned)
+        monkeypatch.setattr(StructAlgebra, "_arrangement_table", unreachable)
         assert results() == fast
+        assert min(scans["bracket"], scans["product"]) >= 500, scans
 
     def test_arrangement_tables_list_each_sorted_arrangement_once(self):
         """n!/w! arrangements per key of distinct entries, with sorted
@@ -646,9 +674,9 @@ class TestNilradical:
         calls = []
         original = finite_algebra._adapted_basis
 
-        def counted(P):
+        def counted(P, derived):
             calls.append(P)
-            return original(P)
+            return original(P, derived)
 
         monkeypatch.setattr(finite_algebra, "_adapted_basis", counted)
         assert nilradical(hypo) == span(7, 0, 1, 2, 6)
@@ -663,9 +691,11 @@ class TestNilradical:
         one_sweep = finite_algebra._greedy_ideal
         searches = []
 
-        def compared(start, candidates, closure, nilpotent):
-            found = one_sweep(start, candidates, closure, nilpotent)
-            assert found == greedy_ideal_resweep(start, candidates, closure, nilpotent)
+        def compared(P, start, candidates, with_product):
+            found = one_sweep(P, start, candidates, with_product)
+            assert found == greedy_ideal_resweep(
+                start, candidates, lambda U: ideal_closure(U, P, with_product),
+                lambda U: nilpotent_by_sums(U, P, with_product))
             searches.append(found)
             return found
 
@@ -683,6 +713,127 @@ class TestNilradical:
             (0, 2, 3): {1: F1}, (1, 2, 3): {0: -F1}})
         with pytest.raises(ValueError):
             nilradical(epsilon)
+
+
+@pytest.fixture(scope="module")
+def random_algebras():
+    from poisson_nlie.constructions import random_poisson_n_lie
+
+    return [random_poisson_n_lie(seed)[0] for seed in range(250)]
+
+
+def _fixtures():
+    return [fixture_hypo(), fixture_torus(), fixture_hypo(5, 7), fixture_torus(3, 4)]
+
+
+class TestSpanWorkPerStep:
+    def test_the_square_is_already_an_ideal(self, random_algebras):
+        """[X, P, .., P] lies in [P, .., P] and P.X in P.P for any X, so
+        closing P^2, or [P, .., P] for the bracket alone, adds nothing, nor
+        does closing either with a seeded random vector adjoined: on the
+        fixtures, every random_poisson_n_lie(0..249) and the raw brackets
+        of the constructions."""
+        rng = random.Random(7)
+        proper = Counter()
+        for P in _fixtures() + random_algebras + _raw_algebras():
+            square = algebra_square(P)
+            bracket = bracket_span([full_space(P)] * P.arity, P)
+            vector = {rng.randrange(P.dim): rng.choice([-1, 1, Fraction(2, 3)]) for _ in range(2)}
+            for held, with_product in ((square, True), (bracket, False)):
+                for U in (held, held.adjoin([vector])):
+                    assert ideal_closure(U, P, with_product) == U \
+                        == ideal_closure_by_rounds(U, P, with_product)
+            proper["square"] += 0 < square.dim < P.dim
+            proper["bracket"] += 0 < bracket.dim < square.dim
+            proper["grown"] += square.dim < square.adjoin([vector]).dim < P.dim
+        assert min(proper.values()) >= 20, proper
+
+    def test_closures_match_the_former_rounds(self, random_algebras):
+        """Frontier closures equal closures that image the whole current
+        subspace every round, for both kinds of ideal, from zero, the whole
+        space, seeded random subspaces and skew defects, on the fixtures,
+        every solvable random_poisson_n_lie(0..249) and raw brackets (of
+        the constructions, and seeded ones obeying no axiom)."""
+        from poisson_nlie.constructions import skew_defect_spans
+
+        rng = random.Random(35)
+        raw = _raw_algebras() + [P for P, _ in _quotient_cases() if not P.skew]
+        solvable = [P for P in random_algebras if classify(P).solvable]
+        seen = Counter()
+        for P in _fixtures() + solvable + raw:
+            d = P.dim
+            starts = [Subspace.zero(d), full_space(P)]
+            for _ in range(3):
+                vectors = [{rng.randrange(d): rng.choice([-2, -1, 1, Fraction(1, 2)])
+                            for _ in range(rng.randint(1, 3))} for _ in range(rng.randint(1, 2))]
+                starts.append(Subspace.zero(d).adjoin(vectors))
+            if not P.skew:
+                starts.append(Subspace.zero(d).adjoin(skew_defect_spans(P)))
+            for U, with_product in itertools.product(starts, (True, False)):
+                closed = ideal_closure(U, P, with_product)
+                assert closed == ideal_closure_by_rounds(U, P, with_product), (P, U)
+                seen["raw" if not P.skew else "skew", with_product, closed != U] += 1
+        # starts that were not ideals, and ones that were, of both kinds
+        assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+    def test_nilradicals_match_the_former_search(self, random_algebras, monkeypatch):
+        """``nilradical`` and its bracket-only search give what closing the
+        starts, closing and testing each candidate afresh and resweeping
+        give, on the fixtures and every solvable random_poisson_n_lie(0..249)."""
+        one_sweep = finite_algebra._greedy_ideal
+        found = {}
+
+        def recorded(P, start, candidates, with_product):
+            found[with_product] = one_sweep(P, start, candidates, with_product)
+            return found[with_product]
+
+        monkeypatch.setattr(finite_algebra, "_greedy_ideal", recorded)
+        proper = 0
+        for P in _fixtures() + [P for P in random_algebras if classify(P).solvable]:
+            found.clear()
+            nil = nilradical(P)
+            assert nil == found[True] == nilradical_by_rounds(P), P
+            assert found[False] == nilradical_by_rounds(P, with_product=False), P
+            proper += 0 < nil.dim < P.dim
+        assert proper >= 20
+
+    def test_classification_matches_the_separate_series(self, random_algebras):
+        """The five series of ``classify``, started from one set of images
+        of P, give what five series grown from P on their own give."""
+        seen = Counter()
+        for P in _fixtures() + random_algebras + _raw_algebras():
+            found = classify(P)
+            assert found == classification_by_sums(P), P
+            seen[found.solvable, found.nilpotent, found.pa_nilpotent, found.pl_nilpotent] += 1
+        assert len(seen) >= 3, seen
+
+    def test_one_set_of_square_images_per_call(self, monkeypatch):
+        """``classify`` and ``nilradical`` image [P, .., P] and P.P once
+        each, and ``nilradical`` builds one derived series and no
+        bracket-derived one."""
+        images, kinds = Counter(), Counter()
+        build, descend = finite_algebra._images, finite_algebra._series_terms
+
+        def counted_images(P, *parts):
+            images.update(op for op, slots in parts if all(U.dim == P.dim for U in slots))
+            return build(P, *parts)
+
+        def counted_series(I, P, kind, second=None):
+            if I.dim == P.dim:
+                kinds[kind] += 1
+            return descend(I, P, kind, second)
+
+        monkeypatch.setattr(finite_algebra, "_images", counted_images)
+        monkeypatch.setattr(finite_algebra, "_series_terms", counted_series)
+        for P in _fixtures():
+            images.clear()
+            classify(P)
+            assert images == {"bracket": 1, "product": 1}, images
+            images.clear()
+            kinds.clear()
+            nilradical(P)
+            assert images == {"bracket": 1, "product": 1}, images
+            assert kinds == {"derived": 1}, kinds
 
 
 class TestEigenstructure:
