@@ -723,9 +723,8 @@ def _adjoint_generators(P: StructAlgebra):
 
 
 def _common_eigenspace(P: StructAlgebra) -> Optional[Tuple[Subspace, Dict[tuple, Fraction]]]:
-    """``common_eigenvector``'s search: (eigenspace, eigenvalue by tuple)."""
-    if not classify(P).solvable:
-        raise ValueError("common eigenvector search expects a solvable algebra")
+    """``common_eigenvector``'s search: (eigenspace, eigenvalue by tuple).
+    P must be solvable; its callers test that once."""
     generators = list(_adjoint_generators(P))
     operators = list(dict.fromkeys(matrix for _, matrix in generators))
     spectra: Dict[int, List[Fraction]] = {}  # by position, filled on first visit
@@ -769,6 +768,8 @@ def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:
     rationals are not algebraically closed).  The vector is the first RREF
     row of the subspace found.
     """
+    if not classify(P).solvable:
+        raise ValueError("common eigenvector search expects a solvable algebra")
     found = _common_eigenspace(P)
     if found is None:
         return None
@@ -818,7 +819,8 @@ def quotient_algebra(P: StructAlgebra, I: Subspace) -> QuotientAlgebra:
 def solvable_flag(P: StructAlgebra) -> Optional[List[Subspace]]:
     """Chain of ideals 0 = F_0 < F_1 < ... < F_dim = P, dim F_i = i, built
     by repeatedly extracting common eigenvectors in quotients; None when a
-    step has no rational eigenvector."""
+    step has no rational eigenvector.  Solvability is tested once, on P:
+    every quotient of a solvable algebra is solvable."""
     if not classify(P).solvable:
         raise ValueError("only solvable algebras carry a complete ideal flag")
     flag = [Subspace.zero(P.dim)]

@@ -36,9 +36,11 @@ SVec = Dict[int, Scalar]
 
 def _sv(values) -> SVec:
     """A new sparse vector from a dense sequence or a mapping: zeros are
-    dropped and entries stored by ``ring._coeff``, so a float raises."""
+    dropped, an int entry is kept as it is and any other stored by
+    ``ring._coeff``, so a bool or an integral Fraction becomes an int and a
+    float raises."""
     items = values.items() if isinstance(values, dict) else enumerate(values)
-    return {i: v for i, c in items if (v := _coeff(c))}
+    return {i: v for i, c in items if (v := c if type(c) is int else _coeff(c))}
 
 
 def _sv_accum(acc: SVec, sv: SVec, scale: Scalar):

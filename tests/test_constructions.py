@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,15 +25,18 @@ from poisson_nlie.constructions import (
     xu_tensor,
 )
 from poisson_nlie.finite_algebra import (
+    AxiomReport,
     InternalCheckError,
     StructAlgebra,
     _fundamental_holds,
     abelian_algebra,
     fixture_hypo,
+    fixture_torus,
     parse_algebra,
     sv_to_dense,
     verify_axioms,
 )
+from poisson_nlie.jacobian_bracket import perm_sign
 from poisson_nlie.subspaces import Subspace, _sv_accum
 
 from oracles import assert_scalar_rule
@@ -149,6 +153,30 @@ def _raw_cases():
     return [P for P, _ in _quotient_cases()]
 
 
+def _binary_poisson_inputs():
+    """Binary Poisson algebras: the fixed ones, truncated power algebras
+    with and without the unit for k <= 6, and seeded random algebras of
+    dim <= 3 that pass the axioms, four with a zero bracket and four not."""
+    inputs = [two_dim_poisson(), unital_line(), StructAlgebra(2, 2, {(0, 1): e(1)})]
+    inputs += [truncated_power_algebra(k, unital) for k in range(1, 7) for unital in (False, True)]
+    rng = random.Random(11)
+    values = [1, -1, 2, Fraction(1, 2)]
+    found = {False: [], True: []}  # by whether the bracket is nonzero
+    while min(map(len, found.values())) < 4:
+        d = rng.randint(1, 3)
+        keys = list(itertools.combinations(range(d), 2))
+        pairs = list(itertools.combinations_with_replacement(range(d), 2))
+        P = StructAlgebra(d, 2, {
+            key: {rng.randrange(d): rng.choice(values)}
+            for key in rng.sample(keys, rng.randint(0, len(keys)))}, {
+            pair: {rng.randrange(d): rng.choice(values)}
+            for pair in rng.sample(pairs, rng.randint(1, len(pairs)))})
+        kind = found[bool(dict(P.bracket_entries()))]
+        if len(kind) < 4 and verify_axioms(P).all_pass and P not in inputs + kind:
+            kind.append(P)
+    return inputs + found[False] + found[True]
+
+
 class TestTensorPoissonN:
     def test_unital_line_factor_is_identity(self, hypo):
         line = StructAlgebra(1, 4, {}, {(0, 0): e(0)})
@@ -224,6 +252,20 @@ class TestXuTensor:
     def test_rejects_higher_arity(self, hypo):
         with pytest.raises(ValueError):
             xu_tensor(hypo, two_dim_poisson())
+
+    def test_outputs_pass_the_axioms(self, monkeypatch):
+        """A tensor product of Poisson algebras is Poisson, so the output is
+        not verified again: only the two factors are, and the oracle passes
+        the output of every pair of binary Poisson inputs."""
+        inputs = _binary_poisson_inputs()
+        verified = []
+        monkeypatch.setattr(constructions, "_require_verified",
+                            lambda P, label: verified.append(label))
+        xu_tensor(two_dim_poisson(), unital_line())
+        assert verified == ["left factor", "right factor"]
+        monkeypatch.undo()
+        for P1, P2 in itertools.product(inputs, repeat=2):
+            assert verify_axioms(xu_tensor(P1, P2).algebra).all_pass, (P1, P2)
 
 
 class TestIteratedBracket:
@@ -311,18 +353,85 @@ class TestSkewDefectQuotient:
 
 def _power_by_formula(L):
     """The (n-1)-fold tensor power with [x, y] = sum over slots of y with
-    [x_1, ..., x_{n-1}, y_slot] in that slot, bracketing in L directly."""
+    [x_1, ..., x_{n-1}, y_slot] in that slot, bracketing in L directly
+    (once per (x, y_slot))."""
     tensors = list(itertools.product(range(L.dim), repeat=L.arity - 1))
     index = {t: a for a, t in enumerate(tensors)}
     brackets = {}
+    images = {}
     for (a, xs), (b, ys) in itertools.product(enumerate(tensors), repeat=2):
         acc = {}
         for slot, y in enumerate(ys):
-            for l, c in L.bracket([e(i) for i in xs] + [e(y)]).items():
+            if (xs, y) not in images:
+                images[xs, y] = L.bracket([e(i) for i in xs] + [e(y)])
+            for l, c in images[xs, y].items():
                 target = index[ys[:slot] + (l,) + ys[slot + 1:]]
                 acc[target] = acc.get(target, 0) + c
         brackets[(a, b)] = acc
     return StructAlgebra(len(tensors), 2, brackets, skew=False)
+
+
+def _power_by_scan(L):
+    """The former bracket table of the tensor power: every b for every a
+    with a nonzero adjoint, its slots in order, cancelled entries dropped;
+    as (key, [(index, coefficient), ...]) in the order of the scan."""
+    n, d = L.arity, L.dim
+    dim = d ** (n - 1)
+    images = constructions._adjoint_images(L)
+    places = [d ** (n - 2 - slot) for slot in range(n - 1)]
+    table = []
+    for a in (a for a in range(dim) if any(images[a])):
+        for b in range(dim):
+            acc = {}
+            for place in places:
+                y = b // place % d
+                for l, c in images[a][y].items():
+                    k = b + (l - y) * place
+                    value = acc[k] + c if k in acc else c
+                    if value:
+                        acc[k] = value
+                    else:
+                        del acc[k]
+            if acc:
+                table.append(((a, b), list(acc.items())))
+    return table
+
+
+# at b = (0, 1, 0) the first two slots cancel the entry at b and the third
+# adds it again, after the entry (1, 1, 0) the first slot made
+CANCEL_AND_READD = StructAlgebra(2, 4, {(0, 0, 0, 0): {0: 1, 1: 2}, (0, 0, 0, 1): {1: -1}},
+                                 skew=False)
+
+
+def _bracket_part(P):
+    return StructAlgebra(P.dim, P.arity, dict(P.bracket_entries()), skew=P.skew)
+
+
+def _certificate_cases():
+    """Distinct Ls for the certificate: the fixtures' bracket parts, the
+    raw cases, the bracket parts of random_poisson_n_lie(0..149), stored
+    alternating and as raw tensors, and seeded breakages of each: one more
+    alternating entry, or only the sorted keys stored raw."""
+    rng = random.Random(5)
+    values = [1, -1, 2, Fraction(1, 2)]
+    cases = [_bracket_part(fixture_hypo()), _bracket_part(fixture_torus()),
+             parse_algebra(NOT_FUNDAMENTAL_9)] + _raw_cases()
+    for seed in range(150):
+        P = _bracket_part(random_poisson_n_lie(seed)[0])
+        brackets = dict(P.bracket_entries())
+        tensor = {perm: {i: perm_sign(perm) * c for i, c in value.items()}
+                  for key, value in brackets.items() for perm in itertools.permutations(key)}
+        cases += [P, StructAlgebra(P.dim, 3, tensor, skew=False),
+                  StructAlgebra(P.dim, 3, brackets, skew=False)]
+        if P.dim >= 3:
+            key = tuple(sorted(rng.sample(range(P.dim), 3)))
+            cases.append(StructAlgebra(P.dim, 3, {
+                **brackets, key: {rng.randrange(P.dim): rng.choice(values)}}))
+    distinct = []
+    for L in cases:
+        if L not in distinct:
+            distinct.append(L)
+    return distinct
 
 
 def _first_leibniz_failure(R):
@@ -489,6 +598,48 @@ class TestLeibnizTensorFunctor:
         expected = _power_by_formula(L)
         assert list(result.bracket_entries()) == list(expected.bracket_entries())
 
+    def test_certificate_agrees_with_the_operator_check(self, monkeypatch):
+        """L's fundamental identity decides the power's Leibniz identity: on
+        every certificate case ``verify_axioms(L).fundamental`` holds exactly
+        when the all-pairs operator check finds no failing pair.  A passing
+        L runs no pair loop, which is the only caller of ``_sv_accum``
+        here; a failing L is refused at the pair that check names."""
+        def refuse(acc, sv, scale):
+            raise AssertionError("the pair loop ran")
+
+        outcomes = Counter()
+        for L in _certificate_cases():
+            expected = _first_operator_failure(L)
+            certified = verify_axioms(L).fundamental
+            assert certified == (expected is None), L
+            outcomes[certified, L.skew] += 1
+            if certified:
+                with monkeypatch.context() as patched:
+                    patched.setattr(constructions, "_sv_accum", refuse)
+                    leibniz_tensor_functor(L, with_product=True)
+                continue
+            with pytest.raises(InternalCheckError) as raised:
+                leibniz_tensor_functor(L)
+            assert str(raised.value) == (
+                f"tensor-power bracket lost the Leibniz identity at {expected}")
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_tables_match_the_formula_on_every_certificate_case(self, monkeypatch):
+        """The bracket table, built from the nonzero adjoint images, equals
+        the formula, keys in the same order, and the former scan over every
+        (a, b, slot), each vector's entries in the same order too, whether
+        or not L passes.  Only an entry cancelled and added again comes
+        later than in the formula."""
+        passing = AxiomReport(True, True, True, True, True)
+        monkeypatch.setattr(constructions, "verify_axioms", lambda L: passing)
+        for L in _certificate_cases() + [CANCEL_AND_READD]:
+            result = leibniz_tensor_functor(L)
+            entries = [(key, list(value.items())) for key, value in result.bracket_entries()]
+            assert entries == _power_by_scan(L), L
+            assert list(result.bracket_entries()) == list(_power_by_formula(L).bracket_entries())
+            if L is CANCEL_AND_READD:
+                assert list(result.bracket_basis((0, 2)).items()) == [(6, 2), (2, 1), (3, 2)]
+
     def test_raw_product_tables_match_the_full_scan(self):
         """The product table alone, on the raw cases with their brackets
         dropped (most raw brackets fail the Leibniz check)."""
@@ -502,7 +653,7 @@ class TestLeibnizTensorFunctor:
 
     def test_large_instance_checked_on_adjoint_operators(self, hypo):
         L = StructAlgebra(7, 4, dict(hypo.bracket_entries()))
-        result = leibniz_tensor_functor(L)  # 343-dim, exhaustive operator check inside
+        result = leibniz_tensor_functor(L)  # 343-dim, certified by L's fundamental identity
         assert result.dim == 343
         ker = kernel_of_adjoint(L)
         assert ker.dim == 343 - 10  # ad has rank 10 on this fixture

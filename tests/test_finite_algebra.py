@@ -438,7 +438,7 @@ class TestSpansFollowStoredEntries:
         from poisson_nlie.constructions import random_poisson_n_lie, skew_defect_quotient
 
         algebras = [fixture_hypo(), fixture_torus(), fixture_torus(3, 4)]
-        algebras += [random_poisson_n_lie(seed)[0] for seed in range(0, 40, 3)]
+        algebras += [random_poisson_n_lie(seed)[0] for seed in range(0, 60, 3)]
         raw = _raw_algebras()
 
         def results():
@@ -947,6 +947,46 @@ class TestEigenstructure:
         flat = solvable_flag(abelian_algebra(3, 3))
         assert [f.dim for f in flag] == [0, 1]
         assert [f.dim for f in flat] == [0, 1, 2, 3]
+
+    def test_flag_tests_solvability_once(self, random_algebras, monkeypatch):
+        """The flag classifies P alone, and equals the flag built by
+        ``common_eigenvector``, which classifies every quotient, on every
+        solvable random_poisson_n_lie(0..59)."""
+        def flag_classifying_every_quotient(P):
+            flag = [Subspace.zero(P.dim)]
+            while flag[-1].dim < P.dim:
+                quo = quotient_algebra(P, flag[-1])
+                found = common_eigenvector(quo.algebra)
+                if found is None:
+                    return None
+                flag.append(flag[-1].adjoin(
+                    [{quo.kept[a]: c for a, c in enumerate(found.vector) if c}]))
+            return flag
+
+        solvable = [P for P in random_algebras[:60] if classify(P).solvable]
+        assert len(solvable) >= 40
+        calls = []
+        monkeypatch.setattr(finite_algebra, "classify",
+                            lambda P: calls.append(P) or classify(P))
+        flags = []
+        for P in solvable:
+            calls.clear()
+            flags.append(solvable_flag(P))
+            assert calls == [P]
+        monkeypatch.undo()
+        assert flags == [flag_classifying_every_quotient(P) for P in solvable]
+        assert sum(flag is not None for flag in flags) >= 30
+
+    def test_eigen_tools_refuse_an_unsolvable_algebra(self):
+        epsilon = StructAlgebra(4, 3, {
+            (0, 1, 2): {3: F1}, (0, 1, 3): {2: -F1},
+            (0, 2, 3): {1: F1}, (1, 2, 3): {0: -F1}})
+        with pytest.raises(ValueError, match="^common eigenvector search expects "
+                                             "a solvable algebra$"):
+            common_eigenvector(epsilon)
+        with pytest.raises(ValueError, match="^only solvable algebras carry a "
+                                             "complete ideal flag$"):
+            solvable_flag(epsilon)
 
 
 class TestOperatorIdentity:

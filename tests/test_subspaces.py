@@ -169,6 +169,32 @@ class TestScalarRule:
         assert_scalar_rule(vec.values())
         assert_scalar_rule(_sv({5: Fraction(-6, 3), 2: Fraction(3, 6)}).values())
 
+    def test_sv_stores_an_int_without_the_rule_call(self, monkeypatch):
+        from poisson_nlie import subspaces
+        from poisson_nlie.ring import _coeff
+
+        big = 10 ** 30
+        seen = []
+        monkeypatch.setattr(subspaces, "_coeff", lambda c: seen.append(c) or _coeff(c))
+        vec = _sv({0: big, 1: -3, 2: 0})
+        assert vec == {0: big, 1: -3} and vec[0] is big
+        assert seen == []
+
+    @pytest.mark.parametrize("values, expected", [
+        ([True, False, 2], {0: 1, 2: 2}),
+        ({3: Fraction(6, 3), 4: Fraction(0, 5), 5: Fraction(-1, 1)}, {3: 2, 5: -1}),
+        ([Fraction(1, 2), 1], {0: Fraction(1, 2), 1: 1}),
+    ], ids=["bool", "integral-fraction", "fraction"])
+    def test_sv_stores_non_ints_by_the_rule(self, values, expected):
+        vec = _sv(values)
+        assert vec == expected
+        assert [type(c) for c in vec.values()] == [type(c) for c in expected.values()]
+
+    @pytest.mark.parametrize("values", [[1, 2.0], {0: 3, 1: 0.0}, [-1.5]])
+    def test_sv_refuses_a_float_after_ints(self, values):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            _sv(values)
+
     @pytest.mark.parametrize("call", [
         lambda: _sv([0.1, 1]),
         lambda: _sv({0: 0.0}),
