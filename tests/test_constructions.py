@@ -25,7 +25,6 @@ from poisson_nlie.constructions import (
     xu_tensor,
 )
 from poisson_nlie.finite_algebra import (
-    AxiomReport,
     InternalCheckError,
     StructAlgebra,
     _fundamental_holds,
@@ -630,8 +629,7 @@ class TestLeibnizTensorFunctor:
         (a, b, slot), each vector's entries in the same order too, whether
         or not L passes.  Only an entry cancelled and added again comes
         later than in the formula."""
-        passing = AxiomReport(True, True, True, True, True)
-        monkeypatch.setattr(constructions, "verify_axioms", lambda L: passing)
+        monkeypatch.setattr(constructions, "_fundamental_holds", lambda L, xs, ys: True)
         for L in _certificate_cases() + [CANCEL_AND_READD]:
             result = leibniz_tensor_functor(L)
             entries = [(key, list(value.items())) for key, value in result.bracket_entries()]
