@@ -26,10 +26,12 @@ the same rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jacobian_bracket import perm_sign
@@ -70,6 +72,21 @@ def _multilinear(value, vectors: Sequence[SVec]) -> SVec:
     return acc
 
 
+@functools.cache
+def _layouts(n: int, whole: Tuple[int, ...], raw: bool) -> tuple:
+    """(getter, sign) per arrangement t of a sorted n-key (a raw key: only
+    as stored) whose entries at the positions ``whole`` are sorted: the
+    getter lists t whole slots first, and for distinct entries t is sign
+    times the key, counting the sign of listing the whole slots first."""
+    partial = tuple(p for p in range(n) if p not in whole)
+    if raw:
+        return ((itemgetter(*whole, *partial), 1),)
+    order_sign = perm_sign(whole + partial)
+    return tuple((itemgetter(*chosen, *rest), perm_sign(chosen + rest) * order_sign)
+                 for chosen in itertools.combinations(range(n), len(whole))
+                 for rest in itertools.permutations(p for p in range(n) if p not in chosen))
+
+
 class StructAlgebra:
     """Algebra on Q^dim with a symmetric product and an n-ary bracket.
 
@@ -88,8 +105,10 @@ class StructAlgebra:
         self.skew = skew
         self._bracket: Dict[tuple, SVec] = {}
         self._product: Dict[Tuple[int, int], SVec] = {}
-        # (operation, whole-slot positions) -> _arrangement_table's entries
+        # caches of the stored entries for _arrangement_table, bracket_basis, full_space
         self._arrangements: Dict[Tuple[str, tuple], list] = {}
+        self._signed: Dict[tuple, SVec] = {}
+        self._full: Optional[Subspace] = None
         for key, value in (brackets or {}).items():
             key = tuple(key)
             if len(key) != arity or any(not 0 <= i < dim for i in key):
@@ -111,16 +130,19 @@ class StructAlgebra:
     # -- basis-level evaluation ---------------------------------------------
 
     def bracket_basis(self, idxs: Sequence[int]) -> SVec:
+        """A stored vector, its negated copy or {}, shared and read-only;
+        alternating storage sorts and signs each tuple on its first lookup."""
         key = tuple(idxs)
         if not self.skew:
             return self._bracket.get(key, {})
-        # a key with a repeated index is never stored, so its bracket is 0
-        value = self._bracket.get(tuple(sorted(key)))
-        if not value:
-            return {}
-        if perm_sign(key) > 0:
-            return value
-        return {i: -c for i, c in value.items()}
+        value = self._signed.get(key)
+        if value is None:
+            # a key with a repeated index is never stored, so its bracket is 0
+            value = self._bracket.get(tuple(sorted(key)), {})
+            if value and perm_sign(key) < 0:
+                value = {i: -c for i, c in value.items()}
+            self._signed[key] = value
+        return value
 
     def product_basis(self, i: int, j: int) -> SVec:
         return self._product.get((i, j) if i <= j else (j, i), {})
@@ -157,35 +179,24 @@ class StructAlgebra:
         ``op`` (``"bracket"`` or ``"product"``) whose entries at the
         positions ``whole`` are sorted; fill and rest are t at and off those
         positions, t evaluates to sign * value, and value is the stored
-        vector itself.  Unordered storage (the product, alternating
-        brackets) gives a key of distinct entries n!/w! arrangements, and
-        raw storage only the key as stored.  Built once per operation and
+        vector itself, shared and read-only.  Unordered storage (the
+        product, alternating brackets) gives a key of distinct entries
+        n!/w! arrangements, and raw storage only the key as stored, each
+        by the pattern's ``_layouts``.  Built once per operation and
         pattern: the stored entries never change."""
         table = self._arrangements.get((op, whole))
         if table is not None:
             return table
         stored, n = (self._product, 2) if op == "product" else (self._bracket, self.arity)
-        partial = tuple(p for p in range(n) if p not in whole)
-        signed = op == "bracket" and self.skew
-        # fill + rest lists t with the whole slots first: reordering t that
-        # way changes its sign by the sign of that order of the positions
-        order_sign = perm_sign(whole + partial)
+        layouts = _layouts(n, whole, op == "bracket" and not self.skew)
+        w, signed = len(whole), op == "bracket" and self.skew
         table = []
         for key, value in stored.items():
-            if op == "bracket" and not self.skew:
-                splits = [(tuple(key[p] for p in whole), tuple(key[p] for p in partial))]
-            else:
-                # the key is sorted, so each choice of entries for the whole
-                # slots is in order already; a square product key repeats
-                # its splits, which count once
-                splits = dict.fromkeys(
-                    (tuple(key[i] for i in chosen), rest)
-                    for chosen in itertools.combinations(range(n), len(whole))
-                    for rest in itertools.permutations(
-                        [key[i] for i in range(n) if i not in chosen]))
-            for fill, rest in splits:
-                sign = perm_sign(fill + rest) * order_sign if signed else 1
-                table.append((fill, rest, sign, value))
+            arranged = [(t[:w], t[w:], sign if signed else 1, value)
+                        for get, sign in layouts for t in (get(key),)]
+            if key[0] == key[-1]:  # a square product key repeats its splits, which count once
+                arranged = list({entry[:2]: entry for entry in arranged}.values())
+            table += arranged
         self._arrangements[(op, whole)] = table
         return table
 
@@ -414,15 +425,17 @@ def _images(P: StructAlgebra, *parts: Tuple[str, Sequence[Subspace]]):
     tuples whose entries hit t are visited (Gustavson's row-indexed sparse
     product, ACM TOMS 4(3), 1978), and no image that must be zero is formed.
     A subspace in several slots or parts is indexed once."""
-    if any(U.ambient != P.dim for _, slots in parts for U in slots):
-        raise ValueError("ambient dimension mismatch")
-    partial = {id(U): U for _, slots in parts for U in slots if U.dim != P.dim}
-    indexes = {key: _row_index(U) for key, U in partial.items()}
-    images: Dict[tuple, SVec] = {}
+    d, indexes, images = P.dim, {}, {}
     for part, (op, slots) in enumerate(parts):
-        whole = tuple(p for p, U in enumerate(slots) if U.dim == P.dim)
-        index = [indexes[id(U)] for U in slots if U.dim != P.dim]
-        for fill, rest, sign, value in P._arrangement_table(op, whole):
+        whole, index = [], []
+        for p, U in enumerate(slots):
+            if U.ambient != d:
+                raise ValueError("ambient dimension mismatch")
+            if len(U.rows) == d:
+                whole.append(p)
+            else:
+                index.append(indexes.get(id(U)) or indexes.setdefault(id(U), _row_index(U)))
+        for fill, rest, sign, value in P._arrangement_table(op, tuple(whole)):
             hits = [idx.get(i) for idx, i in zip(index, rest)]
             if not all(hits):
                 continue
@@ -432,7 +445,7 @@ def _images(P: StructAlgebra, *parts: Tuple[str, Sequence[Subspace]]):
                     coeff *= c
                 rows = tuple(r for r, _ in combo)
                 _sv_accum(images.setdefault((part, fill, rows), {}), value, coeff)
-    return (w for w in images.values() if w)
+    return [w for w in images.values() if w]
 
 
 def subspace_product(U: Subspace, V: Subspace, P: StructAlgebra) -> Subspace:
@@ -448,7 +461,9 @@ def bracket_span(subspaces: Sequence[Subspace], P: StructAlgebra) -> Subspace:
 
 
 def full_space(P: StructAlgebra) -> Subspace:
-    return Subspace.full(P.dim)
+    """P as one ``Subspace`` kept on P; its rows are shared and read-only."""
+    P._full = P._full or Subspace.full(P.dim)
+    return P._full
 
 
 def is_subalgebra(U: Subspace, P: StructAlgebra) -> bool:

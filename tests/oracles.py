@@ -296,6 +296,45 @@ def greedy_ideal_resweep(start, candidates, closure, nilpotent):
 # afterwards, every closure round spanned the images of the whole current
 # subspace, and each series was computed afresh wherever it was needed.
 
+def bracket_basis_by_sign(P, idxs):
+    """``StructAlgebra.bracket_basis`` as it ran before its lookups were
+    kept: each call sorts the key and takes its ``perm_sign``."""
+    key = tuple(idxs)
+    if not P.skew:
+        return P._bracket.get(key, {})
+    value = P._bracket.get(tuple(sorted(key)))
+    if not value:
+        return {}
+    if perm_sign(key) > 0:
+        return value
+    return {i: -c for i, c in value.items()}
+
+
+def arrangement_table_by_permutations(P, op, whole):
+    """``StructAlgebra._arrangement_table`` as it ran before the position
+    layouts were cached: per stored key, every choice of entries for the
+    whole slots and every order of the rest, with a ``perm_sign`` each; a
+    square product key's repeated splits count once."""
+    stored, n = (P._product, 2) if op == "product" else (P._bracket, P.arity)
+    partial = tuple(p for p in range(n) if p not in whole)
+    signed = op == "bracket" and P.skew
+    order_sign = perm_sign(whole + partial)
+    table = []
+    for key, value in stored.items():
+        if op == "bracket" and not P.skew:
+            splits = [(tuple(key[p] for p in whole), tuple(key[p] for p in partial))]
+        else:
+            splits = dict.fromkeys(
+                (tuple(key[i] for i in chosen), rest)
+                for chosen in itertools.combinations(range(n), len(whole))
+                for rest in itertools.permutations(
+                    [key[i] for i in range(n) if i not in chosen]))
+        for fill, rest in splits:
+            sign = perm_sign(fill + rest) * order_sign if signed else 1
+            table.append((fill, rest, sign, value))
+    return table
+
+
 def images_by_scan(P, *parts):
     """``finite_algebra._images`` by scanning: for each part (op, slots),
     ``op`` ("bracket" or "product") on every combination of RREF rows, one

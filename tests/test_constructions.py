@@ -446,7 +446,8 @@ def _first_operator_failure(L):
     """The first basis pair (x, y), in sorted order over every stored pair
     and every pair of nonzero adjoints, at which [ad_x, ad_y] = ad_[x,y]
     fails on L, with every image added, zero or not: the operator check
-    before it skipped pairs and images that add nothing."""
+    that once named the refused pair, before it skipped pairs and images
+    that add nothing and before the identity's first failing case named it."""
     images = constructions._adjoint_images(L)
     live = [a for a in range(len(images)) if any(images[a])]
     stored = {}
@@ -523,9 +524,9 @@ class TestLeibnizTensorFunctor:
         assert outcomes == {True, False}
 
     def test_refuses_at_the_first_pair_of_the_all_pairs_check(self):
-        """Skipping pairs and images that add nothing keeps the first
-        failing pair: seeded algebras, some breaking the identity, refuse
-        at the pair the all-pairs operator check names."""
+        """The identity's first failing case names the first failing pair:
+        seeded algebras, some breaking the identity, refuse at the pair the
+        all-pairs operator check names."""
         rng = random.Random(7)
         refused = 0
         # [e0, e2] = e0 fails first at (0, 2), where y = e2 has a zero
@@ -601,10 +602,11 @@ class TestLeibnizTensorFunctor:
         """L's fundamental identity decides the power's Leibniz identity: on
         every certificate case ``verify_axioms(L).fundamental`` holds exactly
         when the all-pairs operator check finds no failing pair.  A passing
-        L runs no pair loop, which is the only caller of ``_sv_accum``
-        here; a failing L is refused at the pair that check names."""
+        L adds no images (``_sv_accum`` is not called); a failing L is
+        refused at the pair that check names, read from the first failing
+        case of the identity."""
         def refuse(acc, sv, scale):
-            raise AssertionError("the pair loop ran")
+            raise AssertionError("an image was added")
 
         outcomes = Counter()
         for L in _certificate_cases():

@@ -47,7 +47,9 @@ from poisson_nlie.subspaces import (
     Subspace, is_nilpotent_matrix, kernel, mat_pow, rational_eigenvalues, unit_vector)
 
 from oracles import (
+    arrangement_table_by_permutations,
     assert_scalar_rule,
+    bracket_basis_by_sign,
     classification_by_sums,
     greedy_ideal_resweep,
     ideal_closure_by_rounds,
@@ -103,9 +105,11 @@ class TestStructAlgebra:
         assert P.bracket_basis((1, 0)) == {1: F1}
 
     def test_lookups_match_a_sign_per_lookup_reference(self):
-        """bracket_basis on every ordered tuple, repeats included, and
-        bracket on seeded vectors, of seeded skew algebras with dim <= 5
-        and arity <= 4, against a perm_sign of every key."""
+        """bracket_basis on every ordered tuple, repeats included, looked up
+        twice (the second time from the kept lookups), and bracket on seeded
+        vectors, of seeded skew algebras with dim <= 5 and arity <= 4,
+        against a perm_sign of every key and the former sort-and-sign
+        lookup."""
         for seed in range(40):
             rng = random.Random(seed)
             dim, arity = rng.randint(2, 5), rng.randint(2, 4)
@@ -118,8 +122,11 @@ class TestStructAlgebra:
                 sign = perm_sign(key)
                 return {i: sign * c for i, c in stored.get(tuple(sorted(key)), {}).items()}
 
-            for key in itertools.product(range(dim), repeat=arity):
-                assert P.bracket_basis(key) == reference(key), (seed, key)
+            for _ in range(2):
+                for key in itertools.product(range(dim), repeat=arity):
+                    assert P.bracket_basis(key) == reference(key) \
+                        == bracket_basis_by_sign(P, key), (seed, key)
+                    assert P.bracket_basis(list(key)) == reference(key), (seed, key)
             for _ in range(10):
                 vectors = [{rng.randrange(dim): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3))} for _ in range(arity)]
@@ -490,6 +497,36 @@ class TestSpansFollowStoredEntries:
         raw = _raw_algebras()[0]
         assert [(fill, rest) for fill, rest, _, _ in raw._arrangement_table("bracket", (1,))] \
             == [((key[1],), (key[0], key[2])) for key in raw._bracket]
+        # every (operation, whole-slot pattern) table equals the former
+        # per-key permutations, entry by entry and in order, its values the
+        # stored vectors themselves, on seeded skew and raw algebras at
+        # arity 2-5 with square product keys, and on the fixtures and the
+        # raw brackets above
+        rng = random.Random(7)
+        algebras = [P, Q] + _raw_algebras()
+        for _ in range(60):
+            dim, arity, skew = rng.randint(2, 6), rng.randint(2, 5), rng.random() < 0.6
+            keys = list(itertools.combinations(range(dim), arity) if skew
+                        else itertools.product(range(dim), repeat=arity))
+            pairs = list(itertools.combinations_with_replacement(range(dim), 2))
+            algebras.append(StructAlgebra(
+                dim, arity,
+                {key: {rng.randrange(dim): rng.choice([-2, -1, 1, Fraction(1, 2)])}
+                 for key in rng.sample(keys, min(len(keys), rng.randint(1, 4)))},
+                {pair: {rng.randrange(dim): rng.choice([-1, 1, 3])}
+                 for pair in rng.sample(pairs, rng.randint(1, 3)) + [(1, 1)]}, skew=skew))
+        seen = Counter()
+        for R in algebras:
+            for op, n in (("bracket", R.arity), ("product", 2)):
+                for whole in itertools.chain(*(itertools.combinations(range(n), w)
+                                               for w in range(n + 1))):
+                    table = R._arrangement_table(op, whole)
+                    expected = arrangement_table_by_permutations(R, op, whole)
+                    assert table == expected, (R, op, whole)
+                    assert all(a[3] is b[3] for a, b in zip(table, expected))
+                    seen[op, R.skew, R.arity] += len(table)
+        assert {(skew, n) for op, skew, n in seen if op == "bracket"} \
+            == {(skew, n) for skew in (True, False) for n in range(2, 6)}, seen
 
     def test_a_warm_memo_changes_nothing_seen(self, span_algebras):
         """The arrangement memo is a cache of the stored entries: spans on an
@@ -521,6 +558,47 @@ class TestSpansFollowStoredEntries:
                 assert subspace_product(slots[0], slots[-1], warm) == pr \
                     == subspace_product(slots[0], slots[-1], fresh(P))
         assert warmed >= len(span_algebras) - 1  # all but the empty algebra
+
+    def test_structure_work_leaves_the_shared_state_as_built(self):
+        """The full space, the kept lookups and the tables are shared by
+        every structure call on an algebra and must come out unmodified:
+        after classification, nilradicals, every series kind, closures,
+        ideal tests and flags, the kept full space equals a freshly built
+        one, the stored vectors equal a snapshot taken before, every kept
+        lookup equals the former sort-and-sign lookup, and equality and the
+        serialized form do not see what was kept."""
+        from poisson_nlie.constructions import random_poisson_n_lie
+
+        algebras = [fixture_hypo(), fixture_torus(), fixture_torus(3, 4)]
+        algebras += [random_poisson_n_lie(seed)[0] for seed in range(60)]
+        rng = random.Random(9)
+        lookups = 0
+        for P in algebras:
+            text = format_algebra(P)
+            snapshot = [[(key, dict(value)) for key, value in entries]
+                        for entries in (P.bracket_entries(), P.product_entries())]
+            fresh = parse_algebra(text)
+            whole = full_space(P)
+            solvable = classify(P).solvable
+            if solvable:
+                nilradical(P)
+                solvable_flag(P)
+            for kind in finite_algebra.SERIES_KINDS:
+                series(whole, P, kind)
+            if P.dim:
+                closure = ideal_closure(span(P.dim, rng.randrange(P.dim)), P)
+                assert is_ideal(closure, P) and is_ideal(whole, P)
+            assert full_space(P) is whole
+            assert whole == Subspace.full(P.dim) and whole.rows == tuple(
+                {j: 1} for j in range(P.dim))
+            assert [[(key, dict(value)) for key, value in entries] for entries in
+                    (P.bracket_entries(), P.product_entries())] == snapshot
+            for key, value in P._signed.items():
+                assert value == bracket_basis_by_sign(P, key) == bracket_basis_by_sign(fresh, key)
+            lookups += len(P._signed)
+            assert P == fresh and fresh == P and format_algebra(P) == text
+            assert not fresh._signed and fresh._full is None
+        assert lookups >= 1000, lookups
 
     def test_classification_brackets_only_stored_combinations(self, monkeypatch):
         """A return to bracketing every combination of basis vectors would
