@@ -289,10 +289,12 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
                      for a, b, acc in words for (i, j), v in oriented]
         products = dict(sorted(((a, b), acc) for a, b, acc in words if a <= b))
     result = StructAlgebra(dim, 2, brackets, products, skew=False)
-    failed = next((case for case in _fundamental_cases(L) if not _fundamental_holds(L, *case)), None)
+    failed = next((case for case in _fundamental_cases(L)
+                   if not _fundamental_holds(L, *case)), None)
     if failed is None:
         return result
-    x, y = (sum(i * d ** (n - 2 - s) for s, i in enumerate(xs)) for xs in (failed[0], failed[1][:-1]))
+    x, y = (sum(i * d ** (n - 2 - s) for s, i in enumerate(xs))
+            for xs in (failed[0], failed[1][:-1]))
     raise InternalCheckError(f"tensor-power bracket lost the Leibniz identity at {(x, y)}")
 
 
