@@ -14,7 +14,8 @@ For each workload it also gives each side's ``failed_share`` (failed over
 attempted operations, summed over its runs) and whether the change's share
 is no larger than the parent's (``failed_share_not_worse``).
 With ``--claim``, the claim records ``claim_met`` (the rule of
-``claim_met`` below) and a traced run per side of the claimed workload
+``claim_met`` below, which also needs every run correct and the failed
+share not worse) and a traced run per side of the claimed workload
 (``--trace 1``, seed 0) adds the per-layer counts, which repeat exactly;
 without it the file records no-regression pairs, with ``"claim": null``
 and no traced run.
@@ -100,16 +101,20 @@ def summarize_metric(raw, spec):
     }
 
 
-def claim_met(summary):
-    """The rule for claiming a gain on one metric's summary: at least ten
-    pairs, the change better in at least nine tenths of them (ties count
-    for neither side), and the medians apart, in the better direction, by
-    more than the distance between the parent's quartiles."""
+def claim_met(workload, metric):
+    """The rule for claiming a gain on ``metric`` of one workload's summary
+    (``summarize_workload``): every run's outputs correct, a failed share no
+    larger than the parent's, at least ten pairs, the change better in at
+    least nine tenths of them (ties count for neither side), and the medians
+    apart, in the better direction, by more than the distance between the
+    parent's quartiles.  A faster run over wrong outputs claims nothing."""
+    summary = workload["metrics"][metric]
     better, pairs = (int(v) for v in summary["change_better"].split("/"))
     q1, q3 = summary["parent_quartiles"]
     sign = 1 if summary["better"] == "higher" else -1
     gap = sign * (summary["change_median"] - summary["parent_median"])
-    return pairs >= 10 and 10 * better >= 9 * pairs and gap > q3 - q1
+    return (workload["all_correct"] and workload["failed_share_not_worse"]
+            and pairs >= 10 and 10 * better >= 9 * pairs and gap > q3 - q1)
 
 
 def _quartiles(values):
@@ -198,9 +203,9 @@ def main(argv=None):
         report["workloads"][workload] = summarize_workload(raw, benchmark["end_to_end"])
         print(f"{workload}: {report['workloads'][workload]['metrics']}", file=sys.stderr)
     if args.claim:
-        summary = report["workloads"][claim_workload]["metrics"][claim_metric]
         report["claim"] = {"workload": claim_workload, "metric": claim_metric,
-                           "claim_met": claim_met(summary)}
+                           "claim_met": claim_met(report["workloads"][claim_workload],
+                                                  claim_metric)}
         lines = [run_once(checkout, claim_workload, TRACE_SEED, trace=1)
                  for checkout in (args.parent, args.change)]
         report["trace"] = {

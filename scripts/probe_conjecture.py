@@ -5,9 +5,11 @@ The paper states the scalar-matrix case for (n, m) in {(3, 2), (4, 2),
 (4, 3)}.  Within the criterion's reduction every scalar matrix passes, at
 every shape: its pi^S are constant, so the first residual family vanishes,
 and the second is a Grassmann-Pluecker identity among maximal minors
-(Fulton, Young Tableaux, 1997, sec. 9).  The probe therefore exercises
-pi_table, the budget and the report path, and a sweep cannot fail; a
-failure would be a fault in the program and is dumped verbatim.
+(Fulton, Young Tableaux, 1997, sec. 9).  The criterion decides a scalar
+matrix from its curls, which all vanish, before any pi table is built, so
+the probe exercises the curl pass, the budget and the report path, and a
+sweep cannot fail; a failure would be a fault in the program and is
+dumped verbatim.
 
 Usage:
     python scripts/probe_conjecture.py --n 5 --m 2 --trials 10 --seed 0

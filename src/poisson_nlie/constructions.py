@@ -13,10 +13,11 @@ tensor product of Poisson algebras is Poisson) and the tensor power, whose
 Leibniz identity is L's fundamental identity.  No check samples.
 
 The work of each construction follows the stored entries of its inputs,
-not every basis tuple: nestings, skew defects, adjoint images and the
-tensor-power tables are grown from nonzero values.  A basis tensor of the
+not every basis tuple: nestings, skew defects and the tensor-power tables
+are grown from nonzero values, and the power and Ker(ad) read L's nonzero
+adjoints from ``finite_algebra._basis_operators``.  A basis tensor of the
 k-fold power sits at the index whose base-d digits, most significant
-first, are its factors, as ``_kron`` builds it.
+first, are its factors (``_power_index``), as ``_kron`` builds it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .finite_algebra import (
     InternalCheckError,
     StructAlgebra,
     SVec,
+    _basis_operators,
     _bracket_with_vector,
     _fundamental_cases,
     _fundamental_holds,
@@ -216,15 +218,10 @@ def skew_defect_quotient(P: StructAlgebra) -> QuotientAlgebra:
     return quotient
 
 
-def _adjoint_images(L: StructAlgebra) -> List[List[SVec]]:
-    """images[a][j] = [x_1, ..., x_{n-1}, e_j] for the basis tensor
-    x_1 (x) .. (x) x_{n-1} at index ``a`` of the (n-1)-fold tensor power,
-    whose base-d digits, most significant first, are x_1 .. x_{n-1}.
-
-    Entries may be L's own stored vectors: read them, never modify them."""
-    d = L.dim
-    return [[L.bracket_basis(xs + (j,)) for j in range(d)]
-            for xs in itertools.product(range(d), repeat=L.arity - 1)]
+def _power_index(xs: tuple, d: int) -> int:
+    """The index of the basis tensor x_1 (x) .. (x) x_k of the k-fold power:
+    its base-d digits, most significant first, are x_1 .. x_k."""
+    return sum(x * d ** (len(xs) - 1 - s) for s, x in enumerate(xs))
 
 
 def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> StructAlgebra:
@@ -252,19 +249,15 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
     if dim > DIMENSION_BUDGET:
         raise DimensionBudgetError(f"tensor power dimension {dim} exceeds {DIMENSION_BUDGET}")
 
-    images = _adjoint_images(L)
-    live = [a for a in range(dim) if any(images[a])]
     # the b whose slot digit at place p is y come in runs of p indices, one
-    # every p * d; replacing the digit by l moves b to b + (l - y) * p.  The
-    # slots are visited in order, so each vector sums its terms slot by slot
+    # every p * d; replacing the digit by l moves b to b + (l - y) * p.  Each
+    # vector sums one column y per slot, slot by slot, in the formula's order
     places = [d ** (n - 2 - slot) for slot in range(n - 1)]
     brackets: Dict[tuple, SVec] = {}
-    for a in live:
+    for xs, images in sorted(_basis_operators(L).items()):
         row: Dict[int, SVec] = defaultdict(dict)
         for place in places:
-            for y, image in enumerate(images[a]):
-                if not image:
-                    continue
+            for y, image in images.items():
                 shifted = [((l - y) * place, c) for l, c in image.items()]
                 for start in range(y * place, dim, place * d):
                     for b in range(start, start + place):
@@ -276,6 +269,7 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
                                 acc[k] = value
                             else:
                                 del acc[k]
+        a = _power_index(xs, d)
         brackets.update(((a, b), row[b]) for b in sorted(row) if row[b])
     products: Dict[Tuple[int, int], SVec] = {}
     if with_product:
@@ -293,8 +287,7 @@ def leibniz_tensor_functor(L: StructAlgebra, with_product: bool = False) -> Stru
                    if not _fundamental_holds(L, *case)), None)
     if failed is None:
         return result
-    x, y = (sum(i * d ** (n - 2 - s) for s, i in enumerate(xs))
-            for xs in (failed[0], failed[1][:-1]))
+    x, y = (_power_index(xs, d) for xs in (failed[0], failed[1][:-1]))
     raise InternalCheckError(f"tensor-power bracket lost the Leibniz identity at {(x, y)}")
 
 
@@ -305,8 +298,9 @@ def kernel_of_adjoint(L: StructAlgebra) -> Subspace:
     d = L.dim
     dim = d ** (n - 1)
     rows: List[SVec] = [{} for _ in range(d * d)]
-    for a, row in enumerate(_adjoint_images(L)):
-        for j, image in enumerate(row):
+    for xs, images in sorted(_basis_operators(L).items()):
+        a = _power_index(xs, d)
+        for j, image in images.items():
             for i, c in image.items():
                 rows[i * d + j][a] = c
     return kernel(rows, dim)

@@ -9,7 +9,7 @@ multiplication operators, common eigenvectors, eigenspace ideals, and
 idempotent bookkeeping.  The series, the classification and both
 nilradical searches (two-operation and bracket-only) share one descent
 loop, ``_series_terms``; both searches share one greedy adjoin loop,
-``_greedy_ideal``, and every basis adjoint comes from ``_adjoint_generators``.  All
+``_greedy_ideal``; every nonzero basis operator comes from ``_basis_operators``.  All
 span work starts from ``_images``, which meets each partial slot's rows,
 indexed by entry, with the algebra's table of stored-key arrangements, so
 only images that can be nonzero are formed.  A series step or a closure
@@ -70,6 +70,11 @@ def _multilinear(value, vectors: Sequence[SVec]) -> SVec:
                 coeff *= c
             _sv_accum(acc, base, coeff)
     return acc
+
+
+def _dense(columns: Dict[int, SVec], dim: int) -> tuple:
+    """The dim x dim matrix whose column j is columns[j] (zero if absent)."""
+    return tuple(tuple(columns.get(j, {}).get(i, 0) for j in range(dim)) for i in range(dim))
 
 
 @functools.cache
@@ -159,20 +164,15 @@ class StructAlgebra:
 
     # -- operators ------------------------------------------------------------
 
-    def _operator_matrix(self, image) -> tuple:
-        """Matrix of the linear map ``image`` (columns indexed by e_j)."""
-        cols = [sv_to_dense(image({j: 1}), self.dim) for j in range(self.dim)]
-        return tuple(tuple(col[i] for col in cols) for i in range(self.dim))
-
     def left_mult_matrix(self, x: SVec) -> tuple:
         """Matrix of v -> x . v in the standard basis."""
-        return self._operator_matrix(lambda v: self.product(x, v))
+        return _dense({j: self.product(x, {j: 1}) for j in range(self.dim)}, self.dim)
 
     def adjoint_matrix(self, ys: Sequence[SVec]) -> tuple:
         """Matrix of v -> [y_1, ..., y_{n-1}, v]."""
         if len(ys) != self.arity - 1:
             raise ValueError("adjoint needs n-1 leading arguments")
-        return self._operator_matrix(lambda v: self.bracket(list(ys) + [v]))
+        return _dense({j: self.bracket([*ys, {j: 1}]) for j in range(self.dim)}, self.dim)
 
     def _arrangement_table(self, op: str, whole: Tuple[int, ...]) -> list:
         """(fill, rest, sign, value) per arrangement t of a stored key of
@@ -627,9 +627,9 @@ def classify(P: StructAlgebra) -> Classification:
 
 def engel_operators_nilpotent(P: StructAlgebra) -> Tuple[bool, Optional[tuple]]:
     """All basis left-multiplications and all increasing-tuple adjoints
-    nilpotent?  Returns a witness tag when one is not."""
-    for i in range(P.dim):
-        if not is_nilpotent_matrix(P.left_mult_matrix({i: 1})):
+    nilpotent (a zero one is)?  Returns a witness tag when one is not."""
+    for (i,), columns in sorted(_basis_operators(P, "product").items()):
+        if not is_nilpotent_matrix(_dense(columns, P.dim)):
             return False, ("product", i)
     for tup, matrix in _adjoint_generators(P):
         if not is_nilpotent_matrix(matrix):
@@ -725,23 +725,38 @@ class CommonEigenvector:
     annihilated_by_products: bool = True
 
 
+def _basis_operators(P: StructAlgebra, op: str = "bracket") -> Dict[tuple, Dict[int, SVec]]:
+    """{xs: {j: e_xs op e_j}} over the basis tuples xs (n-1 entries for the
+    bracket, one for the product) whose operator is nonzero, in one pass
+    over the arrangements of the stored keys; a value is the stored vector
+    or, for an odd arrangement, a negated copy, shared and read-only."""
+    operators: Dict[tuple, Dict[int, SVec]] = {}
+    for _, t, sign, value in P._arrangement_table(op, ()):
+        operators.setdefault(t[:-1], {})[t[-1]] = value if sign > 0 else {
+            i: -c for i, c in value.items()}
+    return operators
+
+
 def annihilator(P: StructAlgebra) -> Subspace:
     """{v : x . v = 0 for all x}; an ideal by the Leibniz rule."""
-    rows = [row for i in range(P.dim) for row in P.left_mult_matrix({i: 1})]
+    rows = [{j: image[r] for j, image in columns.items() if r in image}
+            for columns in _basis_operators(P, "product").values()
+            for r in set().union(*columns.values())]
     return kernel(rows, P.dim)
 
 
 def _adjoint_generators(P: StructAlgebra):
-    for tup in itertools.combinations(range(P.dim), P.arity - 1):
-        ys = [{i: 1} for i in tup]
-        yield tup, P.adjoint_matrix(ys)
+    """(tup, adjoint) per increasing tuple whose adjoint is nonzero, in order."""
+    return ((tup, _dense(columns, P.dim)) for tup, columns in sorted(_basis_operators(P).items())
+            if all(a < b for a, b in zip(tup, tup[1:])))
 
 
 def _common_eigenspace(P: StructAlgebra) -> Optional[Tuple[Subspace, Dict[tuple, Fraction]]]:
     """``common_eigenvector``'s search: (eigenspace, eigenvalue by tuple).
+    A zero adjoint (eigenvalue 0 only) cuts nothing and is not searched.
     P must be solvable; its callers test that once."""
-    generators = list(_adjoint_generators(P))
-    operators = list(dict.fromkeys(matrix for _, matrix in generators))
+    generators = dict(_adjoint_generators(P))
+    operators = list(dict.fromkeys(generators.values()))
     spectra: Dict[int, List[Fraction]] = {}  # by position, filled on first visit
 
     def descend(space: Subspace, position: int, chosen: Dict[tuple, Fraction]):
@@ -768,7 +783,8 @@ def _common_eigenspace(P: StructAlgebra) -> Optional[Tuple[Subspace, Dict[tuple,
     if found is None:
         return None
     space, chosen = found
-    return space, {tup: chosen[matrix] for tup, matrix in generators}
+    return space, {tup: chosen[generators[tup]] if tup in generators else Fraction(0)
+                   for tup in itertools.combinations(range(P.dim), P.arity - 1)}
 
 
 def common_eigenvector(P: StructAlgebra) -> Optional[CommonEigenvector]:

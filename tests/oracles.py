@@ -7,8 +7,10 @@ from fractions import Fraction
 from poisson_nlie import criterion
 from poisson_nlie.criterion import replace_position, signed_pi
 from poisson_nlie.jacobian_bracket import perm_sign, pi_table
-from poisson_nlie.finite_algebra import Classification, bracket_span, subspace_product
-from poisson_nlie.subspaces import Subspace, rref
+from poisson_nlie.finite_algebra import (
+    Classification, bracket_span, quotient_algebra, subspace_product)
+from poisson_nlie.subspaces import (
+    Subspace, is_nilpotent_matrix, kernel, rational_eigenvalues, rref, shift_diagonal)
 from poisson_nlie.ring import (
     DET_SIZE_CAP,
     EXPONENT_LIMIT,
@@ -439,6 +441,126 @@ def nilradical_by_rounds(P, with_product=True):
         return ideal_closure_by_rounds(U, P, with_product)
     return greedy_ideal_resweep(closure(start), candidates, closure,
                                 lambda U: nilpotent_by_sums(U, P, with_product))
+
+
+# ---------------------------------------------------------------------------
+# Basis operators by per-tuple lookups
+# ---------------------------------------------------------------------------
+#
+# The eigen tools and the tensor power as they ran before the basis
+# operators were read from the stored entries: every basis tuple looked up,
+# zero operators included, and every operator a dense matrix.
+
+def basis_operators_by_lookup(P, op="bracket"):
+    """``finite_algebra._basis_operators`` by looking up every basis tuple:
+    {xs: {j: e_xs op e_j}} over the xs whose operator is nonzero, each entry
+    a ``bracket_basis`` or ``product_basis`` lookup."""
+    operators = {}
+    for t in itertools.product(range(P.dim), repeat=P.arity if op == "bracket" else 2):
+        value = P.bracket_basis(t) if op == "bracket" else P.product_basis(*t)
+        if value:
+            operators.setdefault(t[:-1], {})[t[-1]] = value
+    return operators
+
+
+def adjoint_images_by_lookup(L):
+    """The former ``constructions._adjoint_images``: images[a][j] =
+    [x_1, ..., x_{n-1}, e_j] for the basis tensor x_1 (x) .. (x) x_{n-1} at
+    index a of the (n-1)-fold tensor power, one ``bracket_basis`` lookup per
+    basis tuple, zero or not."""
+    d = L.dim
+    return [[L.bracket_basis(xs + (j,)) for j in range(d)]
+            for xs in itertools.product(range(d), repeat=L.arity - 1)]
+
+
+def adjoint_generators_by_lookup(P):
+    """The former ``finite_algebra._adjoint_generators``: (tup, dense
+    ``adjoint_matrix``) for every increasing tuple, zero adjoints included."""
+    for tup in itertools.combinations(range(P.dim), P.arity - 1):
+        yield tup, P.adjoint_matrix([{i: 1} for i in tup])
+
+
+def annihilator_by_lookup(P):
+    """The kernel of every basis ``left_mult_matrix``, zero ones included."""
+    return kernel([row for i in range(P.dim) for row in P.left_mult_matrix({i: 1})], P.dim)
+
+
+def bracket_center_by_lookup(P):
+    """The kernel of every increasing-tuple adjoint, zero ones included."""
+    return kernel([row for _, matrix in adjoint_generators_by_lookup(P) for row in matrix],
+                  P.dim)
+
+
+def engel_by_lookup(P):
+    """``engel_operators_nilpotent`` over every basis left multiplication and
+    every increasing-tuple adjoint, zero ones included."""
+    for i in range(P.dim):
+        if not is_nilpotent_matrix(P.left_mult_matrix({i: 1})):
+            return False, ("product", i)
+    for tup, matrix in adjoint_generators_by_lookup(P):
+        if not is_nilpotent_matrix(matrix):
+            return False, ("bracket", tup)
+    return True, None
+
+
+def common_eigenspace_by_lookup(P):
+    """The former ``finite_algebra._common_eigenspace``: the descent over the
+    distinct dense adjoints of every increasing tuple, the zero adjoint
+    searched like any other, from ``annihilator_by_lookup``."""
+    generators = list(adjoint_generators_by_lookup(P))
+    operators = list(dict.fromkeys(matrix for _, matrix in generators))
+    spectra = {}
+
+    def descend(space, position, chosen):
+        if space.is_zero():
+            return None
+        if position == len(operators):
+            return space, dict(chosen)
+        matrix = operators[position]
+        if position not in spectra:
+            spectra[position] = sorted(rational_eigenvalues(matrix),
+                                       key=lambda lam: (lam != 0, lam))
+        for lam in spectra[position]:
+            cut = space.intersection(kernel(shift_diagonal(matrix, lam), P.dim))
+            if cut.is_zero():
+                continue
+            chosen[matrix] = lam
+            found = descend(cut, position + 1, chosen)
+            if found is not None:
+                return found
+            del chosen[matrix]
+        return None
+
+    found = descend(annihilator_by_lookup(P), 0, {})
+    if found is None:
+        return None
+    space, chosen = found
+    return space, {tup: chosen[matrix] for tup, matrix in generators}
+
+
+def solvable_flag_by_lookup(P):
+    """The former ``solvable_flag`` of a solvable P, each step searched by
+    ``common_eigenspace_by_lookup``."""
+    flag = [Subspace.zero(P.dim)]
+    while flag[-1].dim < P.dim:
+        quo = quotient_algebra(P, flag[-1])
+        found = common_eigenspace_by_lookup(quo.algebra)
+        if found is None:
+            return None
+        flag.append(flag[-1].adjoin([{quo.kept[a]: c for a, c in found[0].rows[0].items()}]))
+    return flag
+
+
+def kernel_of_adjoint_by_lookup(L):
+    """The former ``constructions.kernel_of_adjoint``, from
+    ``adjoint_images_by_lookup``."""
+    d = L.dim
+    rows = [{} for _ in range(d * d)]
+    for a, row in enumerate(adjoint_images_by_lookup(L)):
+        for j, image in enumerate(row):
+            for i, c in image.items():
+                rows[i * d + j][a] = c
+    return kernel(rows, d ** (L.arity - 1))
 
 
 def mat_vec(matrix, vector):

@@ -15,6 +15,7 @@ from poisson_nlie.finite_algebra import (
     abelian_algebra,
     algebra_square,
     annihilator,
+    bracket_center,
     bracket_span,
     classify,
     common_eigenvector,
@@ -47,10 +48,16 @@ from poisson_nlie.subspaces import (
     Subspace, is_nilpotent_matrix, kernel, mat_pow, rational_eigenvalues, unit_vector)
 
 from oracles import (
+    adjoint_generators_by_lookup,
+    annihilator_by_lookup,
     arrangement_table_by_permutations,
     assert_scalar_rule,
+    basis_operators_by_lookup,
     bracket_basis_by_sign,
+    bracket_center_by_lookup,
     classification_by_sums,
+    common_eigenspace_by_lookup,
+    engel_by_lookup,
     greedy_ideal_resweep,
     ideal_closure_by_rounds,
     images_by_scan,
@@ -439,9 +446,10 @@ class TestSpansFollowStoredEntries:
 
     def test_structure_results_match_the_former_scans(self, monkeypatch):
         """Every span the structure code makes goes through the image
-        builder: with the scan in its place (and the arrangement tables out
-        of reach), classification, nilradicals, flags, closures and
-        quotients come out the same."""
+        builder, and every basis operator through ``_basis_operators``: with
+        the scan and the per-tuple lookups in their place (and the
+        arrangement tables out of reach), classification, nilradicals,
+        flags, closures and quotients come out the same."""
         from poisson_nlie.constructions import random_poisson_n_lie, skew_defect_quotient
 
         algebras = [fixture_hypo(), fixture_torus(), fixture_torus(3, 4)]
@@ -470,10 +478,16 @@ class TestSpansFollowStoredEntries:
         def unreachable(*args):
             raise AssertionError("an arrangement table was read during the scan")
 
+        def looked_up(P, op="bracket"):
+            scans["operators", op] += 1
+            return basis_operators_by_lookup(P, op)
+
         monkeypatch.setattr(finite_algebra, "_images", scanned)
+        monkeypatch.setattr(finite_algebra, "_basis_operators", looked_up)
         monkeypatch.setattr(StructAlgebra, "_arrangement_table", unreachable)
         assert results() == fast
         assert min(scans["bracket"], scans["product"]) >= 500, scans
+        assert min(scans["operators", "bracket"], scans["operators", "product"]) >= 50, scans
 
     def test_arrangement_tables_list_each_sorted_arrangement_once(self):
         """n!/w! arrangements per key of distinct entries, with sorted
@@ -525,6 +539,14 @@ class TestSpansFollowStoredEntries:
                     assert table == expected, (R, op, whole)
                     assert all(a[3] is b[3] for a, b in zip(table, expected))
                     seen[op, R.skew, R.arity] += len(table)
+                # the basis operators read from the table are those of the
+                # per-tuple lookups, an even arrangement's the stored vector
+                operators = finite_algebra._basis_operators(R, op)
+                assert operators == basis_operators_by_lookup(R, op), (R, op)
+                stored = {id(v) for v in (R._bracket if op == "bracket" else R._product).values()}
+                assert all(id(value) in stored for xs, columns in operators.items()
+                           for j, value in columns.items()
+                           if op == "product" or not R.skew or perm_sign(xs + (j,)) > 0)
         assert {(skew, n) for op, skew, n in seen if op == "bracket"} \
             == {(skew, n) for skew in (True, False) for n in range(2, 6)}, seen
 
@@ -945,9 +967,9 @@ class TestEigenstructure:
     def test_matches_the_per_generator_search(self, span_algebras, monkeypatch):
         """The eigenvector and the whole eigenvalue map, zero generators and
         their order included, are those of a search that gives every
-        generator its own branch."""
+        generator, zero or not, its own branch."""
         def per_generator(P):
-            generators = list(finite_algebra._adjoint_generators(P))
+            generators = list(adjoint_generators_by_lookup(P))
 
             def descend(space, position, chosen):
                 if space.is_zero():
@@ -984,7 +1006,9 @@ class TestEigenstructure:
                             lambda matrix: calls.append(matrix) or rational_eigenvalues(matrix))
         torus = fixture_torus()
         common_eigenvector(torus)
-        assert len(calls) == len(set(calls)) == 13
+        # the 12 distinct nonzero adjoints; the zero adjoint is not formed
+        assert len(calls) == len(set(calls)) == 12
+        assert all(any(any(row) for row in matrix) for matrix in calls)
 
     def test_annihilator_of_fixture(self, hypo):
         assert annihilator(hypo) == span(7, 0, 1, 2, 5, 6)
@@ -1065,6 +1089,44 @@ class TestEigenstructure:
         with pytest.raises(ValueError, match="^only solvable algebras carry a "
                                              "complete ideal flag$"):
             solvable_flag(epsilon)
+
+
+class TestSparseOperatorFile:
+    """The four-line file ``dim d / arity 2 / bracket [1,2] = e1 / product
+    3*3 = e4``, whose C(d, 1) adjoints and d left multiplications are all
+    zero but three: its eigen tools form only those, so their work follows
+    the stored constants, not d."""
+
+    @staticmethod
+    def algebra(d):
+        return parse_algebra(f"dim {d}\narity 2\nbracket [1,2] = e1\nproduct 3*3 = e4\n")
+
+    @pytest.mark.parametrize("d", [40, 80])
+    def test_no_dense_basis_operator_is_formed(self, d, monkeypatch):
+        P = self.algebra(d)
+        if d == 40:
+            space, eigenvalues = common_eigenspace_by_lookup(P)
+            expected = (annihilator_by_lookup(P), bracket_center_by_lookup(P), engel_by_lookup(P),
+                        sv_to_dense(space.rows[0], d), list(eigenvalues.items()))
+
+        def dense(*args):
+            raise AssertionError("a dense basis operator was formed")
+
+        calls = []
+        monkeypatch.setattr(StructAlgebra, "adjoint_matrix", dense)
+        monkeypatch.setattr(StructAlgebra, "left_mult_matrix", dense)
+        monkeypatch.setattr(finite_algebra, "rational_eigenvalues",
+                            lambda matrix: calls.append(matrix) or rational_eigenvalues(matrix))
+        found = common_eigenvector(P)
+        assert len(calls) == 2  # ad e1 and ad e2; every other adjoint is zero
+        result = (annihilator(P), bracket_center(P), engel_operators_nilpotent(P),
+                  found.vector, list(found.eigenvalues.items()))
+        # [e2, e1] = -e1: ad e2 is not nilpotent
+        assert (result[0].dim, result[1].dim) == (d - 1, d - 2)
+        assert result[2] == (False, ("bracket", (1,)))
+        assert all(type(lam) is Fraction for lam in found.eigenvalues.values())
+        if d == 40:
+            assert result == expected
 
 
 class TestOperatorIdentity:

@@ -195,38 +195,80 @@ class TestClaimRule:
     def summary(self, parent, change, spec=RATE):
         return _bench_pairs().summarize_metric(_pairs(parent, change, spec["name"]), spec)
 
+    @staticmethod
+    def met(summary, all_correct=True, not_worse=True):
+        """``claim_met`` on a workload whose only metric is ``summary``."""
+        workload = {"all_correct": all_correct, "failed_share_not_worse": not_worse,
+                    "metrics": {"m": summary}}
+        return _bench_pairs().claim_met(workload, "m")
+
     def test_nine_of_ten_wins_and_a_gap_past_the_spread_meet_the_claim(self):
         change = [14.0, 15.0, 13.5, 14.5, 16.0, 15.0, 12.0, 14.0, 13.0, 15.5]  # loses pair 7
         summary = self.summary(self.PARENT, change)
         assert summary["change_better"] == "9/10"
         assert summary["parent_quartiles"] == [10.0, 12.0]
         assert summary["change_median"] - summary["parent_median"] > 2.0
-        assert _bench_pairs().claim_met(summary) and summary["within_bound"]
+        assert self.met(summary) and summary["within_bound"]
 
     def test_eight_wins_do_not(self):
         change = [14.0, 15.0, 13.5, 14.5, 16.0, 15.0, 12.0, 9.0, 13.0, 15.5]
         summary = self.summary(self.PARENT, change)
         assert summary["change_better"] == "8/10"
-        assert not _bench_pairs().claim_met(summary)
+        assert not self.met(summary)
 
     def test_a_gap_inside_the_parent_spread_does_not(self):
         change = [v + 1.0 for v in self.PARENT]  # wins every pair by less than the spread
         summary = self.summary(self.PARENT, change)
         assert summary["change_better"] == "10/10"
-        assert not _bench_pairs().claim_met(summary)
+        assert not self.met(summary)
 
     def test_fewer_than_ten_pairs_do_not(self):
         change = [v * 2 for v in self.PARENT]
-        assert _bench_pairs().claim_met(self.summary(self.PARENT, change))
-        assert not _bench_pairs().claim_met(self.summary(self.PARENT[:9], change[:9]))
+        assert self.met(self.summary(self.PARENT, change))
+        assert not self.met(self.summary(self.PARENT[:9], change[:9]))
 
     def test_lower_is_better(self):
         parent = [v / 100 for v in self.PARENT]
         faster = [v / 2 for v in parent]
         summary = self.summary(parent, faster, self.TIME)
-        assert _bench_pairs().claim_met(summary) and summary["within_bound"]
+        assert self.met(summary) and summary["within_bound"]
         slower = self.summary(faster, parent, self.TIME)  # twice as slow
-        assert not _bench_pairs().claim_met(slower) and not slower["within_bound"]
+        assert not self.met(slower) and not slower["within_bound"]
+
+    @pytest.mark.parametrize("all_correct, not_worse", [(False, True), (True, False),
+                                                         (False, False)])
+    def test_wrong_outputs_or_more_failures_do_not(self, all_correct, not_worse):
+        """A claim that meets the metric rule fails when a run's outputs
+        were wrong or the change failed a larger share of operations."""
+        summary = self.summary(self.PARENT, [v * 2 for v in self.PARENT])
+        assert self.met(summary)
+        assert not self.met(summary, all_correct, not_worse)
+
+    def test_a_claimed_workload_with_a_wrong_run_is_not_met(self, monkeypatch, tmp_path):
+        """End to end: twelve pairs that double the rate, one parent run of
+        which reports wrong outputs, give ``claim_met: false``."""
+        bench = _bench_pairs()
+        (tmp_path / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 7, "end_to_end": [self.RATE]}))
+
+        def fake_run(checkout, workload, seed, trace=0):
+            change = checkout == str(tmp_path)
+            return json.dumps({"correct": change or seed != 5, "attempted": 4, "failed": 0,
+                               "metrics": {"rate": {"value": (20.0 if change else 10.0) + seed,
+                                                    "unit": "1/s"}}})
+
+        monkeypatch.setattr(bench, "run_once", fake_run)
+        out = tmp_path / "BENCH.json"
+        bench.main(["--parent", "P", "--change", str(tmp_path), "--workload", "structure",
+                    "--seeds", "1-12", "--change-desc", "d", "--out", str(out),
+                    "--claim", "structure:rate"])
+        report = json.loads(out.read_text())
+        workload = report["workloads"]["structure"]
+        assert workload["metrics"]["rate"]["change_better"] == "12/12"
+        assert workload["all_correct"] is False
+        assert report["claim"]["claim_met"] is False
+        workload["all_correct"] = True
+        assert bench.claim_met(workload, "rate")
 
     @pytest.mark.parametrize("spec, scale, within", [
         (RATE, 0.75, True), (RATE, 0.74, False), (RATE, 3.0, True),
